@@ -4,7 +4,7 @@ PYTHON ?= python
 
 WORKERS ?= 4
 
-.PHONY: install test check check-sarif lint bench bench-kernels bench-shard bench-stream bench-characterize characterize experiments sweep sweep-follow sweep-trace examples obs-demo clean
+.PHONY: install test check check-sarif lint bench bench-kernels bench-stream bench-characterize characterize experiments results-check sweep sweep-follow sweep-trace examples obs-demo clean
 
 install:
 	pip install -e .
@@ -44,14 +44,6 @@ bench:
 bench-kernels:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_bench_kernels.py --benchmark-only
 
-# Trace-sharded execution pin: asserts simulate_sharded is
-# bit-identical to the serial interpreted engine on a million-branch
-# trace (context switches + per-site tracking on) and pins the
-# measured speedup floor, appending the true per-scheme speedups to
-# the run ledger (results/ledger) for repro-obs history / export-bench.
-bench-shard:
-	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_bench_shard.py --benchmark-only
-
 # Streaming-substrate throughput pin: asserts that simulating a
 # million-branch mmap-backed .btrs container block-by-block (block
 # 2^16) is bit-identical to the one-shot materialized pass and within
@@ -81,6 +73,19 @@ characterize:
 
 experiments:
 	$(PYTHON) -m repro.experiments.cli all --out results/
+
+# Committed-results gate: regenerate every table and figure uncached
+# into a temporary directory and require each file to be byte-identical
+# to its committed copy under results/ (fails with a unified diff).
+results-check:
+	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	PYTHONPATH=src $(PYTHON) -m repro.experiments.cli tables --no-cache --out "$$tmp" >/dev/null && \
+	PYTHONPATH=src $(PYTHON) -m repro.experiments.cli figures --no-cache --out "$$tmp" >/dev/null || exit 1; \
+	status=0; \
+	for f in "$$tmp"/table*.txt "$$tmp"/fig*.txt; do \
+		diff -u "results/$${f##*/}" "$$f" || status=1; \
+	done; \
+	exit $$status
 
 # Parallel, cached regeneration of the figure suite. Reruns are nearly
 # free: results are cached under results/cache keyed by trace+scheme

@@ -63,7 +63,6 @@ def run_experiment(
     n_workers: int = 1,
     result_cache: Optional[ResultCache] = None,
     backend: str = "auto",
-    shards: Optional[int] = None,
 ):
     """Run one experiment by id, returning its result object.
 
@@ -76,9 +75,6 @@ def run_experiment(
         backend: simulation backend for matrix-producing drivers
             (``"auto"`` / ``"python"`` / ``"vectorized"``; results are
             bit-identical, see :data:`repro.sim.engine.SIM_BACKENDS`).
-        shards: trace-sharded kernel chunk count for matrix-producing
-            drivers (:mod:`repro.sim.shard`); bit-identical at every
-            shard count.
 
     Drivers that run no simulations (e.g. ``table2``) ignore the
     execution knobs; the knobs are forwarded only to drivers whose
@@ -101,8 +97,6 @@ def run_experiment(
         kwargs["result_cache"] = result_cache
     if "backend" in parameters:
         kwargs["backend"] = backend
-    if "shards" in parameters:
-        kwargs["shards"] = shards
     return driver(**kwargs)
 
 
@@ -142,13 +136,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="simulation backend: auto (vectorized kernels where available, "
         "default), python (interpreted loop), vectorized (fail if no kernel "
         "applies); results are bit-identical",
-    )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="trace-sharded kernel chunk count per cell (repro.sim.shard); "
-        "results are bit-identical at every shard count",
     )
     parser.add_argument(
         "--cache-dir",
@@ -228,7 +215,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "scale": args.scale,
         "workers": args.workers,
         "backend": args.backend,
-        "shards": args.shards,
         "cache": None if result_cache is None else str(result_cache.directory),
         "experiments": {},
     }
@@ -241,7 +227,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             n_workers=args.workers,
             result_cache=result_cache,
             backend=args.backend,
-            shards=args.shards,
         )
         elapsed = time.time() - started
         text = result.render()

@@ -180,7 +180,6 @@ def extra_taxonomy(
     n_workers: int = 1,
     result_cache=None,
     backend: str = "auto",
-    shards: Optional[int] = None,
 ) -> FigureResult:
     """The widened taxonomy ladder at one history length, with costs.
 
@@ -203,7 +202,7 @@ def extra_taxonomy(
     }
     matrix = run_matrix(
         builders, cases, n_workers=n_workers, result_cache=result_cache,
-        backend=backend, shards=shards,
+        backend=backend,
     )
     costs = {
         f"GAg-{k}": cost_gag(k),

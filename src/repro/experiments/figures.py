@@ -124,7 +124,6 @@ def figure5(
     n_workers: int = 1,
     result_cache: Optional[ResultCache] = None,
     backend: str = "auto",
-    shards: Optional[int] = None,
 ) -> FigureResult:
     """PAg(512, 4-way, 12-bit) with automata LT / A1 / A2 / A3 / A4."""
     cases = _cases(cases, scale)
@@ -135,7 +134,6 @@ def figure5(
     matrix = run_matrix(
         builders, cases, n_workers=n_workers, result_cache=result_cache,
         backend=backend,
-        shards=shards,
     )
     rendered = render_accuracy_matrix(
         matrix,
@@ -160,7 +158,6 @@ def figure6(
     n_workers: int = 1,
     result_cache: Optional[ResultCache] = None,
     backend: str = "auto",
-    shards: Optional[int] = None,
 ) -> FigureResult:
     """GAg vs PAg vs PAp, all using the same history register length."""
     cases = _cases(cases, scale)
@@ -172,7 +169,6 @@ def figure6(
     matrix = run_matrix(
         builders, cases, n_workers=n_workers, result_cache=result_cache,
         backend=backend,
-        shards=shards,
     )
     summary_rows = []
     for k in lengths:
@@ -220,7 +216,6 @@ def figure7(
     n_workers: int = 1,
     result_cache: Optional[ResultCache] = None,
     backend: str = "auto",
-    shards: Optional[int] = None,
 ) -> FigureResult:
     """GAg accuracy as the history register grows 6 -> 18 bits."""
     cases = _cases(cases, scale)
@@ -228,7 +223,6 @@ def figure7(
     matrix = run_matrix(
         builders, cases, n_workers=n_workers, result_cache=result_cache,
         backend=backend,
-        shards=shards,
     )
     gain = matrix.gmean(f"GAg-{max(lengths)}") - matrix.gmean(f"GAg-{min(lengths)}")
     series = {
@@ -262,7 +256,6 @@ def figure8(
     n_workers: int = 1,
     result_cache: Optional[ResultCache] = None,
     backend: str = "auto",
-    shards: Optional[int] = None,
 ) -> FigureResult:
     """GAg(18) / PAg(12) / PAp(6): ~equal accuracy, very unequal cost."""
     cases = _cases(cases, scale)
@@ -274,7 +267,6 @@ def figure8(
     matrix = run_matrix(
         builders, cases, n_workers=n_workers, result_cache=result_cache,
         backend=backend,
-        shards=shards,
     )
     costs = {
         "GAg-18": cost_gag(18, 2, params),
@@ -314,7 +306,6 @@ def figure9(
     n_workers: int = 1,
     result_cache: Optional[ResultCache] = None,
     backend: str = "auto",
-    shards: Optional[int] = None,
 ) -> FigureResult:
     """GAg(18)/PAg(12)/PAp(6) with and without context switches."""
     cases = _cases(cases, scale)
@@ -326,7 +317,6 @@ def figure9(
     plain = run_matrix(
         builders, cases, n_workers=n_workers, result_cache=result_cache,
         backend=backend,
-        shards=shards,
     )
     switched_builders = {f"{name},c": builder for name, builder in builders.items()}
     switched = run_matrix(
@@ -336,7 +326,6 @@ def figure9(
         n_workers=n_workers,
         result_cache=result_cache,
         backend=backend,
-        shards=shards,
     )
     merged = ResultMatrix(
         benchmarks=plain.benchmarks,
@@ -380,7 +369,6 @@ def figure10(
     n_workers: int = 1,
     result_cache: Optional[ResultCache] = None,
     backend: str = "auto",
-    shards: Optional[int] = None,
 ) -> FigureResult:
     """PAg with practical BHTs (256/512 x direct/4-way) vs the IBHT,
     simulated in the presence of context switches, as the paper does."""
@@ -399,7 +387,6 @@ def figure10(
         n_workers=n_workers,
         result_cache=result_cache,
         backend=backend,
-        shards=shards,
     )
     rendered = render_accuracy_matrix(
         matrix, title="Figure 10: branch history table implementations (with context switches)"
@@ -422,7 +409,6 @@ def figure11(
     n_workers: int = 1,
     result_cache: Optional[ResultCache] = None,
     backend: str = "auto",
-    shards: Optional[int] = None,
 ) -> FigureResult:
     """PAg(12) against every other scheme family in the study."""
     cases = _cases(cases, scale)
@@ -439,7 +425,6 @@ def figure11(
     matrix = run_matrix(
         builders, cases, n_workers=n_workers, result_cache=result_cache,
         backend=backend,
-        shards=shards,
     )
     rendered = (
         render_accuracy_matrix(

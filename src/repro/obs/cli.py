@@ -658,12 +658,6 @@ def add_sweep_arguments(parser: argparse.ArgumentParser) -> None:
         "(fail if no kernel applies); results are bit-identical",
     )
     parser.add_argument(
-        "--shards", type=int, default=None,
-        help="run every cell through the trace-sharded kernel driver "
-        "with this many chunks (repro.sim.shard); results are "
-        "bit-identical at every shard count",
-    )
-    parser.add_argument(
         "--cache-dir", type=Path, default=Path("results") / "cache",
         help="result-cache directory (default: results/cache)",
     )
@@ -765,7 +759,6 @@ def run_sweep(args: argparse.Namespace) -> int:
             tick=tick,
             backend=args.backend,
             tracer=tracer,
-            shards=args.shards,
         )
     except (KeyError, ValueError) as exc:
         if printer is not None:

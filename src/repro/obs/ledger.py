@@ -500,10 +500,6 @@ def entries_from_matrix(
                     extra["backend"] = cell.backend
                 if getattr(cell, "rss_peak", 0):
                     extra["rss_peak_bytes"] = cell.rss_peak
-                # Shard count only for cells that ran the sharded
-                # driver (cache hits / unavailable cells never did).
-                if getattr(telemetry, "shards", 0) and cell.source == "simulated":
-                    extra["shards"] = telemetry.shards
             if telemetry is not None:
                 extra["workers"] = telemetry.n_workers
             summary = cell_summaries.get((scheme, benchmark))

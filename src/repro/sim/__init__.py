@@ -33,7 +33,6 @@ from .results import (
     geometric_mean,
 )
 from .runner import BenchmarkCase, PredictorBuilder, run_case, run_matrix, sweep_parameter
-from .shard import shard_supports, simulate_sharded
 
 __all__ = [
     "BenchmarkCase",
@@ -63,9 +62,7 @@ __all__ = [
     "result_cache_key",
     "run_case",
     "run_matrix",
-    "shard_supports",
     "simulate",
-    "simulate_sharded",
     "simulate_delayed",
     "simulate_named",
     "simulate_vectorized",

@@ -61,7 +61,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         probe=probe,
         backend=args.backend,
         block_size=args.block_size,
-        shards=args.shards,
     )
     wall = time.perf_counter() - started
     from ..obs.resources import read_resources
@@ -93,7 +92,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 extra={
                     "backend": backend,
                     "rss_peak_bytes": sample.peak_rss_bytes,
-                    **({"shards": args.shards} if args.shards else {}),
                 },
             )
         )
@@ -122,7 +120,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         predictor = make_predictor(name, training)
         result, _backend = simulate_with_backend(
             predictor, trace, context_switches=_context(args), backend=args.backend,
-            block_size=args.block_size, shards=args.shards,
+            block_size=args.block_size,
         )
         rows.append((name, result.accuracy, result.mispredictions))
     rows.sort(key=lambda row: -row[1])
@@ -189,13 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
             ".btrs containers (default: whole trace for in-memory "
             "traces, 65536 records for streamed containers); results "
             "are bit-identical at any block size",
-        )
-        sub.add_argument(
-            "--shards", type=int, default=None,
-            help="run the trace-sharded kernel driver with this many "
-            "chunks (repro.sim.shard); bit-identical at every shard "
-            "count; mutually exclusive with --block-size and "
-            "--backend python",
         )
 
     run = subparsers.add_parser("run", help="one predictor, one trace")

@@ -96,7 +96,6 @@ def simulate(
     probe: Optional["Probe"] = None,
     backend: str = "python",
     block_size: Optional[int] = None,
-    shards: Optional[int] = None,
 ) -> SimulationResult:
     """Replay ``trace`` through ``predictor`` and score its predictions.
 
@@ -135,17 +134,6 @@ def simulate(
             instead of the trace length. Results are bit-identical for
             every block size. A non-``Trace`` source streams block-wise
             even when this is ``None`` (at the default block size).
-            Mutually exclusive with ``shards``.
-        shards: when given (>= 1), run the trace-sharded kernel driver
-            (:mod:`repro.sim.shard`): the conditional stream is split
-            into this many contiguous chunks whose pattern-table scans
-            run in parallel workers with symbolic starting states,
-            reconciled via composition-LUT prefix products —
-            bit-identical to the serial engine at every shard count.
-            Requires a kernel backend (``"auto"`` falls back to the
-            interpreted loop when the predictor has no kernel;
-            ``"python"`` rejects the knob). Ignored for probed runs
-            (probes force the interpreted loop).
 
     Returns:
         A :class:`SimulationResult` with accuracy and bookkeeping.
@@ -159,7 +147,6 @@ def simulate(
         probe=probe,
         backend=backend,
         block_size=block_size,
-        shards=shards,
     )
     return result
 
@@ -173,18 +160,15 @@ def simulate_with_backend(
     probe: Optional["Probe"] = None,
     backend: str = "python",
     block_size: Optional[int] = None,
-    shards: Optional[int] = None,
 ) -> Tuple[SimulationResult, str]:
     """:func:`simulate`, additionally reporting the backend that ran.
 
     Returns:
         ``(result, used)`` where ``used`` is ``"python"`` or
         ``"vectorized"`` — what actually executed after ``"auto"``
-        resolution, probe forcing, and kernel fallback (sharded runs
-        report ``"vectorized"``: the shard driver is the kernel
-        machinery on chunks). Telemetry consumers
-        (:mod:`repro.sim.parallel`, the run ledger) record ``used`` so
-        throughput numbers are attributable.
+        resolution, probe forcing, and kernel fallback. Telemetry
+        consumers (:mod:`repro.sim.parallel`, the run ledger) record
+        ``used`` so throughput numbers are attributable.
     """
     if backend not in SIM_BACKENDS:
         raise ValueError(
@@ -192,20 +176,6 @@ def simulate_with_backend(
         )
     if block_size is not None and block_size < 1:
         raise ValueError("block_size must be >= 1")
-    if shards is not None:
-        if shards < 1:
-            raise ValueError("shards must be >= 1")
-        if backend == "python":
-            raise ValueError(
-                "shards is a kernel-backend knob; use backend='auto' or "
-                "'vectorized' (the interpreted loop is inherently serial)"
-            )
-        if block_size is not None:
-            raise ValueError(
-                "shards and block_size are mutually exclusive: sharding "
-                "materialises the whole trace and splits it into chunks, "
-                "block_size exists to bound memory below the trace length"
-            )
     if getattr(trace, "num_records", 0) is None:
         raise ValueError(
             "cannot simulate an unbounded trace source; bound it with .limit(n)"
@@ -281,28 +251,12 @@ def simulate_with_backend(
                 raise
         else:
             span_id = (
-                recorder.push(
-                    "kernel",
-                    cat="engine",
-                    streaming=streaming,
-                    shards=0 if shards is None else shards,
-                )
+                recorder.push("kernel", cat="engine", streaming=streaming)
                 if recorder is not None
                 else 0
             )
             try:
-                if shards is not None:
-                    from .shard import simulate_sharded
-
-                    result = simulate_sharded(
-                        predictor,
-                        trace,
-                        shards=shards,
-                        context_switches=context_switches,
-                        track_per_site=track_per_site,
-                        warmup_branches=warmup_branches,
-                    )
-                elif streaming:
+                if streaming:
                     result = simulate_vectorized_stream(
                         predictor,
                         trace,
@@ -332,7 +286,6 @@ def simulate_with_backend(
                     scheme=getattr(predictor, "name", type(predictor).__name__),
                     trace=trace.meta.name,
                     streaming=streaming,
-                    shards=0 if shards is None else shards,
                     reason=str(exc),
                 )
             except BaseException:

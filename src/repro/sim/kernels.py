@@ -1669,9 +1669,8 @@ def stream_kernel_supports(predictor) -> bool:
     the interpreted streaming loop. ``backend="auto"`` degrades
     gracefully (and logs a ``kernel_fallback`` event); an explicit
     ``backend="vectorized"`` with ``block_size`` raises
-    :class:`KernelUnavailable` naming the gap — drop the block size (or
-    use ``shards``, which parallelises the whole-trace kernels) to keep
-    the fast path.
+    :class:`KernelUnavailable` naming the gap — drop the block size to
+    keep the fast path.
     """
     return _stream_kernel_for(predictor) is not None
 
@@ -1720,8 +1719,7 @@ def simulate_vectorized_stream(
     if kernel is None:
         name = getattr(predictor, "name", type(predictor).__name__)
         hint = (
-            " (the whole-trace batch kernel covers it: drop block_size, "
-            "or use shards= for chunk-parallel execution)"
+            " (the whole-trace batch kernel covers it: drop block_size)"
             if _kernel_for(predictor) is not None
             else ""
         )

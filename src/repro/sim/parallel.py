@@ -272,7 +272,6 @@ def _run_cell(
     training_path: Optional[str],
     context_switches: Optional[ContextSwitchConfig],
     backend: str = "auto",
-    shards=None,
     heartbeats=None,
     traced: bool = False,
 ) -> Tuple[str, str, Optional[SimulationResult], float, Dict[str, float], str, int]:
@@ -366,7 +365,6 @@ def _run_cell(
         test_trace,
         context_switches=context_switches,
         backend=backend,
-        shards=shards,
     )
     sim_end = time.perf_counter()
     phases["simulate"] = sim_end - built
@@ -402,7 +400,6 @@ def execute_matrix(
     progress_interval: float = 0.5,
     backend: str = "auto",
     tracer: Optional[Any] = None,
-    shards: Optional[int] = None,
 ) -> ResultMatrix:
     """Evaluate every scheme on every benchmark, in parallel and cached.
 
@@ -425,10 +422,6 @@ def execute_matrix(
             cell cached under one backend satisfies lookups under any
             other (cache hits report ``backend="cache"``). The backend
             that actually ran each cell is recorded in the telemetry.
-        shards: when given, every simulated cell runs the trace-sharded
-            kernel driver with this many chunks
-            (:mod:`repro.sim.shard`). Bit-identical at every shard
-            count, so — like ``backend`` — it stays out of cache keys.
         n_workers: worker processes; ``1`` is a plain in-process loop
             (no executor, no trace spooling) whose results every other
             worker count reproduces bit-identically.
@@ -506,7 +499,6 @@ def execute_matrix(
         workers=n_workers,
         cached=result_cache is not None,
         backend=backend,
-        shards=0 if shards is None else shards,
     )
     started = time.perf_counter()
     if parent_recorder is not None:
@@ -518,7 +510,7 @@ def execute_matrix(
             benchmarks=len(cases),
             workers=n_workers,
         )
-    telemetry = RunTelemetry(n_workers=n_workers, shards=0 if shards is None else shards)
+    telemetry = RunTelemetry(n_workers=n_workers)
     matrix = ResultMatrix(
         benchmarks=[case.name for case in cases],
         categories={case.name: case.category for case in cases},
@@ -636,7 +628,6 @@ def execute_matrix(
                 case.test_trace,
                 context_switches=context_switches,
                 backend=backend,
-                shards=shards,
             )
             cell_end = time.perf_counter()
             phases["simulate"] = cell_end - built
@@ -725,7 +716,6 @@ def execute_matrix(
                         training_path,
                         context_switches,
                         backend,
-                        shards,
                         heartbeat_queue,
                         tracer is not None,
                     )

@@ -223,9 +223,6 @@ class RunTelemetry:
 
     Attributes:
         n_workers: worker processes the run was configured with.
-        shards: trace-shard count simulated cells ran with (the
-            ``shards=`` knob of ``run_matrix``); 0 when the run used
-            whole-trace execution.
         cache_hits: cells served from the on-disk result cache.
         cache_misses: cacheable cells that had to be computed.
         uncacheable: cells whose builder carries no cache key (plain
@@ -239,7 +236,6 @@ class RunTelemetry:
     """
 
     n_workers: int = 1
-    shards: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
     uncacheable: int = 0
@@ -298,7 +294,6 @@ class RunTelemetry:
             phase_seconds[phase] = phase_seconds.get(phase, 0.0) + seconds
         return RunTelemetry(
             n_workers=max(self.n_workers, other.n_workers),
-            shards=max(self.shards, other.shards),
             cache_hits=self.cache_hits + other.cache_hits,
             cache_misses=self.cache_misses + other.cache_misses,
             uncacheable=self.uncacheable + other.uncacheable,
@@ -350,7 +345,6 @@ class RunTelemetry:
         """
         return {
             "n_workers": self.n_workers,
-            "shards": self.shards,
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
             "uncacheable": self.uncacheable,
@@ -366,7 +360,6 @@ class RunTelemetry:
         """Reconstruct telemetry serialised by :meth:`to_dict`."""
         return cls(
             n_workers=int(payload.get("n_workers", 1)),
-            shards=int(payload.get("shards", 0)),
             cache_hits=int(payload.get("cache_hits", 0)),
             cache_misses=int(payload.get("cache_misses", 0)),
             uncacheable=int(payload.get("uncacheable", 0)),

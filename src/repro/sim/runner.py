@@ -76,7 +76,6 @@ def run_case(
     probe=None,
     backend: str = "auto",
     block_size: Optional[int] = None,
-    shards: Optional[int] = None,
 ) -> Optional[SimulationResult]:
     """Run one (scheme, benchmark) cell; None when training is missing.
 
@@ -95,9 +94,6 @@ def run_case(
         block_size: stream the test trace in blocks of at most this
             many records (see :func:`repro.sim.engine.simulate`);
             results are bit-identical for every block size.
-        shards: run the trace-sharded kernel driver with this many
-            chunks (see :mod:`repro.sim.shard`); bit-identical at every
-            shard count. Mutually exclusive with ``block_size``.
 
     Deterministic: a fresh predictor is built for every call, so
     repeated invocations with the same inputs return identical counts.
@@ -114,7 +110,6 @@ def run_case(
         probe=probe,
         backend=backend,
         block_size=block_size,
-        shards=shards,
     )
 
 
@@ -128,7 +123,6 @@ def run_matrix(
     tick=None,
     backend: str = "auto",
     tracer=None,
-    shards: Optional[int] = None,
 ) -> ResultMatrix:
     """Evaluate every scheme on every benchmark.
 
@@ -163,10 +157,6 @@ def run_matrix(
             heartbeat queue — see
             :func:`repro.sim.parallel.execute_matrix`). Telemetry only,
             never affects results.
-        shards: run every cell through the trace-sharded kernel driver
-            with this many chunks (:mod:`repro.sim.shard`); results are
-            bit-identical at every shard count, so the cache stays
-            shared across shard settings too.
 
     Returns:
         A :class:`ResultMatrix` with one cell per (scheme, benchmark)
@@ -187,7 +177,6 @@ def run_matrix(
         tick=tick,
         backend=backend,
         tracer=tracer,
-        shards=shards,
     )
 
 
@@ -203,13 +192,12 @@ def sweep_parameter(
     tick=None,
     backend: str = "auto",
     tracer=None,
-    shards: Optional[int] = None,
 ) -> ResultMatrix:
     """Evaluate a family of schemes indexed by one integer parameter.
 
     Used for the history-length sweeps of Figures 6 and 7. Accepts the
     same ``n_workers`` / ``result_cache`` / ``progress`` / ``backend`` /
-    ``tracer`` / ``shards`` knobs as :func:`run_matrix`.
+    ``tracer`` knobs as :func:`run_matrix`.
     """
     builders = {label(value): make_builder(value) for value in values}
     return run_matrix(
@@ -222,5 +210,4 @@ def sweep_parameter(
         tick=tick,
         backend=backend,
         tracer=tracer,
-        shards=shards,
     )

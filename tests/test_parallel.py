@@ -190,6 +190,15 @@ class TestResultCaching:
         rerun = run_matrix({"GAg-6": spec("gag-6")}, cases, result_cache=cache)
         assert rerun.telemetry.simulations == 1
 
+    def test_cache_hits_report_cache_backend(self, tmp_path):
+        builders = {"GAg-6": spec("gag-6")}
+        cache = ResultCache(tmp_path)
+        cold = run_matrix(builders, [_case("a")], result_cache=cache)
+        assert [c.backend for c in cold.telemetry.cells] == ["vectorized"]
+        warm = run_matrix(builders, [_case("a")], result_cache=cache)
+        assert warm.cells == cold.cells
+        assert [c.backend for c in warm.telemetry.cells] == ["cache"]
+
 
 class TestTelemetry:
     def test_cell_records_cover_the_grid(self):

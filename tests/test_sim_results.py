@@ -275,6 +275,21 @@ class TestRunTelemetryMerge:
         payload = json.loads(json.dumps(telemetry.to_dict()))
         rebuilt = RunTelemetry.from_dict(payload)
         assert rebuilt == telemetry
+        # The same telemetry as persisted by releases that still had
+        # trace sharding (every payload carried "shards": 0) must load.
+        legacy = {
+            "n_workers": 3, "shards": 0, "cache_hits": 0, "cache_misses": 1,
+            "uncacheable": 0, "simulations": 1, "unavailable": 0,
+            "wall_time": 1.25,
+            "phase_seconds": {"trace_load": 0.5, "simulate": 0.75},
+            "cells": [{
+                "scheme": "s", "benchmark": "a", "wall_time": 1.25,
+                "source": "simulated",
+                "phases": {"trace_load": 0.5, "simulate": 0.75},
+                "backend": "", "rss_peak": 0,
+            }],
+        }
+        assert RunTelemetry.from_dict(legacy) == telemetry
 
     def test_as_dict_reports_sorted_rounded_phases(self):
         telemetry = self._telemetry()
