@@ -31,10 +31,12 @@ BLOCK_SIZE = 1 << 16
 #: Streamed wall time may exceed materialized by at most 10%.
 MAX_OVERHEAD = 1.10
 
-#: The flagship kernelized schemes; PAp has no stream kernel by design.
+#: The flagship kernelized schemes and Figure 9's set-associative configs.
 SCHEMES = {
     "gag-12": "gag-12",
     "pag-12-dm": "pag-12-a2-512x1",
+    "pag-12-512x4": "pag-12-512x4",
+    "pap-6-512x4": "pap-6-512x4",
 }
 
 

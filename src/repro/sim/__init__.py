@@ -14,7 +14,6 @@ from .kernels import (
     kernel_supports,
     simulate_vectorized,
     simulate_vectorized_stream,
-    stream_kernel_supports,
 )
 from .fetch import BranchTargetCache, FetchEngine, FetchStats, ReturnAddressStack
 from .ipc import IPCEstimate, MachineModel, ipc_estimate, ipc_from_result, speedup
@@ -70,7 +69,6 @@ __all__ = [
     "simulate_with_backend",
     "spec",
     "speedup",
-    "stream_kernel_supports",
     "sweep_parameter",
     "trace_digest",
 ]

@@ -24,11 +24,13 @@ they cannot mutate predictor state).
 
 Backends: the interpreted loop above is the reference semantics, and
 ``backend="vectorized"`` swaps in the batch kernels of
-:mod:`repro.sim.kernels` — bit-identical by construction and pinned by
-the equivalence suite. ``backend="auto"`` prefers a kernel and falls
-back to the interpreted loop when the predictor (or trace) has none;
-probed runs always take the interpreted twin loop, because probes
-observe per-record state that batch evaluation never materialises.
+:mod:`repro.sim.kernels` — one per scheme, run over the whole trace or
+folded over blocks with carried state, bit-identical either way and
+pinned by the equivalence and differential suites. ``backend="auto"``
+prefers the kernel and falls back to the interpreted loop only when the
+predictor has none or the trace breaks a kernel precondition; probed
+runs always take the interpreted twin loop, because probes observe
+per-record state that batch evaluation never materialises.
 
 Trace inputs: every entry point accepts any
 :class:`repro.trace.stream.TraceSource` — an in-memory

@@ -35,19 +35,42 @@ How a two-level scheme is vectorized
    per-record output is needed.
 
 Set-associative BHTs (the paper's 4-way tables) are modelled exactly:
-an event-compressed, set-parallel LRU pass (:func:`_assoc_layout`)
+an event-compressed, set-parallel LRU pass (:func:`_lru_metadata`)
 replays each set's way array — first-invalid-way allocation, true-LRU
 victim choice, flush invalidation that keeps stale tags — and emits the
 same (episode, slot, evict) layout the direct-mapped path derives in
-closed form. Hybrid and per-set schemes compose the existing machinery:
+closed form. Hybrid and per-set schemes compose the same machinery:
 gselect concatenates address bits into the global-history key, SAg/SAs
 group per-set shift registers, and the tournament kernel runs both
 component kernels per-record and arbitrates with a chooser-automaton
-scan over the disagreement records. The remaining exclusions are
-structural: automata beyond 4 states or without the ``f^4 == f^3``
-fixed point, and history registers above ``_MAX_HISTORY_BITS``. Those
-fall back to the interpreted loop — ``simulate(..., backend="auto")``
-arranges this automatically via :func:`kernel_supports`.
+scan over the disagreement records. Automata beyond 4 states or without
+the ``f^4 == f^3`` fixed point, and history registers above
+``_MAX_HISTORY_BITS``, have no kernel: ``simulate(..., backend="auto")``
+runs them through the interpreted loop (see :func:`kernel_supports`).
+
+Carried state
+-------------
+
+Each scheme has one kernel, ``kernel(run, carry) -> (outcome, carry)``.
+A whole-trace call is one block from the empty carry (``None``); a
+streamed call folds the same kernel over the blocks. Every carried
+table is a :class:`_Keyed` sparse map holding only touched entries:
+
+* **pattern tables** — automaton state per packed table index (GAg,
+  gshare, gselect, GAp, PAg, PAp, SAg, SAs, the tournament choosers);
+* **global history** — the register and the flush count at its last
+  update (GAg, gshare, gselect, GAp, GSg); GAp also carries its
+  pc -> site-id map;
+* **BHT slots** — per pc (ideal BHT), set (direct-mapped) or
+  set x way (set-associative): occupant pc, flush stamp, recency, plus
+  the register (PAg, PSg, PAp), the table id (PAp) or the automaton
+  state (BTB). A set's carried ways seed its first LRU epoch in the
+  next block when no flush intervened;
+* **per-set registers** — register and flush stamp per set (SAg, SAs).
+
+An entry resumes only if its flush stamp matches the flush count at its
+next access, so no flush needs eager work. A final block skips building
+the carry, so a whole-trace call does no work beyond the scan itself.
 
 Kernels never mutate the predictor: they read its *configuration*
 (history length, automaton, BHT geometry, preset/profiled bits) and
@@ -93,13 +116,18 @@ __all__ = [
     "kernel_supports",
     "simulate_vectorized",
     "simulate_vectorized_stream",
-    "stream_kernel_supports",
 ]
 
 #: Longest history register the kernels accept. Pattern keys stay well
 #: inside int64 and the windowing loop stays short; the paper's longest
 #: register is 18 bits.
 _MAX_HISTORY_BITS = 24
+
+#: Carried pattern-table keys pack a table, slot-generation or site id
+#: above the history bits (``table << k | pattern``). Every new id needs
+#: a conditional record of its own, so capping a run's records at
+#: ``2**_MAX_TABLE_ID_BITS`` keeps those keys inside int64.
+_MAX_TABLE_ID_BITS = 32
 
 
 class KernelUnavailable(RuntimeError):
@@ -222,10 +250,10 @@ def _find_runs(out_u8: np.ndarray, grp_new: np.ndarray, ops: _AutomatonOps,
 
     ``out_u8`` must be ordered group-major with time order inside each
     group; ``grp_new`` marks each group's first element. Every group's
-    automaton starts from ``ops.init`` — unless ``group_init`` (a
-    per-record uint8 state array, consulted at each group's first
-    record) supplies carried-over states, which is how the streaming
-    driver resumes a pattern entry where the previous block left it.
+    automaton starts from ``ops.init`` — unless ``group_init`` (one
+    uint8 state per group, in group order) supplies carried states,
+    which is how a streamed block resumes pattern entries where the
+    previous block left them.
     """
     n = out_u8.shape[0]
     starts = grp_new.copy()
@@ -255,7 +283,7 @@ def _find_runs(out_u8: np.ndarray, grp_new: np.ndarray, ops: _AutomatonOps,
     if group_init is None:
         init_vals = np.full(nruns, ops.init, dtype=np.uint8)
     else:
-        init_vals = group_init[first]
+        init_vals = group_init[np.cumsum(grp_first) - 1]
     init_run = np.where(absorbed, prev_code & 3, init_vals).astype(np.uint8)[seg_start]
 
     # Exclusive segmented composition scan (Hillis-Steele doubling):
@@ -328,14 +356,28 @@ def _stable_argsort(keys: np.ndarray) -> np.ndarray:
     return np.argsort(keys, kind="stable")
 
 
+def _change_marks(values: np.ndarray) -> np.ndarray:
+    """True at index 0 and wherever a value differs from the one before."""
+    marks = np.empty(values.shape[0], dtype=np.bool_)
+    marks[0] = True
+    marks[1:] = values[1:] != values[:-1]
+    return marks
+
+
+def _lasts(heads: np.ndarray, n: int) -> np.ndarray:
+    """The last index of each group, given every group's first."""
+    lasts = np.empty(heads.shape[0], dtype=np.int64)
+    lasts[:-1] = heads[1:] - 1
+    lasts[-1] = n - 1
+    return lasts
+
+
 def _group_sort(keys: np.ndarray):
-    """``(order, grp_new)``: stable sort by key + group-start marks."""
+    """``(order, grp_new, key_s)``: stable sort by key, group-start
+    marks, and the sorted keys."""
     order = _stable_argsort(keys)
     key_s = keys[order]
-    grp_new = np.empty(key_s.shape[0], dtype=np.bool_)
-    grp_new[0] = True
-    grp_new[1:] = key_s[1:] != key_s[:-1]
-    return order, grp_new
+    return order, _change_marks(key_s), key_s
 
 
 def _start_indices(new_mark: np.ndarray) -> np.ndarray:
@@ -371,28 +413,30 @@ def _fill_extended(window: np.ndarray, since: np.ndarray, fill: np.ndarray, k: i
 
 
 # ----------------------------------------------------------------------
-# The run container
+# The run container and the carried-state map
 # ----------------------------------------------------------------------
 
 class _Run:
-    """Prepared per-call inputs shared by every kernel.
+    """Prepared inputs of one kernel pass over one block of records.
 
-    For whole-trace kernels the defaults apply. The streaming driver
-    additionally threads ``prev_epoch`` (the context-switch epoch of the
-    previous block's last record, so a flush boundary falling exactly
-    between two blocks still fires) and ``fires_base`` (the global flush
-    count entering this block, so ``seg_c`` values — and the per-site
-    residency stamps derived from them — stay comparable across blocks).
+    A whole-trace call is a single ``final`` block: its kernels skip
+    building the state they would carry out. A streamed call threads
+    ``prev_epoch`` (the context-switch epoch of the previous block's last
+    record, so a flush boundary falling exactly between two blocks still
+    fires), ``fires_base`` (the global flush count entering the block, so
+    ``seg_c`` values — and the flush stamps derived from them — stay
+    comparable across blocks) and ``t0`` (the global index of the block's
+    first conditional record, which orders LRU recency across blocks).
     """
 
     __slots__ = ("arrays", "n_c", "out_bool", "out_u8", "seg_c", "switches",
                  "aggregate", "warmup", "track_per_site", "_pc_c",
-                 "fires_base", "fires_end", "last_epoch", "head_fires",
-                 "tail_fires")
+                 "fires_end", "last_epoch", "t0", "final")
 
     def __init__(self, trace: Trace, context_switches: Optional[ContextSwitchConfig],
                  track_per_site: bool, warmup_branches: int, *,
-                 prev_epoch: Optional[int] = None, fires_base: int = 0) -> None:
+                 prev_epoch: Optional[int] = None, fires_base: int = 0,
+                 t0: int = 0, final: bool = True) -> None:
         arrays = trace.as_arrays()
         self.arrays = arrays
         cond = arrays.cond_mask
@@ -403,14 +447,14 @@ class _Run:
         self.track_per_site = bool(track_per_site)
         self.aggregate = self.warmup == 0 and not self.track_per_site
         self._pc_c = None
-        self.fires_base = int(fires_base)
+        self.t0 = int(t0)
+        self.final = bool(final)
+        fires_base = int(fires_base)
         if context_switches is None or len(arrays) == 0:
             self.switches = 0
-            self.seg_c = np.full(self.n_c, self.fires_base, dtype=np.int64)
-            self.fires_end = self.fires_base
+            self.seg_c = np.full(self.n_c, fires_base, dtype=np.int64)
+            self.fires_end = fires_base
             self.last_epoch = 0 if prev_epoch is None else int(prev_epoch)
-            self.head_fires = 0
-            self.tail_fires = 0
             return
         instret = arrays.instret
         if np.any(instret[1:] < instret[:-1]):
@@ -425,16 +469,9 @@ class _Run:
         fires = boundary | arrays.trap if context_switches.switch_on_traps else boundary
         self.switches = int(np.count_nonzero(fires))
         fires_cum = np.cumsum(fires)
-        total_fires = int(fires_cum[-1])
-        self.seg_c = self.fires_base + fires_cum[cond]
-        self.fires_end = self.fires_base + total_fires
+        self.seg_c = fires_base + fires_cum[cond]
+        self.fires_end = fires_base + int(fires_cum[-1])
         self.last_epoch = int(epoch[-1])
-        if self.n_c:
-            self.head_fires = int(self.seg_c[0]) - self.fires_base
-            self.tail_fires = total_fires - (int(self.seg_c[-1]) - self.fires_base)
-        else:
-            self.head_fires = total_fires
-            self.tail_fires = total_fires
 
     @property
     def pc_c(self) -> np.ndarray:
@@ -443,69 +480,232 @@ class _Run:
         return self._pc_c
 
 
-def _scan_scheme(run: _Run, out_sorted: np.ndarray, grp_new: np.ndarray,
-                 order: np.ndarray, ops: _AutomatonOps):
-    """Shared tail of every pattern-table scheme: scan, then either
-    closed-form aggregate scoring or per-record expansion."""
-    runs = _find_runs(out_sorted, grp_new, ops)
-    if run.aggregate:
-        return run.n_c - _runs_wrong_total(runs, ops)
-    pred_sorted = _expand_run_preds(run.n_c, runs, ops)
-    pred = np.empty(run.n_c, dtype=np.bool_)
-    pred[order] = pred_sorted
-    return pred
+class _Keyed:
+    """A sparse map from sorted int64 keys to parallel value columns.
+
+    The one container for carried state: pattern-table entries (packed
+    table index -> automaton state), BHT slots and per-set registers
+    (slot -> flush stamp, register, ...) and GAp's site ids. It holds
+    only entries some block touched, and blocks read and write whole
+    sorted key arrays at once.
+    """
+
+    __slots__ = ("keys", "cols")
+
+    def __init__(self, keys: np.ndarray, **cols: np.ndarray) -> None:
+        self.keys = keys
+        self.cols = cols
+
+    def get(self, query: np.ndarray, *names: str, default=-1):
+        """Each named column at each query key, ``default`` where the key
+        is absent (one array for one name, else a list)."""
+        if self.keys.shape[0]:
+            pos = np.minimum(np.searchsorted(self.keys, query), self.keys.shape[0] - 1)
+            found = self.keys[pos] == query
+            values = [np.where(found, self.cols[name][pos], default) for name in names]
+        else:
+            values = [np.full(np.shape(query), default) for _ in names]
+        return values[0] if len(names) == 1 else values
+
+    def select(self, keep: np.ndarray) -> "_Keyed":
+        return _Keyed(self.keys[keep], **{name: col[keep] for name, col in self.cols.items()})
+
+
+def _upsert(table: Optional[_Keyed], keys: np.ndarray, /, **cols: np.ndarray) -> _Keyed:
+    """``table`` with sorted unique ``keys`` overwritten or inserted."""
+    keys = keys.astype(np.int64, copy=False)
+    if table is None or table.keys.shape[0] == 0:
+        return _Keyed(keys, **cols)
+    pos = np.searchsorted(table.keys, keys)
+    at = np.minimum(pos, table.keys.shape[0] - 1)
+    found = table.keys[at] == keys
+    for name, values in cols.items():
+        table.cols[name][at[found]] = values[found]
+    if found.all():
+        return table
+    new = ~found
+    where = pos[new]
+    return _Keyed(
+        np.insert(table.keys, where, keys[new]),
+        **{name: np.insert(table.cols[name], where, values[new])
+           for name, values in cols.items()},
+    )
+
+
+def _stretch(since: np.ndarray, heads: np.ndarray, k: int) -> np.ndarray:
+    """How many records from each head, at most ``k``, continue its
+    register without a restart (``since`` counts records from the last
+    restart)."""
+    n = since.shape[0]
+    j = np.arange(k, dtype=np.int64)
+    idx = heads[:, None] + j
+    ok = (idx < n) & (since[np.minimum(idx, n - 1)] == j)
+    return np.cumprod(ok, axis=1).sum(axis=1)
+
+
+def _splice(patterns: np.ndarray, window: np.ndarray, heads: np.ndarray,
+            spans: np.ndarray, regs: np.ndarray, k: int) -> None:
+    """Resume carried history registers in place: the ``j``-th record
+    from ``heads[i]`` (``j < spans[i]``) sees ``regs[i]`` shifted up by
+    ``j`` above its ``j`` block-local window bits. Deeper records hold
+    ``k`` window bits either way."""
+    total = int(spans.sum())
+    if total == 0:
+        return
+    offsets = np.repeat(np.cumsum(spans) - spans, spans)
+    j = np.arange(total, dtype=np.int64) - offsets
+    idx = np.repeat(heads, spans) + j
+    low = (np.int64(1) << j) - 1
+    carried = np.repeat(regs.astype(np.int64), spans) << j
+    patterns[idx] = (carried | (window[idx] & low)) & ((1 << k) - 1)
+
+
+def _scan(out_s: np.ndarray, grp_new: np.ndarray, order: np.ndarray,
+          ops: _AutomatonOps, init: Optional[np.ndarray], aggregate: bool):
+    """``(outcome, runs)``: scan group-sorted outcomes, then score either
+    in closed form (a correct count) or per record (predictions in the
+    trace order ``order`` maps back to)."""
+    runs = _find_runs(out_s, grp_new, ops, init)
+    n = out_s.shape[0]
+    if aggregate:
+        return n - _runs_wrong_total(runs, ops), runs
+    pred = np.empty(n, dtype=np.bool_)
+    pred[order] = _expand_run_preds(n, runs, ops)
+    return pred, runs
+
+
+def _group_final_states(runs: _Runs, grp_new: np.ndarray, ops: _AutomatonOps) -> np.ndarray:
+    """Each group's automaton state after its last update, in group
+    order (one value per True in ``grp_new``)."""
+    grp_first_runs = grp_new[runs.first]
+    nruns = runs.first.shape[0]
+    last = np.empty(nruns, dtype=np.bool_)
+    last[:-1] = grp_first_runs[1:]
+    last[-1] = True
+    idx = np.flatnonzero(last)
+    codes = ops.pow_codes[runs.out[idx], runs.lcap[idx]]
+    return ops.apply[codes, runs.state0[idx]]
+
+
+def _scan_store(run: _Run, ops: _AutomatonOps, key_s: np.ndarray, out_s: np.ndarray,
+                grp_new: np.ndarray, order: np.ndarray, store: Optional[_Keyed],
+                aggregate: Optional[bool] = None):
+    """The pattern-table pass: each (sorted) key group starts from its
+    carried entry state, and — unless the block is final — every touched
+    entry's final state is written back into the store."""
+    if aggregate is None:
+        aggregate = run.aggregate
+    init = None
+    if store is not None or not run.final:
+        group_keys = key_s[np.flatnonzero(grp_new)]
+        if store is not None:
+            init = store.get(group_keys, "state", default=ops.init)
+    result, runs = _scan(out_s, grp_new, order, ops, init, aggregate)
+    if run.final:
+        return result, None
+    return result, _upsert(store, group_keys, state=_group_final_states(runs, grp_new, ops))
+
+
+def _scan_keys(run: _Run, ops: _AutomatonOps, keys: np.ndarray, store: Optional[_Keyed],
+               out: Optional[np.ndarray] = None, base: Optional[np.ndarray] = None):
+    """Group records by pattern-table index and scan them. ``keys`` and
+    ``out`` may be in a pre-sorted ``base`` order whose stable
+    refinement keeps time order inside every group."""
+    order, grp_new, key_s = _group_sort(keys)
+    out_s = (run.out_u8 if out is None else out)[order]
+    if base is not None:
+        order = base[order]
+    return _scan_store(run, ops, key_s, out_s, grp_new, order, store)
 
 
 # ----------------------------------------------------------------------
-# Global-history schemes: GAg, GSg, gshare, GAp
+# Global-history schemes: GAg, GSg, gshare, GAp, gselect
 # ----------------------------------------------------------------------
 
-def _global_history(run: _Run, k: int, fill_taken: bool) -> np.ndarray:
-    """The GHR value before each conditional record, per segment."""
+def _global_history(run: _Run, k: int, reset: int, carry: Optional[tuple]):
+    """``(ghr, carry)``: the GHR before each conditional record, and the
+    ``(stamp, register)`` after the block.
+
+    The register restarts at ``reset`` after every flush. The carried
+    register resumes at the block's first record unless a flush fired
+    since the previous block's last conditional record, whose flush
+    count is the stamp.
+    """
     seg = run.seg_c
-    n = run.n_c
-    new_seg = np.empty(n, dtype=np.bool_)
-    new_seg[0] = True
-    new_seg[1:] = seg[1:] != seg[:-1]
-    since = np.arange(n, dtype=np.int32) - _start_indices(new_seg)
+    new_seg = _change_marks(seg)
+    since = np.arange(run.n_c, dtype=np.int32) - _start_indices(new_seg)
     window = _outcome_window(run.out_u8, k)
-    fill = np.int32(1) if fill_taken else np.int32(0)
-    return _fill_extended(window, since, fill, k)
+    ghr = _fill_extended(window, since, np.int32(reset & 1), k)
+    if carry is not None and carry[0] == int(seg[0]) and carry[1] != reset:
+        heads = np.zeros(1, dtype=np.int64)
+        _splice(ghr, window, heads, _stretch(since, heads, k), np.array([carry[1]]), k)
+    if run.final:
+        return ghr, None
+    register = ((int(ghr[-1]) << 1) | int(run.out_u8[-1])) & ((1 << k) - 1)
+    return ghr, (int(seg[-1]), register)
+
+
+def _kernel_global(ops: _AutomatonOps, k: int, reset: int, index):
+    """GAg, gshare and gselect: one pattern table indexed by
+    ``index(run, ghr)``; carries the GHR and the table."""
+
+    def kernel(run: _Run, carry):
+        hist, store = carry or (None, None)
+        ghr, hist = _global_history(run, k, reset, hist)
+        result, store = _scan_keys(run, ops, index(run, ghr), store)
+        return result, (hist, store)
+
+    return kernel
 
 
 def _kernel_gag(predictor: GAgPredictor):
-    ops = _ops_for(predictor.automaton)
     k = predictor.history_bits
-
-    def kernel(run: _Run):
-        order, grp_new = _group_sort(_global_history(run, k, fill_taken=True))
-        return _scan_scheme(run, run.out_u8[order], grp_new, order, ops)
-
-    return kernel
+    return _kernel_global(_ops_for(predictor.automaton), k, (1 << k) - 1, lambda run, ghr: ghr)
 
 
 def _kernel_gshare(predictor: GsharePredictor):
-    ops = _ops_for(predictor.automaton)
     k = predictor.history_bits
+    mask = (1 << k) - 1
+    return _kernel_global(_ops_for(predictor.automaton), k, 0,
+                          lambda run, ghr: (ghr ^ run.pc_c) & mask)
 
-    def kernel(run: _Run):
-        ghr = _global_history(run, k, fill_taken=False)
-        keys = (ghr ^ run.pc_c) & ((1 << k) - 1)
-        order, grp_new = _group_sort(keys)
-        return _scan_scheme(run, run.out_u8[order], grp_new, order, ops)
 
-    return kernel
+def _kernel_gselect(predictor: GselectPredictor):
+    k = predictor.history_bits
+    addr_mask = (1 << predictor.address_bits) - 1
+    return _kernel_global(
+        _ops_for(predictor.pht.automaton), k, (1 << k) - 1,
+        lambda run, ghr: ((run.pc_c & addr_mask) << k) | ghr,
+    )
+
+
+def _site_ids(run: _Run, known: Optional[_Keyed]):
+    """``(ids, known)``: a stable id per conditional record's pc. Ids
+    are dense in first-seen block order, so they survive across blocks
+    in the carried pc -> id map."""
+    sites, ids = run.arrays.conditional_site_ids()
+    if known is None:
+        fresh = None if run.final else _Keyed(sites.astype(np.int64), id=np.arange(sites.shape[0]))
+        return ids, fresh
+    stable = known.get(sites, "id")
+    new = stable < 0
+    stable[new] = known.keys.shape[0] + np.arange(int(np.count_nonzero(new)))
+    if not run.final:
+        known = _upsert(known, sites[new], id=stable[new])
+    return stable[ids], known
 
 
 def _kernel_gap(predictor: GApPredictor):
     ops = _ops_for(predictor.automaton)
     k = predictor.history_bits
+    reset = (1 << k) - 1
 
-    def kernel(run: _Run):
-        ghr = _global_history(run, k, fill_taken=True)
-        _sites, ids = run.arrays.conditional_site_ids()
-        order, grp_new = _group_sort((ids << k) | ghr)
-        return _scan_scheme(run, run.out_u8[order], grp_new, order, ops)
+    def kernel(run: _Run, carry):
+        hist, known, store = carry or (None, None, None)
+        ghr, hist = _global_history(run, k, reset, hist)
+        ids, known = _site_ids(run, known)
+        result, store = _scan_keys(run, ops, (ids << k) | ghr, store)
+        return result, (hist, known, store)
 
     return kernel
 
@@ -514,22 +714,9 @@ def _kernel_gsg(predictor: GSgPredictor):
     bits = np.asarray(predictor.table.bits_snapshot(), dtype=np.bool_)
     k = predictor.history_bits
 
-    def kernel(run: _Run):
-        return bits[_global_history(run, k, fill_taken=True)]
-
-    return kernel
-
-
-def _kernel_gselect(predictor: GselectPredictor):
-    ops = _ops_for(predictor.pht.automaton)
-    k = predictor.history_bits
-    addr_mask = (1 << predictor.address_bits) - 1
-
-    def kernel(run: _Run):
-        ghr = _global_history(run, k, fill_taken=True)
-        keys = ((run.pc_c & addr_mask) << k) | ghr
-        order, grp_new = _group_sort(keys)
-        return _scan_scheme(run, run.out_u8[order], grp_new, order, ops)
+    def kernel(run: _Run, carry):
+        ghr, carry = _global_history(run, k, (1 << k) - 1, carry)
+        return bits[ghr], carry
 
     return kernel
 
@@ -539,89 +726,91 @@ def _kernel_gselect(predictor: GselectPredictor):
 # ----------------------------------------------------------------------
 
 class _Layout:
-    """Conditional records regrouped by BHT residency.
+    """Conditional records regrouped by BHT slot.
 
-    ``order`` stable-sorts conditional records by site key (dense pc id
-    for the ideal BHT, set index for direct-mapped), which is exactly
-    (site, time) order. An *episode* is one entry's tenure: it restarts
-    at segment changes (flush) and, for direct-mapped tables, whenever a
-    different branch claims the set. ``evict`` marks episode starts that
-    displace a still-valid occupant (never true right after a flush).
+    ``order`` stable-sorts conditional records into (slot, time) order.
+    A slot is the pc for the ideal BHT, the set for a direct-mapped one,
+    and set x associativity + way for a set-associative one. ``ep_new``
+    marks BHT misses: each opens an *episode*, one entry's tenure, whose
+    register starts fresh. ``evict`` marks misses that displace a
+    still-valid occupant. ``blk_new`` marks each slot's first record in
+    the block; ``cont`` says, per such head, whether it hits an entry
+    carried in from the previous block. ``m`` counts records since the
+    last episode start or head.
+
+    ``heads``, ``lasts`` (each slot's first and last record), ``hkey``
+    (each head's slot) and ``cont`` are None when the block neither
+    resumes nor carries out slots.
     """
 
-    __slots__ = ("order", "out_s", "ep_new", "ep_start", "m", "blk_new", "evict")
+    __slots__ = ("order", "out_s", "ep_new", "ep_start", "m", "blk_new",
+                 "evict", "heads", "lasts", "hkey", "cont", "ideal")
 
-    def __init__(self, order, out_s, ep_new, ep_start, m, blk_new, evict) -> None:
+    def __init__(self, order, out_s, ep_new, blk_new, evict, heads, hkey, cont,
+                 ideal) -> None:
+        n = out_s.shape[0]
         self.order = order
         self.out_s = out_s
         self.ep_new = ep_new
-        self.ep_start = ep_start
-        self.m = m
         self.blk_new = blk_new
         self.evict = evict
+        self.heads = heads
+        self.lasts = None if heads is None else _lasts(heads, n)
+        self.hkey = hkey
+        self.cont = cont
+        self.ideal = ideal
+        self.ep_start = _start_indices(ep_new if heads is None else ep_new | blk_new)
+        self.m = np.arange(n, dtype=np.int32) - self.ep_start
 
 
-def _pa_layout(run: _Run, bht) -> _Layout:
-    n = run.n_c
-    if isinstance(bht, IdealBHT):
+def _pa_layout(run: _Run, bht, carry: Optional[_Keyed]) -> _Layout:
+    """The slot layout, resuming ``carry``'s entries (keyed by slot,
+    with the occupant pc and the flush stamp of its last access)."""
+    if isinstance(bht, CacheBHT) and bht.associativity > 1:
+        return _assoc_layout(run, bht, carry)
+    ideal = isinstance(bht, IdealBHT)
+    if ideal:
         _sites, keys = run.arrays.conditional_site_ids()
-        direct = False
-    elif bht.associativity > 1:
-        return _assoc_layout(run, bht)
     else:
         keys = run.pc_c % bht.num_sets
-        direct = True
     order = _stable_argsort(keys)
     key_s = keys[order]
-    seg_s = run.seg_c[order]
     out_s = run.out_u8[order]
-    blk_new = np.empty(n, dtype=np.bool_)
-    blk_new[0] = True
-    blk_new[1:] = key_s[1:] != key_s[:-1]
-    seg_chg = np.empty(n, dtype=np.bool_)
-    seg_chg[0] = True
-    seg_chg[1:] = seg_s[1:] != seg_s[:-1]
-    seg_chg |= blk_new
-    if direct:
-        pc_s = run.pc_c[order]
-        pc_chg = np.empty(n, dtype=np.bool_)
-        pc_chg[0] = True
-        pc_chg[1:] = pc_s[1:] != pc_s[:-1]
-        ep_new = seg_chg | pc_chg
-        evict = pc_chg & ~seg_chg
+    blk_new = _change_marks(key_s)
+    ep_new = _change_marks(run.seg_c[order])
+    ep_new |= blk_new
+    if ideal:
+        evict = np.zeros(run.n_c, dtype=np.bool_)
     else:
-        ep_new = seg_chg
-        evict = np.zeros(n, dtype=np.bool_)
-    ep_start = _start_indices(ep_new)
-    m = np.arange(n, dtype=np.int32) - ep_start
-    return _Layout(order, out_s, ep_new, ep_start, m, blk_new, evict)
+        pc_chg = _change_marks(run.pc_c[order])
+        evict = pc_chg & ~ep_new
+        ep_new |= pc_chg
+    heads = hkey = cont = None
+    if carry is not None or not run.final:
+        heads = np.flatnonzero(blk_new)
+        head_pc = run.pc_c[order[heads]]
+        hkey = head_pc if ideal else key_s[heads]
+    if carry is not None:
+        stamp, pc = carry.get(hkey, "stamp", "pc")
+        valid = stamp == run.seg_c[order[heads]]
+        if ideal:
+            cont = valid
+        else:
+            same = pc == head_pc
+            cont = valid & same
+            evict[heads] = valid & ~same
+        ep_new[heads] = ~cont
+    return _Layout(order, out_s, ep_new, blk_new, evict, heads, hkey, cont, ideal)
 
 
-def _pa_patterns(layout: _Layout, k: int) -> np.ndarray:
-    """Per-address history-register contents before each record.
+def _lru_metadata(run: _Run, bht: CacheBHT, carry: Optional[_Keyed]):
+    """Replay every set's LRU way array over the block's conditional
+    records in (set, time) order.
 
-    The register fills with the episode's first outcome on the first
-    update and shifts afterwards, so before occurrence ``m >= 1`` it
-    holds the last ``min(m, k)`` episode outcomes extended with the
-    first outcome; before occurrence 0 the predictors read the all-ones
-    pattern a miss would be allocated with.
-    """
-    mask = (1 << k) - 1
-    window = _outcome_window(layout.out_s, k)
-    first_outcome = layout.out_s[layout.ep_start].astype(np.int32)
-    patterns = _fill_extended(window, layout.m, first_outcome, k)
-    patterns[layout.m == 0] = mask
-    return patterns
-
-
-def _lru_metadata(run: _Run, bht: CacheBHT, order1: np.ndarray):
-    """Replay every set's LRU way array over the (set, time)-sorted
-    conditional records.
-
-    Returns per-record arrays in ``order1`` order: ``miss`` (the access
-    allocated its entry), ``evict`` (the allocation displaced a valid
-    occupant), and ``way`` (the physical way the record's entry lives
-    in). The model mirrors :meth:`repro.core.history.CacheBHT.access`
+    Returns ``order1`` (that order) and per-record arrays in it: ``miss``
+    (the access allocated its entry), ``evict`` (the allocation displaced
+    a valid occupant), and ``slot`` (set x associativity + the way the
+    record's entry lives in). The model mirrors :meth:`repro.core.history.CacheBHT.access`
     exactly: hits refresh recency, misses claim the first invalid way by
     index (else the true-LRU victim), and a flush invalidates every way
     while keeping its tag and recency — only ``access`` ticks the clock,
@@ -635,28 +824,31 @@ def _lru_metadata(run: _Run, bht: CacheBHT, order1: np.ndarray):
     invalidates every way, allocations claim invalid ways by index
     before consulting recency, and hits require validity, so neither
     the retained tags nor the pre-flush recency can ever influence a
-    later epoch.
+    later epoch. The one exception is a set's first epoch in a streamed
+    block: when no flush fired since the previous block, it starts from
+    the carried way arrays (tag, validity, recency) instead of empty.
 
-    Within an epoch that touches at most ``associativity`` distinct
-    branches nothing is ever displaced: every first touch allocates the
-    next invalid way (fill order), every later touch hits, and
-    ``evict`` never fires. That is the common case for the paper's
-    geometries (hundreds of sets, a handful of resident branches each)
-    and is computed with pure array passes below. Only epochs with more
-    distinct branches than ways — where true LRU replacement decides —
-    take the event-serial round loop, restricted to exactly those
-    epochs: round ``r`` processes the ``r``-th event of every still-live
-    contended epoch at once with 2-D way arrays.
+    Within an epoch whose carried valid ways plus new distinct branches
+    fit in the set nothing is ever displaced: carried tags hit, every
+    new branch's first touch allocates the lowest invalid way left (fill
+    order), every later touch hits, and ``evict`` never fires. That is
+    the common case for the paper's geometries (hundreds of sets, a
+    handful of resident branches each) and is computed with pure array
+    passes below. Only epochs with more branches than ways — where true
+    LRU replacement decides — take the event-serial round loop,
+    restricted to exactly those epochs: round ``r`` processes the
+    ``r``-th event of every still-live contended epoch at once with 2-D
+    way arrays, seeded with the carried ones.
     """
     n = run.n_c
     assoc = bht.associativity
-    set_s = (run.pc_c % bht.num_sets)[order1]
+    sets = run.pc_c % bht.num_sets
+    order1 = _stable_argsort(sets)
+    set_s = sets[order1]
     tag_s = (run.pc_c // bht.num_sets)[order1]
     seg_s = run.seg_c[order1]
 
-    set_chg = np.empty(n, dtype=np.bool_)
-    set_chg[0] = True
-    set_chg[1:] = set_s[1:] != set_s[:-1]
+    set_chg = _change_marks(set_s)
     ev_new = set_chg.copy()
     ev_new[1:] |= (tag_s[1:] != tag_s[:-1]) | (seg_s[1:] != seg_s[:-1])
     ev_first = np.flatnonzero(ev_new)
@@ -688,18 +880,40 @@ def _lru_metadata(run: _Run, bht: CacheBHT, order1: np.ndarray):
 
     ev_miss = is_first.copy()
     ev_evict = np.zeros(n_ev, dtype=np.bool_)
-    # Fill order: the d-th distinct branch of an epoch lands in way d.
-    touched = np.cumsum(is_first)  # inclusive count of first touches
     ep_start_ev = _start_indices(ep_new)
-    fill = touched - touched[ep_start_ev]  # epoch starts are first touches
+    if carry is None:
+        # Fill order: the d-th distinct branch of an epoch lands in way d.
+        touched = np.cumsum(is_first)  # inclusive count of first touches
+        first_way = (touched - touched[ep_start_ev])[first_idx]
+        seeded = None
+        distinct = np.bincount(ep_id[is_first], minlength=n_ep)
+    else:
+        ep_first = np.flatnonzero(ep_new)
+        slots = (set_s[ev_first[ep_first]] * assoc)[:, None] + np.arange(assoc)
+        c_stamp, c_pc, c_rec = carry.get(slots, "stamp", "pc", "rec")
+        c_valid = c_stamp == ev_seg[ep_first][:, None]
+        c_tag = c_pc // bht.num_sets
+        f_ep = ep_id[first_idx]
+        hit_ways = c_valid[f_ep] & (c_tag[f_ep] == ev_tag[first_idx][:, None])
+        carried_hit = hit_ways.any(axis=1)
+        ev_miss[first_idx[carried_hit]] = False
+        # New branches fill the lowest invalid ways in first-touch order.
+        fresh = np.cumsum(ev_miss) - ev_miss
+        rank = (fresh - fresh[ep_start_ev])[first_idx]
+        free = np.argsort(c_valid, axis=1, kind="stable")
+        first_way = np.where(
+            carried_hit, np.argmax(hit_ways, axis=1),
+            free[f_ep, np.minimum(rank, assoc - 1)],
+        )
+        seeded = (c_tag, c_valid, c_rec - run.t0)
+        distinct = np.bincount(ep_id[ev_miss], minlength=n_ep) + c_valid.sum(axis=1)
     grp_id_g = np.cumsum(gnew, dtype=np.int64) - 1
     grp_id = np.empty(n_ev, dtype=np.int64)
     grp_id[gorder] = grp_id_g
     grp_way = np.empty(int(grp_id_g[-1]) + 1, dtype=np.int64)
-    grp_way[grp_id[first_idx]] = fill[first_idx]
+    grp_way[grp_id[first_idx]] = first_way
     ev_way = grp_way[grp_id]
 
-    distinct = np.bincount(ep_id[is_first], minlength=n_ep)
     contended = distinct > assoc
     if np.any(contended):
         ep_first = np.flatnonzero(ep_new)
@@ -710,9 +924,12 @@ def _lru_metadata(run: _Run, bht: CacheBHT, order1: np.ndarray):
         c_end = ep_end[contended]
         n_live = c_start.shape[0]
 
-        way_tag = np.full((n_live, assoc), -1, dtype=np.int64)
-        way_rec = np.full((n_live, assoc), -1, dtype=np.int64)
-        way_valid = np.zeros((n_live, assoc), dtype=np.bool_)
+        if seeded is None:
+            way_tag = np.full((n_live, assoc), -1, dtype=np.int64)
+            way_rec = np.full((n_live, assoc), -1, dtype=np.int64)
+            way_valid = np.zeros((n_live, assoc), dtype=np.bool_)
+        else:
+            way_tag, way_valid, way_rec = (col[contended] for col in seeded)
 
         far = np.iinfo(np.int64).max
         cursor = c_start.copy()
@@ -743,50 +960,81 @@ def _lru_metadata(run: _Run, bht: CacheBHT, order1: np.ndarray):
     evict_r = np.zeros(n, dtype=np.bool_)
     miss_r[ev_first] = ev_miss
     evict_r[ev_first] = ev_evict
-    way_r = ev_way[np.cumsum(ev_new) - 1]
-    return miss_r, evict_r, way_r
+    slot_r = set_s * assoc + ev_way[np.cumsum(ev_new) - 1]
+    return order1, miss_r, evict_r, slot_r
 
 
-def _assoc_layout(run: _Run, bht: CacheBHT) -> _Layout:
+def _assoc_layout(run: _Run, bht: CacheBHT, carry: Optional[_Keyed]) -> _Layout:
     """The :class:`_Layout` for a set-associative :class:`CacheBHT`.
 
     Records regroup by *physical slot* (set x associativity + way) —
     the unit PAp hangs a pattern table off — with episodes opened by
     every BHT miss (an allocation reinitialises the entry, and every
     post-flush access misses, so miss marks subsume flush boundaries).
+    A slot's first record in the block continues a carried entry exactly
+    when it hits.
     """
-    n = run.n_c
-    order1 = _stable_argsort(run.pc_c % bht.num_sets)
-    miss_r, evict_r, way_r = _lru_metadata(run, bht, order1)
-    # A stable way-sort of the (set, time)-ordered records yields
-    # (set, way, time) == (slot, time) order.
-    order2 = _stable_argsort(way_r)
+    order1, miss_r, evict_r, slot_r = _lru_metadata(run, bht, carry)
+    # A stable slot-sort of the (set, time)-ordered records yields
+    # (slot, time) order.
+    order2 = _stable_argsort(slot_r)
     order = order1[order2]
-    out_s = run.out_u8[order]
     ep_new = miss_r[order2]
-    evict = evict_r[order2]
-    slot_s = (run.pc_c[order] % bht.num_sets) * bht.associativity + way_r[order2]
-    blk_new = np.empty(n, dtype=np.bool_)
-    blk_new[0] = True
-    blk_new[1:] = slot_s[1:] != slot_s[:-1]
-    ep_start = _start_indices(ep_new)
-    m = np.arange(n, dtype=np.int32) - ep_start
-    return _Layout(order, out_s, ep_new, ep_start, m, blk_new, evict)
+    slot_s = slot_r[order2]
+    blk_new = _change_marks(slot_s)
+    heads = hkey = cont = None
+    if carry is not None or not run.final:
+        heads = np.flatnonzero(blk_new)
+        hkey = slot_s[heads]
+        cont = ~ep_new[heads]
+    return _Layout(order, run.out_u8[order], ep_new, blk_new, evict_r[order2],
+                   heads, hkey, cont, False)
 
 
-def _supported_bht(bht) -> bool:
-    """Batch kernels model any BHT geometry the simulator builds."""
-    return isinstance(bht, (IdealBHT, CacheBHT))
+def _slot_carry(run: _Run, layout: _Layout, carry: Optional[_Keyed], **cols) -> _Keyed:
+    """The BHT slots after the block: each slot's last access gives its
+    occupant pc, flush stamp and recency, next to the scheme's own
+    ``cols`` (one value per head). Ideal-BHT entries a flush has already
+    invalidated can never be read again and are dropped."""
+    at = layout.order[layout.lasts]
+    slots = _upsert(carry, layout.hkey, pc=run.pc_c[at], stamp=run.seg_c[at],
+                    rec=run.t0 + at, **cols)
+    if layout.ideal:
+        slots = slots.select(slots.cols["stamp"] == run.fires_end)
+    return slots
 
 
-def _stream_supported_bht(bht) -> bool:
-    """Streaming kernels carry one entry per site key across blocks,
-    which identifies sets with occupants — sound only for the ideal and
-    direct-mapped tables. Set-associative configs take the whole-trace
-    batch kernels (or the interpreted streaming loop)."""
-    if isinstance(bht, IdealBHT):
-        return True
-    return isinstance(bht, CacheBHT) and bht.associativity == 1
+def _pa_patterns(layout: _Layout, k: int, carry: Optional[_Keyed]) -> np.ndarray:
+    """Per-address history-register contents before each record.
+
+    The register fills with the episode's first outcome on the first
+    update and shifts afterwards, so before occurrence ``m >= 1`` it
+    holds the last ``min(m, k)`` episode outcomes extended with the
+    first outcome; before occurrence 0 the predictors read the all-ones
+    pattern a miss would be allocated with. A head continuing a carried
+    entry resumes its carried register instead.
+    """
+    mask = (1 << k) - 1
+    window = _outcome_window(layout.out_s, k)
+    first_outcome = layout.out_s[layout.ep_start].astype(np.int32)
+    patterns = _fill_extended(window, layout.m, first_outcome, k)
+    patterns[layout.m == 0] = mask
+    if carry is not None:
+        heads = layout.heads[layout.cont]
+        regs = carry.get(layout.hkey[layout.cont], "reg")
+        _splice(patterns, window, heads, _stretch(layout.m, heads, k), regs, k)
+    return patterns
+
+
+def _pa_registers_out(layout: _Layout, patterns_s: np.ndarray, k: int) -> np.ndarray:
+    """Each slot's register after its last update in the block: the
+    pre-update pattern shifted once — unless that update allocated the
+    entry, which fills with the outcome bit instead (``history_fill``)."""
+    mask = (1 << k) - 1
+    lasts = layout.lasts
+    out = layout.out_s[lasts].astype(np.int64)
+    shifted = ((patterns_s[lasts].astype(np.int64) << 1) | out) & mask
+    return np.where(layout.ep_new[lasts], out * mask, shifted)
 
 
 def _kernel_pag(predictor: PAgPredictor):
@@ -794,13 +1042,17 @@ def _kernel_pag(predictor: PAgPredictor):
     k = predictor.history_bits
     bht = predictor.bht
 
-    def kernel(run: _Run):
-        layout = _pa_layout(run, bht)
-        patterns_s = _pa_patterns(layout, k)
+    def kernel(run: _Run, carry):
+        slots, store = carry or (None, None)
+        layout = _pa_layout(run, bht, slots)
+        patterns_s = _pa_patterns(layout, k, slots)
         patterns = np.empty(run.n_c, dtype=np.int32)
         patterns[layout.order] = patterns_s
-        order, grp_new = _group_sort(patterns)
-        return _scan_scheme(run, run.out_u8[order], grp_new, order, ops)
+        result, store = _scan_keys(run, ops, patterns, store)
+        if run.final:
+            return result, None
+        return result, (_slot_carry(run, layout, slots,
+                                    reg=_pa_registers_out(layout, patterns_s, k)), store)
 
     return kernel
 
@@ -810,11 +1062,15 @@ def _kernel_psg(predictor: PSgPredictor):
     k = predictor.history_bits
     bht = predictor.bht
 
-    def kernel(run: _Run):
-        layout = _pa_layout(run, bht)
+    def kernel(run: _Run, slots):
+        layout = _pa_layout(run, bht, slots)
+        patterns_s = _pa_patterns(layout, k, slots)
         pred = np.empty(run.n_c, dtype=np.bool_)
-        pred[layout.order] = bits[_pa_patterns(layout, k)]
-        return pred
+        pred[layout.order] = bits[patterns_s]
+        if run.final:
+            return pred, None
+        return pred, _slot_carry(run, layout, slots,
+                                 reg=_pa_registers_out(layout, patterns_s, k))
 
     return kernel
 
@@ -825,26 +1081,60 @@ def _kernel_pap(predictor: PApPredictor):
     bht = predictor.bht
     reset_on_evict = predictor.config.reset_pht_on_evict
 
-    def kernel(run: _Run):
-        layout = _pa_layout(run, bht)
-        patterns_s = _pa_patterns(layout, k)
-        if isinstance(bht, IdealBHT):
-            # Every (segment, branch) episode opens a brand-new slot
-            # whose pattern table materialises in the initial state.
-            table_id = np.cumsum(layout.ep_new) - 1
-        elif reset_on_evict:
-            # A slot's table is reinitialised when a valid occupant is
-            # displaced; flushes invalidate without resetting tables.
-            table_id = np.cumsum(layout.blk_new | layout.evict) - 1
+    def kernel(run: _Run, carry):
+        slots, store, next_table = carry or (None, None, 0)
+        layout = _pa_layout(run, bht, slots)
+        patterns_s = _pa_patterns(layout, k, slots)
+        # Each slot's records open with a table: with the ideal BHT
+        # every (segment, branch) episode opens a brand-new slot whose
+        # table materialises in the initial state; otherwise a slot's
+        # table persists across flushes and is reinitialised only when a
+        # valid occupant is displaced (under the default reset policy).
+        ideal = isinstance(bht, IdealBHT)
+        if ideal:
+            new_table = layout.ep_new
         else:
-            table_id = np.cumsum(layout.blk_new) - 1
-        # Sorting by (table, pattern) from the site-sorted order keeps
+            new_table = layout.blk_new | layout.evict if reset_on_evict else layout.blk_new
+        resumed = None
+        if slots is not None:
+            # A head resumes its slot's carried table: the ideal BHT's
+            # when it hits the carried entry, a practical BHT's unless
+            # the head's own allocation resets it.
+            tables = slots.get(layout.hkey, "table")
+            if ideal:
+                resume = layout.cont
+            else:
+                resume = tables >= 0
+                if reset_on_evict:
+                    resume &= ~layout.evict[layout.heads]
+                new_table = new_table.copy()
+                new_table[layout.heads[resume]] = False
+            resumed = (layout.heads[resume], tables[resume])
+        table_start = new_table if resumed is None else new_table | layout.blk_new
+        table_id = np.cumsum(table_start) - 1
+        if resumed is None:
+            added = int(table_id[-1]) + 1
+        else:
+            fresh = new_table[table_start]
+            added = int(np.count_nonzero(fresh))
+            ids = np.empty(fresh.shape[0], dtype=np.int64)
+            ids[fresh] = next_table + np.arange(added)
+            ids[table_id[resumed[0]]] = resumed[1]
+            table_id = ids[table_id]
+        # Sorting by (table, pattern) from the slot-sorted order keeps
         # time order inside each group (a table's records live within
-        # one site block, where this order is already chronological).
+        # one slot block, where this order is already chronological).
         keys = (table_id << k) | patterns_s
-        order2, grp_new = _group_sort(keys)
-        order = layout.order[order2]
-        return _scan_scheme(run, layout.out_s[order2], grp_new, order, ops)
+        result, store = _scan_keys(run, ops, keys, store, out=layout.out_s, base=layout.order)
+        if run.final:
+            return result, None
+        slots = _slot_carry(run, layout, slots,
+                            reg=_pa_registers_out(layout, patterns_s, k),
+                            table=table_id[layout.lasts])
+        # Tables no slot can reach again (replaced, or whose ideal-BHT
+        # entry a flush invalidated) leave the store.
+        store = store.select(np.isin(store.keys >> k, slots.cols["table"]))
+        return result, (slots, store, next_table + added)
 
     return kernel
 
@@ -853,9 +1143,23 @@ def _kernel_btb(predictor: BTBPredictor):
     ops = _ops_for(predictor.automaton)
     bht = predictor.bht
 
-    def kernel(run: _Run):
-        layout = _pa_layout(run, bht)
-        return _scan_scheme(run, layout.out_s, layout.ep_new, layout.order, ops)
+    def kernel(run: _Run, slots):
+        layout = _pa_layout(run, bht, slots)
+        # One automaton per episode; a head hitting a carried entry
+        # resumes the entry's carried state.
+        groups = layout.ep_new if slots is None else layout.ep_new | layout.blk_new
+        init = None
+        if slots is not None:
+            starts = np.flatnonzero(groups)
+            init = np.full(starts.shape[0], ops.init, dtype=np.uint8)
+            init[np.searchsorted(starts, layout.heads[layout.cont])] = slots.get(
+                layout.hkey[layout.cont], "state")
+        result, runs = _scan(layout.out_s, groups, layout.order, ops, init, run.aggregate)
+        if run.final:
+            return result, None
+        last_group = np.cumsum(groups)[layout.lasts] - 1
+        return result, _slot_carry(run, layout, slots,
+                                   state=_group_final_states(runs, groups, ops)[last_group])
 
     return kernel
 
@@ -864,29 +1168,45 @@ def _kernel_btb(predictor: BTBPredictor):
 # Per-set first level: SAg, SAs
 # ----------------------------------------------------------------------
 
-def _perset_patterns(run: _Run, num_sets: int, k: int):
-    """``(order1, set_s, patterns_s)`` for the per-set shift registers.
+def _perset_patterns(run: _Run, num_sets: int, k: int, carry: Optional[_Keyed]):
+    """``(order1, set_s, out_s, patterns_s, carry)`` for the per-set
+    shift registers, in (set, time) order.
 
     Registers are untagged — selected by an address field, never fresh —
     so their contents are simply the last ``min(d, k)`` outcomes of the
     (set, segment) episode extended with the all-ones initialisation the
     registers (re)start from (``d`` = records since the segment began in
     that set). No miss protocol: the first access after (re)init reads
-    the all-ones pattern and shifts normally afterwards.
+    the all-ones pattern and shifts normally afterwards. A set's first
+    record in the block resumes its carried register unless a flush
+    fired since the set's last access (``carry``: set -> stamp, reg).
     """
-    n = run.n_c
+    mask = (1 << k) - 1
     sets = (run.pc_c >> 2) % num_sets
     order1 = _stable_argsort(sets)
     set_s = sets[order1]
     seg_s = run.seg_c[order1]
     out_s = run.out_u8[order1]
-    ep_new = np.empty(n, dtype=np.bool_)
-    ep_new[0] = True
-    ep_new[1:] = (set_s[1:] != set_s[:-1]) | (seg_s[1:] != seg_s[:-1])
-    since = np.arange(n, dtype=np.int32) - _start_indices(ep_new)
+    set_new = _change_marks(set_s)
+    ep_new = _change_marks(seg_s)
+    ep_new |= set_new
+    since = np.arange(run.n_c, dtype=np.int32) - _start_indices(ep_new)
     window = _outcome_window(out_s, k)
     patterns_s = _fill_extended(window, since, np.int32(1), k)
-    return order1, set_s, out_s, patterns_s
+    if carry is None and run.final:
+        return order1, set_s, out_s, patterns_s, None
+    heads = np.flatnonzero(set_new)
+    hset = set_s[heads]
+    if carry is not None:
+        stamp, reg = carry.get(hset, "stamp", "reg")
+        cont = stamp == seg_s[heads]
+        resumed = heads[cont]
+        _splice(patterns_s, window, resumed, _stretch(since, resumed, k), reg[cont], k)
+    if not run.final:
+        lasts = _lasts(heads, run.n_c)
+        regs = ((patterns_s[lasts].astype(np.int64) << 1) | out_s[lasts]) & mask
+        carry = _upsert(carry, hset, stamp=seg_s[lasts], reg=regs)
+    return order1, set_s, out_s, patterns_s, carry
 
 
 def _kernel_sag(predictor: SAgPredictor):
@@ -894,12 +1214,13 @@ def _kernel_sag(predictor: SAgPredictor):
     k = predictor.history_bits
     num_sets = predictor.num_sets
 
-    def kernel(run: _Run):
-        order1, _set_s, _out_s, patterns_s = _perset_patterns(run, num_sets, k)
+    def kernel(run: _Run, carry):
+        regs, store = carry or (None, None)
+        order1, _set_s, _out_s, patterns_s, regs = _perset_patterns(run, num_sets, k, regs)
         patterns = np.empty(run.n_c, dtype=np.int32)
         patterns[order1] = patterns_s
-        order, grp_new = _group_sort(patterns)
-        return _scan_scheme(run, run.out_u8[order], grp_new, order, ops)
+        result, store = _scan_keys(run, ops, patterns, store)
+        return result, (regs, store)
 
     return kernel
 
@@ -909,14 +1230,14 @@ def _kernel_sas(predictor: SAsPredictor):
     k = predictor.history_bits
     num_sets = predictor.num_sets
 
-    def kernel(run: _Run):
-        order1, set_s, out_s, patterns_s = _perset_patterns(run, num_sets, k)
+    def kernel(run: _Run, carry):
+        regs, store = carry or (None, None)
+        order1, set_s, out_s, patterns_s, regs = _perset_patterns(run, num_sets, k, regs)
         # (set, pattern) keys from the set-sorted order keep time order
         # inside each per-set table group (cf. the PAp kernel).
         keys = (set_s.astype(np.int64) << k) | patterns_s
-        order2, grp_new = _group_sort(keys)
-        order = order1[order2]
-        return _scan_scheme(run, out_s[order2], grp_new, order, ops)
+        result, store = _scan_keys(run, ops, keys, store, out=out_s, base=order1)
+        return result, (regs, store)
 
     return kernel
 
@@ -934,18 +1255,6 @@ component was correct (input = "second component was right"), predicting
 the paper automata."""
 
 
-def _per_record_preds(kernel, run: _Run) -> np.ndarray:
-    """Run a component kernel forcing per-record predictions (the
-    tournament needs both components' guesses even when the outer run
-    could aggregate)."""
-    saved = run.aggregate
-    run.aggregate = False
-    try:
-        return kernel(run)
-    finally:
-        run.aggregate = saved
-
-
 def _kernel_tournament(predictor: TournamentPredictor):
     first_kernel = _kernel_for(predictor.first)
     second_kernel = _kernel_for(predictor.second)
@@ -954,9 +1263,17 @@ def _kernel_tournament(predictor: TournamentPredictor):
     ops = _ops_for(CHOOSER_AUTOMATON)
     cmask = predictor.chooser_mask
 
-    def kernel(run: _Run):
-        p1 = _per_record_preds(first_kernel, run)
-        p2 = _per_record_preds(second_kernel, run)
+    def kernel(run: _Run, carry):
+        first, second, choosers = carry or (None, None, None)
+        # Both components' guesses are needed per record even when the
+        # outer run could aggregate.
+        saved = run.aggregate
+        run.aggregate = False
+        try:
+            p1, first = first_kernel(run, first)
+            p2, second = second_kernel(run, second)
+        finally:
+            run.aggregate = saved
         pred = p1.copy()
         d = np.flatnonzero(p1 != p2)
         if d.size:
@@ -964,13 +1281,14 @@ def _kernel_tournament(predictor: TournamentPredictor):
             # never flushed — one scan over the disagreement records
             # with input "second component was correct" yields each
             # record's pre-update chooser verdict.
-            second_correct = p2[d] == run.out_bool[d]
-            order, grp_new = _group_sort(run.pc_c[d] & cmask)
-            runs = _find_runs(second_correct.view(np.uint8)[order], grp_new, ops)
-            use_second = np.empty(d.size, dtype=np.bool_)
-            use_second[order] = _expand_run_preds(d.size, runs, ops)
+            second_correct = (p2[d] == run.out_bool[d]).view(np.uint8)
+            order, grp_new, key_s = _group_sort(run.pc_c[d] & cmask)
+            use_second, choosers = _scan_store(
+                run, ops, key_s, second_correct[order], grp_new, order, choosers,
+                aggregate=False,
+            )
             pred[d] = np.where(use_second, p2[d], p1[d])
-        return pred
+        return pred, (first, second, choosers)
 
     return kernel
 
@@ -980,8 +1298,8 @@ def _kernel_tournament(predictor: TournamentPredictor):
 # ----------------------------------------------------------------------
 
 def _kernel_constant(direction: bool):
-    def kernel(run: _Run):
-        return np.full(run.n_c, direction, dtype=np.bool_)
+    def kernel(run: _Run, carry):
+        return np.full(run.n_c, direction, dtype=np.bool_), None
 
     return kernel
 
@@ -989,9 +1307,9 @@ def _kernel_constant(direction: bool):
 def _kernel_btfn(predictor: BTFN):
     unknown = predictor.unknown_direction
 
-    def kernel(run: _Run):
+    def kernel(run: _Run, carry):
         target_c = run.arrays.target[run.arrays.cond_mask]
-        return np.where(target_c == 0, unknown, target_c < run.pc_c)
+        return np.where(target_c == 0, unknown, target_c < run.pc_c), None
 
     return kernel
 
@@ -1000,14 +1318,14 @@ def _kernel_profile(predictor: ProfileGuided):
     directions = predictor.directions_snapshot()
     default = predictor.default_direction
 
-    def kernel(run: _Run):
+    def kernel(run: _Run, carry):
         sites, ids = run.arrays.conditional_site_ids()
         site_dirs = np.fromiter(
             (directions.get(int(site), default) for site in sites),
             dtype=np.bool_,
             count=sites.shape[0],
         )
-        return site_dirs[ids]
+        return site_dirs[ids], None
 
     return kernel
 
@@ -1017,10 +1335,12 @@ def _kernel_profile(predictor: ProfileGuided):
 # ----------------------------------------------------------------------
 
 def _kernel_for(predictor):
-    """The kernel closure for ``predictor``, or None when unsupported.
+    """The kernel for ``predictor``, or None when unsupported.
 
-    Dispatch is on the *exact* type: a subclass may override predict or
-    update semantics the kernels hard-code.
+    A kernel is ``kernel(run, carry) -> (outcome, carry)``: ``carry`` is
+    None before the first block, and the outcome is a correct count or
+    per-record predictions. Dispatch is on the *exact* type: a subclass
+    may override predict or update semantics the kernels hard-code.
     """
     kind = type(predictor)
     if kind is AlwaysTaken:
@@ -1069,8 +1389,13 @@ def _kernel_for(predictor):
     return None
 
 
+def _supported_bht(bht) -> bool:
+    """Kernels model any BHT geometry the simulator builds."""
+    return isinstance(bht, (IdealBHT, CacheBHT))
+
+
 def kernel_supports(predictor) -> bool:
-    """Whether :func:`simulate_vectorized` can replay ``predictor``.
+    """Whether the vectorized backend can replay ``predictor``.
 
     True for every scheme in the paper registry — the table-driven
     two-level configurations with ideal, direct-mapped *or*
@@ -1081,59 +1406,76 @@ def kernel_supports(predictor) -> bool:
     tournament chooser do). False only for exotic automaton extensions,
     over-long history registers, subclassed predictor types (dispatch is
     exact-type), and tournaments whose components are themselves
-    unsupported — those run through the interpreted loop instead.
+    unsupported — those run through the interpreted loop instead. The
+    answer is the same whole-trace and streamed.
     """
     return _kernel_for(predictor) is not None
 
 
-def simulate_vectorized(
-    predictor,
-    trace: Trace,
-    context_switches: Optional[ContextSwitchConfig] = None,
-    track_per_site: bool = False,
-    warmup_branches: int = 0,
-) -> SimulationResult:
-    """Batch-replay ``trace`` through a vectorized model of ``predictor``.
-
-    Bit-identical to :func:`repro.sim.engine.simulate` for every
-    supported predictor, *assuming a freshly-constructed predictor*
-    (kernels model initial tables; they neither read nor write the
-    predictor's mutable state, so the instance is untouched afterwards).
-
-    Raises:
-        KernelUnavailable: when no kernel covers the predictor, or the
-            trace breaks a kernel precondition (decreasing ``instret``
-            with context switches enabled).
-    """
+def _fold(predictor, blocks, meta, context_switches: Optional[ContextSwitchConfig],
+          track_per_site: bool, warmup_branches: int, final: bool) -> SimulationResult:
+    """Fold ``predictor``'s kernel over ``blocks``, threading its carry,
+    the warmup budget and the absolute context-switch epochs."""
     kernel = _kernel_for(predictor)
     if kernel is None:
         raise KernelUnavailable(
             f"no vectorized kernel for {getattr(predictor, 'name', type(predictor).__name__)}"
         )
-    run = _Run(trace, context_switches, track_per_site, warmup_branches)
-    per_seen: Optional[Dict[int, int]] = None
-    per_wrong: Optional[Dict[int, int]] = None
-    if run.n_c == 0:
-        correct = 0
-        if run.track_per_site:
-            per_seen, per_wrong = {}, {}
-    else:
-        outcome = kernel(run)
-        if isinstance(outcome, (int, np.integer)):
-            correct = int(outcome)
-        else:
-            correct, per_seen, per_wrong = _score_predictions(run, outcome)
-    scored = max(run.n_c - run.warmup, 0)
+    warmup = max(int(warmup_branches), 0)
+    track = bool(track_per_site)
+    correct = 0
+    cond_seen = 0
+    switches = 0
+    prev_epoch: Optional[int] = None
+    fires = 0
+    last_instret: Optional[int] = None
+    carry = None
+    per_seen: Optional[Dict[int, int]] = {} if track else None
+    per_wrong: Optional[Dict[int, int]] = {} if track else None
+    for block in blocks:
+        if len(block) == 0:
+            continue
+        run = _Run(block, context_switches, track, max(warmup - cond_seen, 0),
+                   prev_epoch=prev_epoch, fires_base=fires, t0=cond_seen, final=final)
+        if context_switches is not None:
+            first_instret = int(run.arrays.instret[0])
+            if last_instret is not None and first_instret < last_instret:
+                raise KernelUnavailable(
+                    "instret decreases across blocks; the vectorized "
+                    "context-switch model requires a non-decreasing clock"
+                )
+            last_instret = int(run.arrays.instret[-1])
+            prev_epoch = run.last_epoch
+        switches += run.switches
+        fires = run.fires_end
+        if run.n_c:
+            if cond_seen + run.n_c > 1 << _MAX_TABLE_ID_BITS:
+                raise KernelUnavailable(
+                    f"more than 2**{_MAX_TABLE_ID_BITS} conditional records: "
+                    "carried table ids would overflow their packed keys"
+                )
+            outcome, carry = kernel(run, carry)
+            if isinstance(outcome, (int, np.integer)):
+                correct += int(outcome)
+            else:
+                block_correct, block_seen, block_wrong = _score_predictions(run, outcome)
+                correct += block_correct
+                if track:
+                    for pc, count in block_seen.items():
+                        per_seen[pc] = per_seen.get(pc, 0) + count
+                    for pc, count in block_wrong.items():
+                        per_wrong[pc] = per_wrong.get(pc, 0) + count
+        cond_seen += run.n_c
     return SimulationResult(
         predictor_name=predictor.name,
-        trace_name=trace.meta.name,
-        dataset=trace.meta.dataset,
-        conditional_branches=scored,
+        trace_name=meta.name,
+        dataset=meta.dataset,
+        conditional_branches=max(cond_seen - warmup, 0),
         correct_predictions=correct,
-        context_switches=run.switches,
+        context_switches=switches,
         per_site_executions=per_seen,
         per_site_mispredictions=per_wrong,
-        total_instructions=trace.meta.total_instructions,
+        total_instructions=meta.total_instructions,
     )
 
 
@@ -1154,525 +1496,28 @@ def _score_predictions(run: _Run, pred: np.ndarray):
     return correct, per_seen, per_wrong
 
 
-# ----------------------------------------------------------------------
-# Streaming kernels: per-block passes with explicit state handoff
-# ----------------------------------------------------------------------
-#
-# The whole-trace kernels above exploit one global fact: every pattern
-# entry starts from the automaton's initial state, so a single sort and
-# scan covers the trace. Streaming breaks that fact — a block sees
-# pattern entries, history registers, and BHT residencies mid-life. The
-# classes below make the carried state explicit:
-#
-# * pattern tables persist as dense uint8 state arrays (or per-site
-#   arrays for GAp); each block gathers the stored state at every
-#   group's first record (``group_init``), scans, and scatters the
-#   groups' final states back;
-# * the global history register is carried as an integer and spliced
-#   into the first ``min(len, k)`` records of a block whose leading
-#   segment continues across the boundary;
-# * per-address registers / BTB entries are carried in a dict keyed by
-#   site (real pc for the ideal BHT, set index for direct-mapped),
-#   stamped with the global flush count at the site's last occurrence —
-#   a stamp mismatch at the next occurrence means a flush intervened,
-#   which invalidates the entry exactly like the sequential model.
-#
-# Context-switch bookkeeping stays on absolute ``instret // interval``
-# epochs threaded through ``_Run`` (``prev_epoch`` / ``fires_base``), so
-# block boundaries can never shift a flush — the same guarantee the
-# interpreted engine's absolute ``next_switch`` arithmetic provides.
+def simulate_vectorized(
+    predictor,
+    trace: Trace,
+    context_switches: Optional[ContextSwitchConfig] = None,
+    track_per_site: bool = False,
+    warmup_branches: int = 0,
+) -> SimulationResult:
+    """Batch-replay ``trace`` through a vectorized model of ``predictor``.
 
-def _group_final_states(runs: _Runs, grp_new: np.ndarray, ops: _AutomatonOps) -> np.ndarray:
-    """Each group's automaton state after its last update, in group
-    order (one value per True in ``grp_new``)."""
-    grp_first_runs = grp_new[runs.first]
-    nruns = runs.first.shape[0]
-    last = np.empty(nruns, dtype=np.bool_)
-    last[:-1] = grp_first_runs[1:]
-    last[-1] = True
-    idx = np.flatnonzero(last)
-    codes = ops.pow_codes[runs.out[idx], runs.lcap[idx]]
-    return ops.apply[codes, runs.state0[idx]]
+    Bit-identical to :func:`repro.sim.engine.simulate` for every
+    supported predictor, *assuming a freshly-constructed predictor*
+    (kernels model initial tables; they neither read nor write the
+    predictor's mutable state, so the instance is untouched afterwards).
+    The trace is one block from the empty carry.
 
-
-def _scan_with_store(run: _Run, keys: np.ndarray, store: np.ndarray,
-                     ops: _AutomatonOps):
-    """One block's pattern-table pass against a persistent dense store.
-
-    Groups the block's conditional records by ``keys`` (pattern-table
-    index), seeds each group's scan with the stored entry state, commits
-    every touched entry's final state back into ``store``, and returns
-    either the closed-form correct count or per-record predictions in
-    trace order.
+    Raises:
+        KernelUnavailable: when no kernel covers the predictor, or the
+            trace breaks a kernel precondition (decreasing ``instret``
+            with context switches enabled).
     """
-    order, grp_new = _group_sort(keys)
-    key_s = keys[order]
-    out_sorted = run.out_u8[order]
-    starts = np.flatnonzero(grp_new)
-    start_keys = key_s[starts]
-    group_init = np.zeros(run.n_c, dtype=np.uint8)
-    group_init[starts] = store[start_keys]
-    runs = _find_runs(out_sorted, grp_new, ops, group_init=group_init)
-    store[start_keys] = _group_final_states(runs, grp_new, ops)
-    if run.aggregate:
-        return run.n_c - _runs_wrong_total(runs, ops)
-    pred_sorted = _expand_run_preds(run.n_c, runs, ops)
-    pred = np.empty(run.n_c, dtype=np.bool_)
-    pred[order] = pred_sorted
-    return pred
-
-
-class _GlobalHistoryCarry:
-    """The global history register carried across blocks.
-
-    ``reg`` starts at the predictor's reset value (fill bit replicated),
-    which is also what a flush restores — so the first block and every
-    post-flush head share one code path: a block whose leading segment
-    continues splices ``reg`` into its first ``min(len, k)`` records.
-    """
-
-    __slots__ = ("k", "mask", "fill_bit", "reg")
-
-    def __init__(self, k: int, fill_taken: bool) -> None:
-        self.k = k
-        self.mask = (1 << k) - 1
-        self.fill_bit = 1 if fill_taken else 0
-        self.reg = self.mask if fill_taken else 0
-
-    def patterns(self, run: _Run) -> np.ndarray:
-        """GHR contents before each of the block's conditional records."""
-        n = run.n_c
-        seg = run.seg_c
-        new_seg = np.empty(n, dtype=np.bool_)
-        new_seg[0] = run.head_fires > 0
-        new_seg[1:] = seg[1:] != seg[:-1]
-        since = np.arange(n, dtype=np.int32) - _start_indices(new_seg)
-        window = _outcome_window(run.out_u8, self.k)
-        ghr = _fill_extended(window, since, np.int32(self.fill_bit), self.k)
-        if not new_seg[0]:
-            # The leading segment continues the previous block: its
-            # first min(len, k) records still see carried register bits
-            # above the block-local window bits.
-            head_len = int(np.argmax(new_seg)) if bool(new_seg.any()) else n
-            span = min(head_len, self.k)
-            j = np.arange(span, dtype=np.int64)
-            local = window[:span].astype(np.int64) & ((np.int64(1) << j) - 1)
-            ghr[:span] = ((np.int64(self.reg) << j) | local) & self.mask
-        return ghr
-
-    def advance(self, run: _Run, ghr: Optional[np.ndarray]) -> None:
-        """Roll ``reg`` past the block (flushes happen *before* the
-        record they fire at, so a trailing flush resets the register
-        only when it lands strictly after the last conditional)."""
-        if run.n_c and run.tail_fires == 0:
-            self.reg = ((int(ghr[-1]) << 1) | int(run.out_u8[-1])) & self.mask
-        elif run.tail_fires > 0:
-            self.reg = self.mask if self.fill_bit else 0
-
-
-class _StreamStateless:
-    """Per-block wrapper for kernels with no cross-block state (the
-    static schemes and the preset-table second levels)."""
-
-    __slots__ = ("_kernel",)
-
-    def __init__(self, kernel) -> None:
-        self._kernel = kernel
-
-    def process(self, run: _Run):
-        if run.n_c == 0:
-            return 0
-        return self._kernel(run)
-
-
-class _StreamGlobalScan:
-    """Streamed GAg (keys = GHR) / gshare (keys = GHR xor pc)."""
-
-    __slots__ = ("ops", "k", "xor_pc", "hist", "pht")
-
-    def __init__(self, predictor, xor_pc: bool) -> None:
-        self.ops = _ops_for(predictor.automaton)
-        self.k = predictor.history_bits
-        self.xor_pc = xor_pc
-        self.hist = _GlobalHistoryCarry(self.k, fill_taken=not xor_pc)
-        self.pht = np.full(1 << self.k, self.ops.init, dtype=np.uint8)
-
-    def process(self, run: _Run):
-        if run.n_c == 0:
-            self.hist.advance(run, None)
-            return 0
-        ghr = self.hist.patterns(run)
-        if self.xor_pc:
-            keys = (ghr ^ run.pc_c) & ((1 << self.k) - 1)
-        else:
-            keys = ghr
-        result = _scan_with_store(run, keys, self.pht, self.ops)
-        self.hist.advance(run, ghr)
-        return result
-
-
-class _StreamGSg:
-    """Streamed GSg: preset bits read under the carried GHR."""
-
-    __slots__ = ("bits", "hist")
-
-    def __init__(self, predictor: GSgPredictor) -> None:
-        self.bits = np.asarray(predictor.table.bits_snapshot(), dtype=np.bool_)
-        self.hist = _GlobalHistoryCarry(predictor.history_bits, fill_taken=True)
-
-    def process(self, run: _Run):
-        if run.n_c == 0:
-            self.hist.advance(run, None)
-            return 0
-        ghr = self.hist.patterns(run)
-        self.hist.advance(run, ghr)
-        return self.bits[ghr]
-
-
-class _StreamGAp:
-    """Streamed GAp: carried GHR + one dense per-site pattern table."""
-
-    __slots__ = ("ops", "k", "hist", "tables")
-
-    def __init__(self, predictor: GApPredictor) -> None:
-        self.ops = _ops_for(predictor.automaton)
-        self.k = predictor.history_bits
-        self.hist = _GlobalHistoryCarry(self.k, fill_taken=True)
-        self.tables: Dict[int, np.ndarray] = {}
-
-    def process(self, run: _Run):
-        if run.n_c == 0:
-            self.hist.advance(run, None)
-            return 0
-        ghr = self.hist.patterns(run)
-        sites, ids = run.arrays.conditional_site_ids()
-        keys = (ids.astype(np.int64) << self.k) | ghr
-        order, grp_new = _group_sort(keys)
-        key_s = keys[order]
-        out_sorted = run.out_u8[order]
-        starts = np.flatnonzero(grp_new)
-        start_keys = key_s[starts]
-        # Group starts are key-sorted, so each site's groups are
-        # contiguous: one searchsorted gives per-site slices.
-        site_of = (start_keys >> self.k).astype(np.int64)
-        patt_of = (start_keys & np.int64((1 << self.k) - 1)).astype(np.int64)
-        bounds = np.searchsorted(site_of, np.arange(sites.shape[0] + 1))
-        group_init = np.zeros(run.n_c, dtype=np.uint8)
-        tbls = []
-        for si in range(sites.shape[0]):
-            tbl = self.tables.get(int(sites[si]))
-            if tbl is None:
-                tbl = self.tables[int(sites[si])] = np.full(
-                    1 << self.k, self.ops.init, dtype=np.uint8
-                )
-            tbls.append(tbl)
-            a, b = int(bounds[si]), int(bounds[si + 1])
-            group_init[starts[a:b]] = tbl[patt_of[a:b]]
-        runs = _find_runs(out_sorted, grp_new, self.ops, group_init=group_init)
-        finals = _group_final_states(runs, grp_new, self.ops)
-        for si in range(sites.shape[0]):
-            a, b = int(bounds[si]), int(bounds[si + 1])
-            tbls[si][patt_of[a:b]] = finals[a:b]
-        if run.aggregate:
-            result = run.n_c - _runs_wrong_total(runs, self.ops)
-        else:
-            pred_sorted = _expand_run_preds(run.n_c, runs, self.ops)
-            pred = np.empty(run.n_c, dtype=np.bool_)
-            pred[order] = pred_sorted
-            result = pred
-        self.hist.advance(run, ghr)
-        return result
-
-
-class _StreamLayout:
-    """One block's conditional records in (site, time) order, plus which
-    leading site occurrences continue a carried BHT entry."""
-
-    __slots__ = ("order", "key_s", "pc_s", "seg_s", "out_s", "ep_new",
-                 "heads", "lasts", "cont", "direct")
-
-    def __init__(self, order, key_s, pc_s, seg_s, out_s, ep_new,
-                 heads, lasts, cont, direct) -> None:
-        self.order = order
-        self.key_s = key_s
-        self.pc_s = pc_s
-        self.seg_s = seg_s
-        self.out_s = out_s
-        self.ep_new = ep_new
-        self.heads = heads
-        self.lasts = lasts
-        self.cont = cont
-        self.direct = direct
-
-
-def _stream_carry_key(layout: _StreamLayout, h: int) -> int:
-    # Ideal BHTs key the carry by real pc (block-local dense ids are not
-    # stable across blocks); direct-mapped tables key by set index.
-    return int(layout.key_s[h]) if layout.direct else int(layout.pc_s[h])
-
-
-def _pa_stream_layout(run: _Run, bht, carry: Dict[int, tuple]) -> _StreamLayout:
-    """Site-sorted block layout with carried-entry continuation marks.
-
-    A carried entry is still live at the block's first occurrence of its
-    site iff no flush fired since it was written (stamp == global flush
-    count at the occurrence) and — for direct-mapped tables — the same
-    branch still owns the set. Stale entries need no eager eviction: a
-    mismatched stamp or occupant simply fails the check, and the
-    occurrence opens a fresh episode exactly like the sequential model.
-    """
-    n = run.n_c
-    if isinstance(bht, IdealBHT):
-        _sites, keys = run.arrays.conditional_site_ids()
-        direct = False
-    else:
-        keys = run.pc_c % bht.num_sets
-        direct = True
-    order = _stable_argsort(keys)
-    key_s = keys[order]
-    pc_s = run.pc_c[order]
-    seg_s = run.seg_c[order]
-    out_s = run.out_u8[order]
-    blk_new = np.empty(n, dtype=np.bool_)
-    blk_new[0] = True
-    blk_new[1:] = key_s[1:] != key_s[:-1]
-    seg_chg = np.empty(n, dtype=np.bool_)
-    seg_chg[0] = True
-    seg_chg[1:] = seg_s[1:] != seg_s[:-1]
-    seg_chg |= blk_new
-    if direct:
-        pc_chg = np.empty(n, dtype=np.bool_)
-        pc_chg[0] = True
-        pc_chg[1:] = pc_s[1:] != pc_s[:-1]
-        ep_new = seg_chg | pc_chg
-    else:
-        ep_new = seg_chg
-    heads = np.flatnonzero(blk_new)
-    lasts = np.empty(heads.shape[0], dtype=np.int64)
-    lasts[:-1] = heads[1:] - 1
-    lasts[-1] = n - 1
-    cont = np.zeros(heads.shape[0], dtype=np.bool_)
-    layout = _StreamLayout(order, key_s, pc_s, seg_s, out_s, ep_new,
-                           heads, lasts, cont, direct)
-    for hi in range(heads.shape[0]):
-        h = int(heads[hi])
-        entry = carry.get(_stream_carry_key(layout, h))
-        if entry is not None and entry[0] == int(seg_s[h]) and entry[1] == int(pc_s[h]):
-            cont[hi] = True
-    return layout
-
-
-def _pa_stream_patterns(layout: _StreamLayout, carry: Dict[int, tuple], k: int):
-    """Per-address register contents per record, resuming carried
-    registers at continuing site heads.
-
-    Returns ``(patterns, ep2)`` where ``ep2`` is ``ep_new`` with
-    continuing heads cleared — i.e. True exactly at records whose update
-    hits a *fresh* entry. For a continuing head the block-local episode
-    start is unknowable from this block alone; the first ``min(len, k)``
-    records are spliced from the carried register, and deeper records
-    are depth-``k`` pure-window values either way.
-    """
-    n = layout.out_s.shape[0]
-    mask = (1 << k) - 1
-    ep2 = layout.ep_new.copy()
-    ep2[layout.heads[layout.cont]] = False
-    ep_start = _start_indices(ep2)
-    m = np.arange(n, dtype=np.int32) - ep_start
-    window = _outcome_window(layout.out_s, k)
-    first_outcome = layout.out_s[ep_start].astype(np.int32)
-    patterns = _fill_extended(window, m, first_outcome, k)
-    patterns[m == 0] = mask
-    ep_true = np.flatnonzero(ep2)
-    for hi in np.flatnonzero(layout.cont):
-        h = int(layout.heads[hi])
-        reg = carry[_stream_carry_key(layout, h)][2]
-        nxt = int(np.searchsorted(ep_true, h, side="right"))
-        end = int(ep_true[nxt]) if nxt < ep_true.shape[0] else n
-        if hi + 1 < layout.heads.shape[0]:
-            end = min(end, int(layout.heads[hi + 1]))
-        span = min(k, end - h)
-        j = np.arange(span, dtype=np.int64)
-        local = window[h:h + span].astype(np.int64) & ((np.int64(1) << j) - 1)
-        patterns[h:h + span] = ((np.int64(reg) << j) | local) & mask
-    return patterns, ep2
-
-
-def _pa_register_carry_out(layout: _StreamLayout, carry: Dict[int, tuple],
-                           patterns: np.ndarray, ep2: np.ndarray, k: int) -> None:
-    """Record each site's post-block register into the carry dict.
-
-    The register after a site's last update is the pre-update pattern
-    shifted once — unless that update hit a fresh entry (``ep2`` True),
-    which fills with the outcome bit instead, mirroring
-    ``history_fill`` in the sequential model.
-    """
-    mask = (1 << k) - 1
-    for hi in range(layout.heads.shape[0]):
-        h = int(layout.heads[hi])
-        last = int(layout.lasts[hi])
-        out_last = int(layout.out_s[last])
-        if ep2[last]:
-            reg = mask if out_last else 0
-        else:
-            reg = ((int(patterns[last]) << 1) | out_last) & mask
-        carry[_stream_carry_key(layout, h)] = (
-            int(layout.seg_s[last]), int(layout.pc_s[last]), reg
-        )
-
-
-class _StreamPAg:
-    """Streamed PAg: carried per-site registers + one dense shared PHT."""
-
-    __slots__ = ("ops", "k", "bht", "carry", "pht")
-
-    def __init__(self, predictor: PAgPredictor) -> None:
-        self.ops = _ops_for(predictor.automaton)
-        self.k = predictor.history_bits
-        self.bht = predictor.bht
-        self.carry: Dict[int, tuple] = {}
-        self.pht = np.full(1 << self.k, self.ops.init, dtype=np.uint8)
-
-    def process(self, run: _Run):
-        if run.n_c == 0:
-            return 0
-        layout = _pa_stream_layout(run, self.bht, self.carry)
-        patterns_s, ep2 = _pa_stream_patterns(layout, self.carry, self.k)
-        _pa_register_carry_out(layout, self.carry, patterns_s, ep2, self.k)
-        patterns = np.empty(run.n_c, dtype=np.int32)
-        patterns[layout.order] = patterns_s
-        return _scan_with_store(run, patterns, self.pht, self.ops)
-
-
-class _StreamPSg:
-    """Streamed PSg: carried per-site registers reading preset bits."""
-
-    __slots__ = ("bits", "k", "bht", "carry")
-
-    def __init__(self, predictor: PSgPredictor) -> None:
-        self.bits = np.asarray(predictor.table.bits_snapshot(), dtype=np.bool_)
-        self.k = predictor.history_bits
-        self.bht = predictor.bht
-        self.carry: Dict[int, tuple] = {}
-
-    def process(self, run: _Run):
-        if run.n_c == 0:
-            return 0
-        layout = _pa_stream_layout(run, self.bht, self.carry)
-        patterns_s, ep2 = _pa_stream_patterns(layout, self.carry, self.k)
-        _pa_register_carry_out(layout, self.carry, patterns_s, ep2, self.k)
-        pred = np.empty(run.n_c, dtype=np.bool_)
-        pred[layout.order] = self.bits[patterns_s]
-        return pred
-
-
-class _StreamBTB:
-    """Streamed BTB: carried per-entry automaton states.
-
-    Episodes stay block-local scan groups; a continuing head seeds its
-    episode with the carried state instead of the automaton init, and
-    each site's final episode state is carried out.
-    """
-
-    __slots__ = ("ops", "bht", "carry")
-
-    def __init__(self, predictor: BTBPredictor) -> None:
-        self.ops = _ops_for(predictor.automaton)
-        self.bht = predictor.bht
-        self.carry: Dict[int, tuple] = {}
-
-    def process(self, run: _Run):
-        if run.n_c == 0:
-            return 0
-        layout = _pa_stream_layout(run, self.bht, self.carry)
-        n = run.n_c
-        group_init = np.full(n, self.ops.init, dtype=np.uint8)
-        for h in layout.heads[layout.cont]:
-            group_init[int(h)] = self.carry[_stream_carry_key(layout, int(h))][2]
-        runs = _find_runs(layout.out_s, layout.ep_new, self.ops,
-                          group_init=group_init)
-        finals = _group_final_states(runs, layout.ep_new, self.ops)
-        grp_starts = np.flatnonzero(layout.ep_new)
-        if run.aggregate:
-            result = n - _runs_wrong_total(runs, self.ops)
-        else:
-            pred_sorted = _expand_run_preds(n, runs, self.ops)
-            pred = np.empty(n, dtype=np.bool_)
-            pred[layout.order] = pred_sorted
-            result = pred
-        for hi in range(layout.heads.shape[0]):
-            h = int(layout.heads[hi])
-            last = int(layout.lasts[hi])
-            g = int(np.searchsorted(grp_starts, last, side="right")) - 1
-            self.carry[_stream_carry_key(layout, h)] = (
-                int(layout.seg_s[last]), int(layout.pc_s[last]), int(finals[g])
-            )
-        return result
-
-
-#: GAp streams one dense ``2**k``-entry table per distinct site, so its
-#: streamed kernel is gated tighter than ``_MAX_HISTORY_BITS``.
-_MAX_STREAM_GAP_BITS = 16
-
-
-def _stream_kernel_for(predictor):
-    """A fresh per-block kernel (``process(run)``) or None.
-
-    Same exact-type dispatch as :func:`_kernel_for`. PAp is excluded: a
-    direct-mapped PAp whose tables survive eviction would need every
-    (set, pattern) entry carried across blocks — the interpreted loop
-    streams it instead.
-    """
-    kind = type(predictor)
-    if kind is AlwaysTaken:
-        return _StreamStateless(_kernel_constant(True))
-    if kind is AlwaysNotTaken:
-        return _StreamStateless(_kernel_constant(False))
-    if kind is BTFN:
-        return _StreamStateless(_kernel_btfn(predictor))
-    if kind is ProfileGuided:
-        return _StreamStateless(_kernel_profile(predictor))
-
-    def k_ok(bits: int) -> bool:
-        return bits <= _MAX_HISTORY_BITS
-
-    if kind is GAgPredictor and supports_vector_scan(predictor.automaton) \
-            and k_ok(predictor.history_bits):
-        return _StreamGlobalScan(predictor, xor_pc=False)
-    if kind is GsharePredictor and supports_vector_scan(predictor.automaton) \
-            and k_ok(predictor.history_bits):
-        return _StreamGlobalScan(predictor, xor_pc=True)
-    if kind is GApPredictor and supports_vector_scan(predictor.automaton) \
-            and predictor.history_bits <= _MAX_STREAM_GAP_BITS:
-        return _StreamGAp(predictor)
-    if kind is GSgPredictor and k_ok(predictor.history_bits):
-        return _StreamGSg(predictor)
-    if kind is PAgPredictor and supports_vector_scan(predictor.automaton) \
-            and k_ok(predictor.history_bits) and _stream_supported_bht(predictor.bht):
-        return _StreamPAg(predictor)
-    if kind is PSgPredictor and k_ok(predictor.history_bits) \
-            and _stream_supported_bht(predictor.bht):
-        return _StreamPSg(predictor)
-    if kind is BTBPredictor and supports_vector_scan(predictor.automaton) \
-            and _stream_supported_bht(predictor.bht):
-        return _StreamBTB(predictor)
-    return None
-
-
-def stream_kernel_supports(predictor) -> bool:
-    """Whether :func:`simulate_vectorized_stream` covers ``predictor``.
-
-    A strict subset of :func:`kernel_supports`: PAp (whose per-entry
-    pattern tables would all need carrying), GAp above 16 history bits,
-    set-associative BHTs (whose LRU way state the per-site carry dicts
-    cannot represent), and the hybrid/per-set extensions fall back to
-    the interpreted streaming loop. ``backend="auto"`` degrades
-    gracefully (and logs a ``kernel_fallback`` event); an explicit
-    ``backend="vectorized"`` with ``block_size`` raises
-    :class:`KernelUnavailable` naming the gap — drop the block size to
-    keep the fast path.
-    """
-    return _stream_kernel_for(predictor) is not None
+    return _fold(predictor, (trace,), trace.meta, context_switches,
+                 track_per_site, warmup_branches, final=True)
 
 
 def _traced_blocks(blocks, recorder):
@@ -1703,27 +1548,19 @@ def simulate_vectorized_stream(
     """Replay a :class:`repro.trace.stream.TraceSource` block by block.
 
     Bit-identical to :func:`simulate_vectorized` on the materialized
-    trace for every supported predictor and *any* block size: all
-    predictor state (pattern tables, history registers, BHT residency,
-    context-switch epoch) is carried across block boundaries, and flush
-    boundaries stay pinned to absolute ``instret // interval`` epochs.
-    Peak memory scales with ``block_size``, not the trace length.
+    trace for every supported predictor and *any* block size: the same
+    kernels fold over the blocks, carrying all predictor state (pattern
+    tables, history registers, BHT ways, context-switch epoch) across
+    block boundaries, and flush boundaries stay pinned to absolute
+    ``instret // interval`` epochs. Peak memory scales with
+    ``block_size`` and the touched table entries, not the trace length.
 
     Raises:
-        KernelUnavailable: when no streaming kernel covers the
-            predictor, or ``instret`` decreases (within a block or
-            across blocks) with context switches enabled.
+        KernelUnavailable: when no kernel covers the predictor, or
+            ``instret`` decreases (within a block or across blocks) with
+            context switches enabled.
         ValueError: for an unbounded source or a block size < 1.
     """
-    kernel = _stream_kernel_for(predictor)
-    if kernel is None:
-        name = getattr(predictor, "name", type(predictor).__name__)
-        hint = (
-            " (the whole-trace batch kernel covers it: drop block_size)"
-            if _kernel_for(predictor) is not None
-            else ""
-        )
-        raise KernelUnavailable(f"no streaming kernel for {name}{hint}")
     if block_size is None:
         block_size = _DEFAULT_STREAM_BLOCK
     if block_size < 1:
@@ -1732,17 +1569,6 @@ def simulate_vectorized_stream(
         raise ValueError(
             "cannot simulate an unbounded source; bound it with .limit(n)"
         )
-    meta = source.meta
-    warmup = max(int(warmup_branches), 0)
-    track = bool(track_per_site)
-    correct = 0
-    cond_seen = 0
-    switches = 0
-    prev_epoch: Optional[int] = None
-    fires = 0
-    last_instret: Optional[int] = None
-    per_seen: Optional[Dict[int, int]] = {} if track else None
-    per_wrong: Optional[Dict[int, int]] = {} if track else None
     # Span tracing of the streamed block loop: deferred import, None
     # unless tracing is on — the traced iterator wrapper only exists on
     # the traced path, so the default loop is byte-for-byte unchanged.
@@ -1752,44 +1578,5 @@ def simulate_vectorized_stream(
     blocks = source.iter_blocks(block_size)
     if recorder is not None:
         blocks = _traced_blocks(blocks, recorder)
-    for block in blocks:
-        if len(block) == 0:
-            continue
-        w_local = max(warmup - cond_seen, 0)
-        run = _Run(block, context_switches, track, w_local,
-                   prev_epoch=prev_epoch, fires_base=fires)
-        if context_switches is not None:
-            first_instret = int(run.arrays.instret[0])
-            if last_instret is not None and first_instret < last_instret:
-                raise KernelUnavailable(
-                    "instret decreases across blocks; the vectorized "
-                    "context-switch model requires a non-decreasing clock"
-                )
-            last_instret = int(run.arrays.instret[-1])
-            prev_epoch = run.last_epoch
-        switches += run.switches
-        fires = run.fires_end
-        outcome = kernel.process(run)
-        if isinstance(outcome, (int, np.integer)):
-            correct += int(outcome)
-        else:
-            block_correct, block_seen, block_wrong = _score_predictions(run, outcome)
-            correct += block_correct
-            if track:
-                for pc, count in block_seen.items():
-                    per_seen[pc] = per_seen.get(pc, 0) + count
-                for pc, count in block_wrong.items():
-                    per_wrong[pc] = per_wrong.get(pc, 0) + count
-        cond_seen += run.n_c
-    scored = max(cond_seen - warmup, 0)
-    return SimulationResult(
-        predictor_name=predictor.name,
-        trace_name=meta.name,
-        dataset=meta.dataset,
-        conditional_branches=scored,
-        correct_predictions=correct,
-        context_switches=switches,
-        per_site_executions=per_seen,
-        per_site_mispredictions=per_wrong,
-        total_instructions=meta.total_instructions,
-    )
+    return _fold(predictor, blocks, source.meta, context_switches,
+                 track_per_site, warmup_branches, final=False)

@@ -1,9 +1,16 @@
 """Shared fixtures: the SPEC-analog suite is generated once per session."""
 
 import pytest
+from hypothesis import settings
 
 from repro.trace.cache import default_cache
 from repro.workloads.suite import SuiteConfig, build_cases
+
+# Example budgets for tests that pick a profile by ``HYPOTHESIS_PROFILE``
+# (the kernel differential gate): a small, reproducible one by default,
+# a larger randomised one for the CI gate.
+settings.register_profile("tier1", max_examples=10, derandomize=True, deadline=None)
+settings.register_profile("ci", max_examples=150, deadline=None)
 
 
 @pytest.fixture(scope="session")

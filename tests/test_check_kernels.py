@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from repro.check.automata import default_specs
-from repro.check.kernels import check_kernels, verify_ops
+from repro.check.kernels import _verify_limits, check_kernels, verify_ops
 from repro.core.automata import PAPER_AUTOMATA, supports_vector_scan
+from repro.sim import kernels as kernels_module
 from repro.sim.kernels import automaton_ops
 
 A2 = PAPER_AUTOMATA["A2"]
@@ -43,6 +44,22 @@ class TestRepoIsClean:
         assert len(eligible) + len(gated) == len(default_specs())
         assert eligible  # the paper's automata are scan-eligible
         assert gated  # ideal/shift-register machines exercise the gate
+
+
+class TestWidthLimits:
+    """The audit of the kernels' width limits flags every broken bound."""
+
+    def test_current_limits_are_clean(self):
+        assert _verify_limits() == []
+
+    @pytest.mark.parametrize("value", [31, 17, 24.5])
+    def test_bad_history_limit(self, monkeypatch, value):
+        monkeypatch.setattr(kernels_module, "_MAX_HISTORY_BITS", value)
+        assert _rules(_verify_limits()) == {"kernels/history-width"}
+
+    def test_table_ids_overflowing_the_packed_key(self, monkeypatch):
+        monkeypatch.setattr(kernels_module, "_MAX_TABLE_ID_BITS", 40)
+        assert _rules(_verify_limits()) == {"kernels/history-width"}
 
 
 class TestCleanOps:

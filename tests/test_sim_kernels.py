@@ -186,8 +186,21 @@ def test_kernel_does_not_mutate_assoc_bht_or_tournament():
 
 
 def test_every_paper_registry_scheme_is_kernel_supported():
-    for scheme in paper_table3_specs(history_bits=12):
-        assert kernel_supports(make_predictor(str(scheme), TRAINING)), str(scheme)
+    """Every Table 3 row at 12 bits, plus the extensions (``gselect-4+6``
+    is the CONSTRUCTED gselect), has a kernel, and runs on it whole-trace
+    and streamed — block size 1 on a short prefix, 997 and 2**16 on the
+    whole trace."""
+    extensions = ["gap-18", "tournament", "sag-6x16", "sas-6x16", "gselect-4+6"]
+    cs = ContextSwitchConfig(interval=3_000)
+    for name in [*(str(scheme) for scheme in paper_table3_specs(history_bits=12)), *extensions]:
+        assert kernel_supports(make_predictor(name, TRAINING)), name
+        for trace, sizes in ((TRACE.head(200), (1,)), (TRACE, (None, 997, 1 << 16))):
+            expected = simulate(make_predictor(name, TRAINING), trace, context_switches=cs,
+                                backend="python")
+            for size in sizes:
+                streamed = simulate(make_predictor(name, TRAINING), trace, context_switches=cs,
+                                    backend="vectorized", block_size=size)
+                assert streamed == expected, (name, size)
 
 
 def _wide_automaton_gag():

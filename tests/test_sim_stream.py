@@ -19,9 +19,9 @@ from repro.predictors.registry import make_predictor
 from repro.sim.engine import ContextSwitchConfig, simulate, simulate_with_backend
 from repro.sim.kernels import (
     KernelUnavailable,
+    kernel_supports,
     simulate_vectorized,
     simulate_vectorized_stream,
-    stream_kernel_supports,
 )
 from repro.sim.runner import BenchmarkCase, run_case
 from repro.trace.events import TraceBuilder
@@ -33,6 +33,8 @@ from repro.trace.stream import (
     save_source,
 )
 from repro.trace.synthetic import markov_records
+
+from .test_sim_kernels import CONSTRUCTED, _wide_automaton_gag
 
 
 def _synthetic_trace(seed=11, n=12_000, sites=64):
@@ -61,13 +63,17 @@ SCHEMES = [
     "gag-6",
     "gshare-8",
     "gap-5",
+    "gap-18",
     "gsg-6",
     "pag-8-a2-ideal",
     "pag-8-a2-128x1",
     "psg-6-128x1",
+    "pap-6-a2-128x1",
     "btb-a2",
     "always-taken",
-    "pap-6-a2-128x1",  # no stream kernel: exercises the auto fallback
+    "sag-6x16",
+    "sas-6x16",
+    *CONSTRUCTED,  # set-associative first levels and the hybrids
 ]
 
 CS_CONFIGS = [
@@ -78,6 +84,8 @@ CS_CONFIGS = [
 
 
 def _build(name):
+    if name in CONSTRUCTED:
+        return CONSTRUCTED[name]()
     return make_predictor(name, TRAINING)
 
 
@@ -217,21 +225,20 @@ class TestStreamingDispatch:
             simulate(_build("gag-6"), TRACE, block_size=0)
 
     def test_stream_kernel_support_matrix(self):
-        assert stream_kernel_supports(_build("gag-6"))
-        assert stream_kernel_supports(_build("pag-8-a2-128x1"))
-        assert not stream_kernel_supports(_build("pap-6-a2-128x1"))
-        assert not stream_kernel_supports(_build("gap-18"))  # > 16 bits
+        # Streaming covers exactly what the whole-trace kernels cover.
+        assert kernel_supports(_build("pap-6-a2-128x1"))
+        assert kernel_supports(_build("gap-18"))
+        assert not kernel_supports(_wide_automaton_gag())
 
-    def test_pap_falls_back_to_interpreted(self):
+    def test_unsupported_falls_back_to_interpreted(self):
         result, backend = simulate_with_backend(
-            _build("pap-6-a2-128x1"), TRACE, backend="auto", block_size=997)
+            _wide_automaton_gag(), TRACE, backend="auto", block_size=997)
         assert backend == "python"
-        assert result == simulate(_build("pap-6-a2-128x1"), TRACE,
-                                  backend="python")
+        assert result == simulate(_wide_automaton_gag(), TRACE, backend="python")
 
-    def test_vectorized_refuses_pap_streaming(self):
+    def test_vectorized_refuses_unsupported_streaming(self):
         with pytest.raises(KernelUnavailable):
-            simulate_vectorized_stream(_build("pap-6-a2-128x1"), TRACE)
+            simulate_vectorized_stream(_wide_automaton_gag(), TRACE)
 
     def test_non_monotone_instret_across_blocks_refused(self):
         builder = TraceBuilder(name="bad", source="test")
