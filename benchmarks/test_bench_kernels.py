@@ -3,7 +3,10 @@
 Not a paper figure — this pins the headline property of the
 ``repro.sim.kernels`` backend: on a million-branch trace the vectorized
 path must be **bit-identical** to the interpreted loop and at least 5x
-faster for the flagship schemes (GAg and the direct-mapped PAg). The
+faster for the flagship schemes (GAg and the direct-mapped PAg), and at
+least 2.5x faster with the paper's 4-way first level, whose every set
+is contended on this trace (its 800 sites fall into 16 of the 128 sets,
+50 tags each), so the LRU replay decides every record's slot. The
 measured speedups land in ``benchmark.extra_info`` and, through the
 session hook in ``conftest.py``, in the persistent run ledger, so
 ``repro-obs export-bench`` snapshots them into ``BENCH_*.json``.
@@ -21,6 +24,7 @@ from repro.trace.events import TraceBuilder
 N_BRANCHES = 1_000_000
 N_SITES = 800
 MIN_SPEEDUP = 5.0
+MIN_ASSOC_SPEEDUP = 2.5
 
 #: scheme name -> registry spec. GAg and PAg are the acceptance floor;
 #: PAp and gshare document the rest of the kernel family.
@@ -29,6 +33,12 @@ SCHEMES = {
     "pag-12-dm": "pag-12-a2-512x1",
     "pap-8-dm": "pap-8-a2-512x1",
     "gshare-12": "gshare-12",
+}
+
+#: Set-associative first levels, pinned against their own floor.
+ASSOC_SCHEMES = {
+    "pag-12-512x4": "pag-12-a2-512x4",
+    "pap-6-512x4": "pap-6-a2-512x4",
 }
 
 
@@ -56,7 +66,15 @@ def million_trace():
 
 @pytest.mark.parametrize("label", list(SCHEMES), ids=list(SCHEMES))
 def test_bench_kernel_speedup(benchmark, million_trace, label):
-    name = SCHEMES[label]
+    _pin_speedup(benchmark, million_trace, label, SCHEMES[label], MIN_SPEEDUP)
+
+
+@pytest.mark.parametrize("label", list(ASSOC_SCHEMES), ids=list(ASSOC_SCHEMES))
+def test_bench_assoc_kernel_speedup(benchmark, million_trace, label):
+    _pin_speedup(benchmark, million_trace, label, ASSOC_SCHEMES[label], MIN_ASSOC_SPEEDUP)
+
+
+def _pin_speedup(benchmark, million_trace, label, name, floor):
     started = time.perf_counter()
     reference = simulate(make_predictor(name), million_trace, backend="python")
     python_s = time.perf_counter() - started
@@ -75,7 +93,7 @@ def test_bench_kernel_speedup(benchmark, million_trace, label):
     benchmark.extra_info["vectorized_s"] = round(min(vectorized_s), 3)
     benchmark.extra_info["speedup"] = round(speedup, 2)
     benchmark.extra_info["backend"] = "vectorized"
-    assert speedup >= MIN_SPEEDUP, (
+    assert speedup >= floor, (
         f"{label}: vectorized backend only {speedup:.1f}x faster "
         f"(python {python_s:.2f}s, vectorized {min(vectorized_s):.2f}s)"
     )

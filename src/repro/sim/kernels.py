@@ -34,16 +34,26 @@ How a two-level scheme is vectorized
    the scan depth and allows closed-form scoring of whole runs when no
    per-record output is needed.
 
-Set-associative BHTs (the paper's 4-way tables) are modelled exactly:
-an event-compressed, set-parallel LRU pass (:func:`_lru_metadata`)
-replays each set's way array — first-invalid-way allocation, true-LRU
-victim choice, flush invalidation that keeps stale tags — and emits the
-same (episode, slot, evict) layout the direct-mapped path derives in
-closed form. Hybrid and per-set schemes compose the same machinery:
-gselect concatenates address bits into the global-history key, SAg/SAs
-group per-set shift registers, and the tournament kernel runs both
-component kernels per-record and arbitrates with a chooser-automaton
-scan over the disagreement records. Automata beyond 4 states or without
+Set-associative BHTs (the paper's 4-way tables) are modelled exactly
+(:func:`_lru_metadata`): first-invalid-way allocation, true-LRU victim
+choice, flush invalidation that keeps stale tags. Records collapse into
+per-set events; an epoch with no more branches than ways fills in
+closed form, and every contended epoch is replayed at once from LRU
+stack distance (Mattson et al., IBM Sys. J. 1970). A recency-window
+query — a binary-lifting descent over a range-max table of each
+event's next same-tag touch — finds the last touch of the
+``assoc``-th most recent distinct tag: an event hits iff its previous
+touch is no older, and a miss evicts the way that touch occupied. Ways
+then follow by inheritance (a hit keeps its previous touch's way, an
+evicting miss its victim's) resolved by pointer jumping, so the pass
+emits the same (episode, slot, evict) layout the direct-mapped path
+derives in closed form, in log-depth passes over the epoch length.
+
+Hybrid and per-set schemes compose the same machinery: gselect
+concatenates address bits into the global-history key, SAg/SAs group
+per-set shift registers, and the tournament kernel runs both component
+kernels per-record and arbitrates with a chooser-automaton scan over
+the disagreement records. Automata beyond 4 states or without
 the ``f^4 == f^3`` fixed point, and history registers above
 ``_MAX_HISTORY_BITS``, have no kernel: ``simulate(..., backend="auto")``
 runs them through the interpreted loop (see :func:`kernel_supports`).
@@ -128,6 +138,11 @@ _MAX_HISTORY_BITS = 24
 #: a conditional record of its own, so capping a run's records at
 #: ``2**_MAX_TABLE_ID_BITS`` keeps those keys inside int64.
 _MAX_TABLE_ID_BITS = 32
+
+#: Per-block record indices are int32 (group starts, episode offsets,
+#: the LRU replay's positions and lifting table), so a block must hold
+#: fewer than ``2**_MAX_BLOCK_INDEX_BITS`` conditional records.
+_MAX_BLOCK_INDEX_BITS = 31
 
 
 class KernelUnavailable(RuntimeError):
@@ -384,7 +399,8 @@ def _start_indices(new_mark: np.ndarray) -> np.ndarray:
     """For each position, the index of its group's first element.
 
     int32 keeps this (and its downstream arithmetic) at half the memory
-    traffic; traces are nowhere near 2**31 records.
+    traffic; :func:`_fold` refuses blocks of ``2**_MAX_BLOCK_INDEX_BITS``
+    or more records.
     """
     n = new_mark.shape[0]
     return np.maximum.accumulate(
@@ -834,11 +850,14 @@ def _lru_metadata(run: _Run, bht: CacheBHT, carry: Optional[_Keyed]):
     order), every later touch hits, and ``evict`` never fires. That is
     the common case for the paper's geometries (hundreds of sets, a
     handful of resident branches each) and is computed with pure array
-    passes below. Only epochs with more branches than ways — where true
-    LRU replacement decides — take the event-serial round loop,
-    restricted to exactly those epochs: round ``r`` processes the
-    ``r``-th event of every still-live contended epoch at once with 2-D
-    way arrays, seeded with the carried ones.
+    passes below. Epochs with more branches than ways — where true LRU
+    replacement decides — are replayed together by :func:`_lru_replay`
+    from LRU stack distance (Mattson et al., IBM Sys. J. 1970): a
+    recency-window query per event finds the last touch of the
+    ``assoc``-th most recent distinct tag, which decides hit or miss and
+    names the victim, and every event inherits its way from its previous
+    touch, its victim, or its fill. A set's carried ways enter the
+    replay as its first epoch's oldest events.
     """
     n = run.n_c
     assoc = bht.associativity
@@ -881,11 +900,11 @@ def _lru_metadata(run: _Run, bht: CacheBHT, carry: Optional[_Keyed]):
     ev_miss = is_first.copy()
     ev_evict = np.zeros(n_ev, dtype=np.bool_)
     ep_start_ev = _start_indices(ep_new)
+    seeds = None
     if carry is None:
         # Fill order: the d-th distinct branch of an epoch lands in way d.
         touched = np.cumsum(is_first)  # inclusive count of first touches
         first_way = (touched - touched[ep_start_ev])[first_idx]
-        seeded = None
         distinct = np.bincount(ep_id[is_first], minlength=n_ep)
     else:
         ep_first = np.flatnonzero(ep_new)
@@ -896,17 +915,17 @@ def _lru_metadata(run: _Run, bht: CacheBHT, carry: Optional[_Keyed]):
         f_ep = ep_id[first_idx]
         hit_ways = c_valid[f_ep] & (c_tag[f_ep] == ev_tag[first_idx][:, None])
         carried_hit = hit_ways.any(axis=1)
+        hit_way = np.argmax(hit_ways, axis=1)
         ev_miss[first_idx[carried_hit]] = False
         # New branches fill the lowest invalid ways in first-touch order.
         fresh = np.cumsum(ev_miss) - ev_miss
         rank = (fresh - fresh[ep_start_ev])[first_idx]
         free = np.argsort(c_valid, axis=1, kind="stable")
-        first_way = np.where(
-            carried_hit, np.argmax(hit_ways, axis=1),
-            free[f_ep, np.minimum(rank, assoc - 1)],
-        )
-        seeded = (c_tag, c_valid, c_rec - run.t0)
-        distinct = np.bincount(ep_id[ev_miss], minlength=n_ep) + c_valid.sum(axis=1)
+        first_way = np.where(carried_hit, hit_way, free[f_ep, np.minimum(rank, assoc - 1)])
+        # Each epoch's ways, valid ones first by recency, seed the replay.
+        by_rec = np.argsort(np.where(c_valid, c_rec, np.iinfo(np.int64).max), axis=1)
+        seeds = (c_valid.sum(axis=1), by_rec, first_idx[carried_hit], hit_way[carried_hit])
+        distinct = np.bincount(ep_id[ev_miss], minlength=n_ep) + seeds[0]
     grp_id_g = np.cumsum(gnew, dtype=np.int64) - 1
     grp_id = np.empty(n_ev, dtype=np.int64)
     grp_id[gorder] = grp_id_g
@@ -916,43 +935,8 @@ def _lru_metadata(run: _Run, bht: CacheBHT, carry: Optional[_Keyed]):
 
     contended = distinct > assoc
     if np.any(contended):
-        ep_first = np.flatnonzero(ep_new)
-        ep_end = np.empty(n_ep, dtype=np.int64)
-        ep_end[:-1] = ep_first[1:]
-        ep_end[-1] = n_ev
-        c_start = ep_first[contended]
-        c_end = ep_end[contended]
-        n_live = c_start.shape[0]
-
-        if seeded is None:
-            way_tag = np.full((n_live, assoc), -1, dtype=np.int64)
-            way_rec = np.full((n_live, assoc), -1, dtype=np.int64)
-            way_valid = np.zeros((n_live, assoc), dtype=np.bool_)
-        else:
-            way_tag, way_valid, way_rec = (col[contended] for col in seeded)
-
-        far = np.iinfo(np.int64).max
-        cursor = c_start.copy()
-        alive = np.arange(n_live, dtype=np.int64)
-        while alive.size:
-            e = cursor[alive]
-            valid = way_valid[alive]
-            hits = valid & (way_tag[alive] == ev_tag[e, None])
-            hit = hits.any(axis=1)
-            invalid_any = ~valid.all(axis=1)
-            lru = np.argmin(np.where(valid, way_rec[alive], far), axis=1)
-            way = np.where(
-                hit, np.argmax(hits, axis=1),
-                np.where(invalid_any, np.argmax(~valid, axis=1), lru),
-            )
-            ev_miss[e] = miss = ~hit
-            ev_evict[e] = miss & ~invalid_any
-            ev_way[e] = way
-            way_tag[alive, way] = ev_tag[e]
-            way_rec[alive, way] = e  # event index: monotone in time per set
-            way_valid[alive, way] = True
-            cursor[alive] += 1
-            alive = alive[cursor[alive] < c_end[alive]]
+        _lru_replay(assoc, ep_new, ep_id, contended, gorder, gnew, seeds,
+                    ev_miss, ev_evict, ev_way)
 
     # Expand events back to records: miss/evict fire only on an event's
     # first record; every record inherits its event's way.
@@ -962,6 +946,126 @@ def _lru_metadata(run: _Run, bht: CacheBHT, carry: Optional[_Keyed]):
     evict_r[ev_first] = ev_evict
     slot_r = set_s * assoc + ev_way[np.cumsum(ev_new) - 1]
     return order1, miss_r, evict_r, slot_r
+
+
+def _lru_replay(assoc: int, ep_new, ep_id, contended, gorder, gnew, seeds,
+                ev_miss, ev_evict, ev_way) -> None:
+    """Overwrite ``ev_miss``, ``ev_evict`` and ``ev_way`` on the events
+    of the ``contended`` epochs with their exact true-LRU replay.
+
+    ``seeds`` is None without a carry, else ``(n_valid, by_rec, hit_ev,
+    hit_way)``: per epoch, its count of carried valid ways and its ways
+    with the valid ones leading, oldest recency first; and the first
+    touches that hit a carried way, with that way.
+
+    Each contended epoch is laid out on one position axis as a sentinel,
+    then its carried valid ways as pseudo-events (oldest recency first),
+    then its events. An epoch's set always holds the ``min(assoc, D)``
+    most recently touched of the ``D`` distinct tags seen so far — the
+    top of the LRU stack (Mattson et al., "Evaluation techniques for
+    storage hierarchies", IBM Sys. J. 1970) — so event
+    ``e`` hits iff its tag's previous touch ``prev(e)`` is no older than
+    ``L(e)``, the last touch of the ``assoc``-th most recent distinct tag
+    before ``e``. ``L(e)`` is the largest ``j`` with ``next(j) >= e``
+    below ``L`` for one fewer tag, starting from ``e - 1``; each step is
+    one binary-lifting descent over a range-max table of ``next``, and
+    the sentinel (``next`` = infinity) both bounds the descent to the
+    epoch and stands for "the set is not full yet". A miss with ``L(e)``
+    past the sentinel evicts: its victim is the way ``L(e)`` touched.
+    A hit keeps ``prev(e)``'s way, and a fill miss already has the way
+    the fill closed form gave it, as does every carried way. Pointer
+    jumping then resolves every event's way to its fill or carried root.
+
+    Loops run over lifting levels, associativity and pointer-jumping
+    depth only, never over an epoch's events.
+    """
+    ep_first = np.flatnonzero(ep_new)
+    ep_len = np.diff(ep_first, append=ep_new.shape[0])
+    c_first = ep_first[contended]
+    c_len = ep_len[contended]
+    n_seed = np.zeros_like(c_len) if seeds is None else seeds[0][contended]
+    span = 1 + n_seed + c_len
+    base = np.cumsum(span) - span
+    total = int(base[-1] + span[-1])
+    # int32 positions halve the lifting table; blocks stay below 2**31
+    # records, but pseudo-events and sentinels can push a pathological
+    # block past it.
+    idx = np.int32 if total < 1 << 31 else np.int64
+    ep_shift = np.zeros(ep_len.shape[0], dtype=np.int64)
+    ep_shift[contended] = base + 1 + n_seed - c_first
+    sel = np.flatnonzero(contended[ep_id])
+    e = (sel + ep_shift[ep_id[sel]]).astype(idx)
+    e_base = np.repeat(base, c_len).astype(idx)
+
+    # Same-tag neighbours: consecutive members of one (epoch, tag) group.
+    prv = np.full(total, -1, dtype=idx)
+    nxt = np.full(total, total, dtype=idx)
+    link = ~gnew[1:] & contended[ep_id[gorder[1:]]]
+    a = gorder[:-1][link]
+    b = gorder[1:][link]
+    a += ep_shift[ep_id[a]]
+    b += ep_shift[ep_id[b]]
+    prv[b] = a
+    nxt[a] = b
+    root_way = np.empty(total, dtype=np.int64)
+    if seeds is not None:
+        _n, by_rec, hit_ev, hit_way = seeds
+        by_rec = by_rec[contended]
+        is_seed = np.arange(assoc) < n_seed[:, None]
+        root_way[((base + 1)[:, None] + np.arange(assoc))[is_seed]] = by_rec[is_seed]
+        # A first touch that hits a carried way follows its pseudo-event.
+        keep = contended[ep_id[hit_ev]]
+        hit_ev = hit_ev[keep]
+        c_ep = (np.cumsum(contended) - 1)[ep_id[hit_ev]]
+        recency = np.argsort(by_rec, axis=1)  # each way's pseudo-event rank
+        p = base[c_ep] + 1 + recency[c_ep, hit_way[keep]]
+        f = hit_ev + ep_shift[ep_id[hit_ev]]
+        prv[f] = p
+        nxt[p] = f
+
+    # table[k, j] = max(next) over the 2**k positions ending at j; blocks
+    # reaching past position 0 cover its sentinel, so they read infinity.
+    levels = int(span.max()).bit_length()
+    table = np.empty((levels, total), dtype=idx)
+    table[0] = nxt
+    for k in range(1, levels):
+        h = 1 << (k - 1)
+        table[k, :h] = total
+        np.maximum(table[k - 1, h:], table[k - 1, :-h], out=table[k, h:])
+    # An event at most ``assoc`` positions after its previous touch hits
+    # outright: too few distinct tags came between to displace it. Only
+    # the rest descend.
+    before = prv[e]
+    far = np.flatnonzero((before < 0) | (e - before > assoc))
+    e_far = e[far]
+    base_far = e_base[far]
+    victim = e_far - 1
+    for _ in range(assoc - 1):
+        pos = np.maximum(victim - 1, base_far)
+        for k in range(levels - 1, -1, -1):
+            pos = np.where(table[k, pos] < e_far, pos - (1 << k), pos)
+        victim = pos
+    del table
+
+    far_hit = before[far] >= victim
+    far_evict = ~far_hit & (victim > base_far)
+    hit = np.ones(e.shape[0], dtype=np.bool_)
+    hit[far] = far_hit
+    evict = np.zeros(e.shape[0], dtype=np.bool_)
+    evict[far] = far_evict
+    fill = far[~(far_hit | far_evict)]
+    root_way[e[fill]] = ev_way[sel[fill]]
+    parent = np.arange(total, dtype=idx)
+    parent[e] = before
+    parent[e_far] = np.where(far_hit, before[far], np.where(far_evict, victim, e_far))
+    while True:
+        up = parent[parent]
+        if np.array_equal(up, parent):
+            break
+        parent = up
+    ev_miss[sel] = ~hit
+    ev_evict[sel] = evict
+    ev_way[sel] = root_way[parent[e]]
 
 
 def _assoc_layout(run: _Run, bht: CacheBHT, carry: Optional[_Keyed]) -> _Layout:
@@ -1449,6 +1553,11 @@ def _fold(predictor, blocks, meta, context_switches: Optional[ContextSwitchConfi
         switches += run.switches
         fires = run.fires_end
         if run.n_c:
+            if run.n_c >= 1 << _MAX_BLOCK_INDEX_BITS:
+                raise KernelUnavailable(
+                    f"a block of 2**{_MAX_BLOCK_INDEX_BITS} or more conditional "
+                    "records: its int32 record indices would overflow"
+                )
             if cond_seen + run.n_c > 1 << _MAX_TABLE_ID_BITS:
                 raise KernelUnavailable(
                     f"more than 2**{_MAX_TABLE_ID_BITS} conditional records: "

@@ -8,8 +8,11 @@ import pytest
 from repro.check.automata import default_specs
 from repro.check.kernels import _verify_limits, check_kernels, verify_ops
 from repro.core.automata import PAPER_AUTOMATA, supports_vector_scan
+from repro.predictors.registry import make_predictor
+from repro.sim import KernelUnavailable, simulate
 from repro.sim import kernels as kernels_module
-from repro.sim.kernels import automaton_ops
+from repro.sim.kernels import automaton_ops, simulate_vectorized, simulate_vectorized_stream
+from repro.trace.events import TraceBuilder
 
 A2 = PAPER_AUTOMATA["A2"]
 A3 = PAPER_AUTOMATA["A3"]
@@ -60,6 +63,25 @@ class TestWidthLimits:
     def test_table_ids_overflowing_the_packed_key(self, monkeypatch):
         monkeypatch.setattr(kernels_module, "_MAX_TABLE_ID_BITS", 40)
         assert _rules(_verify_limits()) == {"kernels/history-width"}
+
+    @pytest.mark.parametrize("value", [32, 0])
+    def test_block_indices_overflowing_int32(self, monkeypatch, value):
+        monkeypatch.setattr(kernels_module, "_MAX_BLOCK_INDEX_BITS", value)
+        assert _rules(_verify_limits()) == {"kernels/index-width"}
+
+    def test_block_at_the_index_bound_is_refused(self, monkeypatch):
+        builder = TraceBuilder(name="bound", source="test")
+        for i in range(16):
+            builder.conditional(4 * (i % 3), i % 2 == 0, work=1)
+        trace = builder.build()
+        reference = simulate(make_predictor("pag-4-a2-16x4"), trace, backend="python")
+        monkeypatch.setattr(kernels_module, "_MAX_BLOCK_INDEX_BITS", 4)
+        with pytest.raises(KernelUnavailable, match="int32 record indices"):
+            simulate_vectorized(make_predictor("pag-4-a2-16x4"), trace)
+        assert simulate(make_predictor("pag-4-a2-16x4"), trace, backend="auto") == reference
+        streamed = simulate_vectorized_stream(make_predictor("pag-4-a2-16x4"), trace,
+                                              block_size=15)
+        assert streamed == reference
 
 
 class TestCleanOps:
