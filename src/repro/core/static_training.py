@@ -7,6 +7,11 @@ the majority direction becomes a frozen prediction bit per pattern. At
 test time the first-level history registers still update dynamically,
 but the pattern bits never change.
 
+Training is columnar: it tallies ``(pattern, taken)`` over the history
+windows the vectorized kernels build for GSg and PSg
+(:mod:`repro.sim.kernels`) instead of replaying a predictor per record.
+That module imports this one, hence the function-local imports below.
+
 * **GSg** — global history register, preset global pattern table.
 * **PSg** — per-address history registers (same BHT configurations as
   the adaptive schemes, for the paper's "fair comparison"), preset
@@ -18,94 +23,84 @@ The paper's PSp (per-address preset tables) was not simulated there
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Dict, Optional
 
+import numpy as np
+
 from ..predictors.base import BranchPredictor
-from ..trace.events import BranchClass, Trace
-from .history import history_mask
+from ..trace.events import Trace
+from .history import IdealBHT, history_mask
 from .pht import PresetPatternTable
 from .twolevel import TwoLevelConfig, _PerAddressBase
+
+
+def _training_run(trace: Trace):
+    """The kernels' prepared pass over ``trace`` (no flushes, no
+    warmup), or None when it has no conditional record.
+
+    The arrays come from one uncached block: a training trace is never
+    simulated, so caching its arrays would only hold memory.
+    """
+    from ..sim.kernels import _Run
+
+    block = next(trace.iter_blocks(), None)
+    if block is None:
+        return None
+    run = _Run(block, None, False, 0)
+    return run if run.n_c else None
+
+
+def _majority(patterns, taken) -> Dict[int, bool]:
+    """pattern -> whether at least half of its records were taken.
+
+    Counts are kept per distinct pattern seen, so the tally grows with
+    the number of records, never with ``2**history_bits``.
+    """
+    keys, ids = np.unique(patterns, return_inverse=True)
+    total = np.bincount(ids)
+    taken_counts = np.bincount(ids[taken], minlength=keys.shape[0])
+    return dict(zip(keys.tolist(), (taken_counts * 2 >= total).tolist()))
 
 
 def train_global_presets(trace: Trace, history_bits: int) -> Dict[int, bool]:
     """Profile a training trace through a global history register.
 
+    Tallies ``(pattern, taken)`` over the GHR window the GAg/GSg kernels
+    build (:func:`repro.sim.kernels._global_history`), starting from the
+    all-ones register and never flushed.
+
     Returns:
         pattern -> majority direction, for every pattern observed.
         Ties resolve to taken (branches are taken-biased overall).
     """
-    mask = history_mask(history_bits)
-    ghr = mask
-    taken_counts: Counter = Counter()
-    total_counts: Counter = Counter()
-    for pc, taken, cls, _target, _instret, _trap in trace.iter_tuples():
-        if cls != BranchClass.CONDITIONAL:
-            continue
-        total_counts[ghr] += 1
-        if taken:
-            taken_counts[ghr] += 1
-        ghr = ((ghr << 1) | (1 if taken else 0)) & mask
-    return {
-        pattern: taken_counts[pattern] * 2 >= total_counts[pattern]
-        for pattern in total_counts
-    }
+    from ..sim.kernels import _global_history
+
+    run = _training_run(trace)
+    if run is None:
+        return {}
+    ghr, _carry = _global_history(run, history_bits, history_mask(history_bits), None)
+    return _majority(ghr, run.out_bool)
 
 
-def train_per_address_presets(
-    trace: Trace,
-    history_bits: int,
-    bht_entries: Optional[int] = None,
-    bht_associativity: int = 4,
-) -> Dict[int, bool]:
+def train_per_address_presets(trace: Trace, history_bits: int) -> Dict[int, bool]:
     """Profile a training trace through per-address history registers.
 
-    The first level mirrors the PSg test-time structure (ideal when
-    ``bht_entries`` is None). All branches feed one global pattern
-    tally, exactly as all PSg history registers index one global preset
-    table.
+    The first level is ideal (one register per static branch), as in
+    :meth:`PSgPredictor.trained_on`: tallies ``(pattern, taken)`` over
+    the per-address windows the PAg/PSg kernels build
+    (:func:`repro.sim.kernels._pa_layout` with an :class:`IdealBHT`,
+    then :func:`repro.sim.kernels._pa_patterns`). All branches feed one
+    global tally, exactly as all PSg history registers index one global
+    preset table.
     """
-    config = TwoLevelConfig(
-        history_bits=history_bits,
-        bht_entries=bht_entries,
-        bht_associativity=bht_associativity,
-    )
-    first_level = _TrainingFirstLevel(config)
-    taken_counts: Counter = Counter()
-    total_counts: Counter = Counter()
-    for pc, taken, cls, _target, _instret, _trap in trace.iter_tuples():
-        if cls != BranchClass.CONDITIONAL:
-            continue
-        pattern = first_level.pattern_for(pc)
-        total_counts[pattern] += 1
-        if taken:
-            taken_counts[pattern] += 1
-        first_level.record(pc, taken)
-    return {
-        pattern: taken_counts[pattern] * 2 >= total_counts[pattern]
-        for pattern in total_counts
-    }
+    from ..sim.kernels import _pa_layout, _pa_patterns
 
-
-class _TrainingFirstLevel(_PerAddressBase):
-    """A first level only — used to replay training traces."""
-
-    name = "training-first-level"
-
-    def pattern_for(self, pc: int) -> int:
-        return self._access_entry(pc).value
-
-    def record(self, pc: int, taken: bool) -> None:
-        entry = self.bht.peek(pc)
-        if entry is None:
-            entry = self._access_entry(pc)
-        self._advance_history(entry, taken)
-
-    def predict(self, pc: int, target: int = 0) -> bool:  # pragma: no cover
-        raise NotImplementedError("training structure does not predict")
-
-    def update(self, pc: int, taken: bool, target: int = 0) -> None:  # pragma: no cover
-        raise NotImplementedError("training structure does not predict")
+    run = _training_run(trace)
+    if run is None:
+        return {}
+    layout = _pa_layout(run, IdealBHT(), None)
+    patterns = _pa_patterns(layout, history_bits, None)
+    return _majority(patterns, layout.out_s.view(bool))
 
 
 class GSgPredictor(BranchPredictor):

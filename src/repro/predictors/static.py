@@ -10,10 +10,10 @@
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Dict, Mapping, Optional
 
-from ..trace.events import BranchClass, Trace
+from ..trace.events import Trace
+from ..trace.stats import site_tally
 from .base import BranchPredictor
 
 
@@ -102,16 +102,12 @@ class ProfileGuided(BranchPredictor):
 
 
 def profile_directions(trace: Trace) -> Dict[int, bool]:
-    """Majority taken-direction per static conditional branch.
+    """Majority taken-direction per static conditional branch, from the
+    per-site tally of :func:`repro.trace.stats.site_tally`.
 
-    Ties resolve to taken.
+    Ties resolve to taken. The arrays come from one uncached block, so
+    profiling a training trace (never simulated itself) leaves no
+    arrays cached on it.
     """
-    taken: Counter = Counter()
-    total: Counter = Counter()
-    for pc, was_taken, cls, _target, _instret, _trap in trace.iter_tuples():
-        if cls != BranchClass.CONDITIONAL:
-            continue
-        total[pc] += 1
-        if was_taken:
-            taken[pc] += 1
-    return {pc: taken[pc] * 2 >= total[pc] for pc in total}
+    sites, taken, total = site_tally(block.as_arrays() for block in trace.iter_blocks())
+    return dict(zip(sites.tolist(), (taken * 2 >= total).tolist()))

@@ -46,8 +46,8 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 from ..predictors.base import BranchPredictor, TrainingUnavailable
 from ..trace.cache import ResultCache
 from ..trace.events import Trace
-from ..trace.io import dumps as trace_dumps
 from ..trace.io import load_trace, save_trace
+from ..trace.stream import content_digest
 from .engine import ContextSwitchConfig, simulate_with_backend
 from .results import ResultMatrix, RunTelemetry, SimulationResult
 
@@ -112,20 +112,9 @@ def spec(name: str) -> PredictorSpec:
     return PredictorSpec(name)
 
 
-def trace_digest(trace) -> str:
-    """Content-hash of a trace (sha256 over its binary serialization).
-
-    Two traces with identical records and metadata always digest
-    equally, regardless of how they were produced. Accepts any bounded
-    :class:`repro.trace.stream.TraceSource`; a non-``Trace`` source is
-    hashed block-wise via :func:`repro.trace.stream.content_digest`
-    (the same digest, computed in bounded memory).
-    """
-    if isinstance(trace, Trace):
-        return hashlib.sha256(trace_dumps(trace)).hexdigest()
-    from ..trace.stream import content_digest
-
-    return content_digest(trace)
+#: Content hash of a trace: the sha256 of its ``.btb`` serialization,
+#: the key of every cached result (see :func:`result_cache_key`).
+trace_digest = content_digest
 
 
 def result_cache_key(

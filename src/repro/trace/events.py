@@ -108,7 +108,8 @@ class Trace:
     every record once per simulated predictor configuration.
     """
 
-    __slots__ = ("meta", "_pc", "_taken", "_cls", "_target", "_instret", "_trap", "_arrays")
+    __slots__ = ("meta", "_pc", "_taken", "_cls", "_target", "_instret", "_trap", "_arrays",
+                 "_digest")
 
     def __init__(
         self,
@@ -131,6 +132,8 @@ class Trace:
         self._instret = list(instret)
         self._trap = list(trap)
         self._arrays: Optional["TraceArrays"] = None
+        # sha256 hex digest, cached by repro.trace.stream.content_digest.
+        self._digest: Optional[str] = None
 
     def __len__(self) -> int:
         return len(self._pc)

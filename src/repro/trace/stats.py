@@ -11,11 +11,13 @@ Computes the descriptive statistics the paper reports about its traces:
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Mapping
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, Mapping
 
-from .events import BranchClass
+import numpy as np
+
+from .events import BranchClass, Trace, TraceArrays
+from .stream import DEFAULT_BLOCK_SIZE
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .stream import TraceSource
@@ -84,52 +86,102 @@ class TraceStats:
         )
 
 
-def compute_stats(trace: "TraceSource") -> TraceStats:
-    """Compute :class:`TraceStats` for ``trace`` in one pass.
+#: ``(sites, taken, total)`` before any block is tallied.
+_EMPTY_TALLY = (np.empty(0, dtype=np.int64),) * 3
 
-    Accepts any bounded :class:`~repro.trace.stream.TraceSource` — an
-    mmap-backed container streams through in bounded memory, since only
-    running counters and the static-site set are held.
+
+def _column_blocks(trace: "TraceSource") -> Iterator[TraceArrays]:
+    """The source's records as :class:`TraceArrays`.
+
+    An in-memory :class:`Trace` yields its cached :meth:`Trace.as_arrays`,
+    which the vectorized kernels build and reuse anyway; any other
+    source yields one array set per :data:`DEFAULT_BLOCK_SIZE` block, so
+    a streamed container folds through in bounded memory.
     """
-    class_counts: Counter = Counter()
-    static_sites = set()
-    taken_conditional = 0
+    if isinstance(trace, Trace):
+        yield trace.as_arrays()
+        return
+    for block in trace.iter_blocks(DEFAULT_BLOCK_SIZE):
+        yield block.as_arrays()
+
+
+def _add_sites(tally, arrays: TraceArrays):
+    """Merge one block's per-site ``bincount`` tallies, taken over its
+    :meth:`TraceArrays.conditional_site_ids`, into ``tally``."""
+    block_sites, ids = arrays.conditional_site_ids()
+    n = block_sites.shape[0]
+    block = (
+        block_sites,
+        np.bincount(ids[arrays.taken[arrays.cond_mask]], minlength=n),
+        np.bincount(ids, minlength=n),
+    )
+    sites = tally[0]
+    if sites.shape[0] == 0:
+        return block
+    merged = np.union1d(sites, block_sites)
+    old, new = np.searchsorted(merged, sites), np.searchsorted(merged, block_sites)
+    counts = []
+    for ours, theirs in zip(tally[1:], block[1:]):
+        summed = np.zeros(merged.shape[0], dtype=np.int64)
+        summed[old] = ours
+        summed[new] += theirs
+        counts.append(summed)
+    return (merged, *counts)
+
+
+def site_tally(blocks: Iterable[TraceArrays]):
+    """``(sites, taken, total)`` over the conditional records of
+    ``blocks``: the sorted distinct conditional pcs and, per site, how
+    many of its executions were taken and how many there were. The
+    running tally grows with the number of sites, never with the
+    number of records.
+    """
+    tally = _EMPTY_TALLY
+    for arrays in blocks:
+        tally = _add_sites(tally, arrays)
+    return tally
+
+
+def compute_stats(trace: "TraceSource") -> TraceStats:
+    """Compute :class:`TraceStats` for ``trace`` in one columnar pass.
+
+    Class counts are a ``bincount`` over the class column, the site and
+    taken counts come from the per-site tally of :func:`site_tally`, and
+    traps are a ``count_nonzero``. Accepts any bounded
+    :class:`~repro.trace.stream.TraceSource`: an in-memory trace reuses
+    its cached arrays, and an mmap-backed container streams through in
+    bounded memory, one block at a time.
+    """
+    # One bin per uint8 class code; BranchClass() below rejects unknown
+    # codes with the same ValueError the record loop raised.
+    class_counts = np.zeros(256, dtype=np.int64)
     trap_count = 0
-    dynamic = 0
-    for pc, taken, cls, _target, _instret, trap in trace.iter_tuples():
-        class_counts[BranchClass(cls)] += 1
-        dynamic += 1
-        if cls == BranchClass.CONDITIONAL:
-            static_sites.add(pc)
-            if taken:
-                taken_conditional += 1
-        if trap:
-            trap_count += 1
+    tally = _EMPTY_TALLY
+    for arrays in _column_blocks(trace):
+        class_counts += np.bincount(arrays.cls, minlength=256)
+        trap_count += int(np.count_nonzero(arrays.trap))
+        tally = _add_sites(tally, arrays)
+    sites, taken, _total = tally
+    counts = {BranchClass(c): n for c, n in enumerate(class_counts.tolist()) if n}
     return TraceStats(
         name=trace.meta.name,
         dataset=trace.meta.dataset,
-        dynamic_branches=dynamic,
-        dynamic_conditional=class_counts.get(BranchClass.CONDITIONAL, 0),
-        static_conditional_sites=len(static_sites),
+        dynamic_branches=sum(counts.values()),
+        dynamic_conditional=counts.get(BranchClass.CONDITIONAL, 0),
+        static_conditional_sites=int(sites.shape[0]),
         total_instructions=trace.meta.total_instructions,
-        class_counts=dict(class_counts),
-        taken_conditional=taken_conditional,
+        class_counts=counts,
+        taken_conditional=int(taken.sum()),
         trap_count=trap_count,
     )
 
 
 def per_site_bias(trace: "TraceSource") -> Dict[int, float]:
-    """Taken-rate per static conditional branch site.
+    """Taken-rate per static conditional branch site, from
+    :func:`site_tally`.
 
     Useful for profiling-based prediction and interference analysis.
     Accepts any bounded :class:`~repro.trace.stream.TraceSource`.
     """
-    taken: Counter = Counter()
-    total: Counter = Counter()
-    for pc, was_taken, cls, _target, _instret, _trap in trace.iter_tuples():
-        if cls != BranchClass.CONDITIONAL:
-            continue
-        total[pc] += 1
-        if was_taken:
-            taken[pc] += 1
-    return {pc: taken[pc] / total[pc] for pc in total}
+    sites, taken, total = site_tally(_column_blocks(trace))
+    return dict(zip(sites.tolist(), (taken / total).tolist()))

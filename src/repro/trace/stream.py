@@ -942,12 +942,16 @@ def content_digest(source: TraceSource,
     """sha256 of the source's canonical ``.btb`` serialization.
 
     Computed one block at a time, so a multi-gigabyte container digests
-    in bounded memory — and the digest equals
-    ``hashlib.sha256(trace_dumps(materialized)).hexdigest()`` (the key
-    :func:`repro.sim.parallel.trace_digest` produces), which is what
-    lets streamed and in-memory copies of the same records share cache
-    entries.
+    in bounded memory, and the digest equals
+    ``hashlib.sha256(repro.trace.io.dumps(materialized)).hexdigest()``,
+    which is what lets streamed and in-memory copies of the same records
+    share result-cache entries. This is the only digest implementation;
+    :func:`repro.sim.parallel.trace_digest` is another name for it. An
+    in-memory :class:`Trace` is immutable, so its digest is computed
+    once and cached on it.
     """
+    if isinstance(source, Trace) and source._digest is not None:
+        return source._digest
     total = source.num_records
     if total is None:
         raise ValueError("cannot digest an unbounded source; bound it with limit(n)")
@@ -955,4 +959,7 @@ def content_digest(source: TraceSource,
     digest.update(_binary_prefix(source.meta, total))
     for block in source.iter_blocks(block_size):
         digest.update(_pack_columns(*block.columns))
-    return digest.hexdigest()
+    hexdigest = digest.hexdigest()
+    if isinstance(source, Trace):
+        source._digest = hexdigest
+    return hexdigest

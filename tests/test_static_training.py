@@ -10,7 +10,6 @@ from repro.core.static_training import (
 )
 from repro.core.twolevel import TwoLevelConfig, make_gag
 from repro.sim.engine import simulate
-from repro.trace import synthetic
 from repro.trace.events import TraceBuilder
 
 
@@ -60,15 +59,6 @@ class TestPerAddressTraining:
         presets = train_per_address_presets(builder.build(), 3)
         assert presets[0b111] is True  # A's steady pattern
         assert presets[0b000] is False  # B's steady pattern
-
-    def test_respects_bht_capacity(self):
-        trace = synthetic.interleaved(
-            [synthetic.loop_source(4)] * 8, length=4000
-        )
-        # A 2-entry direct-mapped table thrashes: training still works,
-        # it just sees post-miss reinitialised histories.
-        presets = train_per_address_presets(trace, 4, bht_entries=2, bht_associativity=1)
-        assert presets  # non-empty; no crash under thrashing
 
 
 class TestGSgPredictor:
