@@ -58,6 +58,23 @@ the ``f^4 == f^3`` fixed point, and history registers above
 ``_MAX_HISTORY_BITS``, have no kernel: ``simulate(..., backend="auto")``
 runs them through the interpreted loop (see :func:`kernel_supports`).
 
+The first-level layout memo
+---------------------------
+
+A set-associative BHT's residency — which records miss or evict, and
+which way each lives in — depends only on the trace, the geometry and
+the context-switch model, never on history length or automaton. So
+while :func:`repro.sim.parallel.execute_matrix` runs its cells
+(case-major, inside :func:`_layout_memo`), a whole-trace call
+(``run.final`` and no carry) takes its :class:`_Layout` from
+``_LAYOUT_MEMO``. The key is the trace's cached ``TraceArrays`` object
+(held, so its identity cannot be reused), ``(num_sets,
+associativity)`` and ``(interval, switch_on_traps)``. The memo holds
+one trace's layouts at most: a different arrays object replaces them.
+Memoized arrays are read-only, so a kernel that writes into a shared
+layout fails loudly. Streamed blocks, ideal and direct-mapped layouts
+(cheap to rebuild) and calls outside a matrix never touch it.
+
 Carried state
 -------------
 
@@ -90,6 +107,8 @@ builds predictors.
 
 from __future__ import annotations
 
+import threading
+from contextlib import contextmanager
 from typing import Dict, Optional
 
 import numpy as np
@@ -443,11 +462,13 @@ class _Run:
     ``seg_c`` values — and the flush stamps derived from them — stay
     comparable across blocks) and ``t0`` (the global index of the block's
     first conditional record, which orders LRU recency across blocks).
+    ``cs`` is the context-switch model as ``(interval, switch_on_traps)``,
+    or None.
     """
 
     __slots__ = ("arrays", "n_c", "out_bool", "out_u8", "seg_c", "switches",
                  "aggregate", "warmup", "track_per_site", "_pc_c",
-                 "fires_end", "last_epoch", "t0", "final")
+                 "fires_end", "last_epoch", "t0", "final", "cs")
 
     def __init__(self, trace: Trace, context_switches: Optional[ContextSwitchConfig],
                  track_per_site: bool, warmup_branches: int, *,
@@ -465,6 +486,8 @@ class _Run:
         self._pc_c = None
         self.t0 = int(t0)
         self.final = bool(final)
+        self.cs = None if context_switches is None else (
+            context_switches.interval, context_switches.switch_on_traps)
         fires_base = int(fires_base)
         if context_switches is None or len(arrays) == 0:
             self.switches = 0
@@ -783,6 +806,8 @@ def _pa_layout(run: _Run, bht, carry: Optional[_Keyed]) -> _Layout:
     """The slot layout, resuming ``carry``'s entries (keyed by slot,
     with the occupant pc and the flush stamp of its last access)."""
     if isinstance(bht, CacheBHT) and bht.associativity > 1:
+        if carry is None and run.final and _LAYOUT_MEMO.depth:
+            return _LAYOUT_MEMO.layout(run, bht)
         return _assoc_layout(run, bht, carry)
     ideal = isinstance(bht, IdealBHT)
     if ideal:
@@ -1093,6 +1118,64 @@ def _assoc_layout(run: _Run, bht: CacheBHT, carry: Optional[_Keyed]) -> _Layout:
         cont = ~ep_new[heads]
     return _Layout(order, run.out_u8[order], ep_new, blk_new, evict_r[order2],
                    heads, hkey, cont, False)
+
+
+class _LayoutMemo:
+    """Whole-trace set-associative layouts of the current trace.
+
+    Serves only while ``depth`` (the open :func:`_layout_memo` scopes,
+    counted under ``lock``) is positive. ``current`` is ``(arrays,
+    layouts)``: the trace's cached ``TraceArrays`` — held, so its
+    identity cannot be reused by another trace — and its layouts keyed
+    by ``(num_sets, associativity, cs)``. A different arrays object
+    replaces the pair, so at most one trace's layouts are alive.
+    """
+
+    __slots__ = ("depth", "current", "lock")
+
+    def __init__(self) -> None:
+        self.depth = 0
+        self.current: Optional[tuple] = None
+        self.lock = threading.Lock()
+
+    def reset(self, depth: int) -> None:
+        self.depth = depth
+        self.current = None
+
+    def layout(self, run: _Run, bht: CacheBHT) -> _Layout:
+        current = self.current
+        if current is None or current[0] is not run.arrays:
+            current = self.current = (run.arrays, {})
+        layouts = current[1]
+        key = (bht.num_sets, bht.associativity, run.cs)
+        layout = layouts.get(key)
+        if layout is None:
+            layout = _assoc_layout(run, bht, None)
+            for name in _Layout.__slots__:
+                value = getattr(layout, name)
+                if isinstance(value, np.ndarray):
+                    value.setflags(write=False)
+            layouts[key] = layout
+        return layout
+
+
+#: This process's layout memo (see "The first-level layout memo" above).
+_LAYOUT_MEMO = _LayoutMemo()
+
+
+@contextmanager
+def _layout_memo():
+    """Serve whole-trace set-associative layouts from :data:`_LAYOUT_MEMO`
+    inside the block; leaving the outermost scope empties it."""
+    with _LAYOUT_MEMO.lock:
+        _LAYOUT_MEMO.depth += 1
+    try:
+        yield
+    finally:
+        with _LAYOUT_MEMO.lock:
+            _LAYOUT_MEMO.depth -= 1
+            if not _LAYOUT_MEMO.depth:
+                _LAYOUT_MEMO.reset(0)
 
 
 def _slot_carry(run: _Run, layout: _Layout, carry: Optional[_Keyed], **cols) -> _Keyed:

@@ -20,13 +20,18 @@ exploits that:
 * **Telemetry** — every run produces a
   :class:`~repro.sim.results.RunTelemetry` (per-cell wall time, cache
   hit/miss counts) attached to the returned matrix.
+* **Case-major execution** — pending cells run one benchmark at a time
+  (cases in figure order, then schemes in label order), in the parent
+  and in every pool worker under the first-level layout memo of
+  :mod:`repro.sim.kernels`, so each trace's set-associative BHT layout
+  is computed once per geometry instead of once per cell.
 
 Determinism guarantee: for fixed builders, cases and configuration, the
 returned :class:`~repro.sim.results.ResultMatrix` is bit-identical for
 every ``n_workers`` value and for cold or warm caches — cells are
-independent simulations, results are reassembled in the same
-scheme-major order the serial loop uses, and cached cells store the
-exact integer counts the simulation produced.
+independent simulations (a memoized layout equals a fresh one), results
+are reassembled scheme-major whatever order the cells ran in, and
+cached cells store the exact integer counts the simulation produced.
 """
 
 from __future__ import annotations
@@ -49,6 +54,7 @@ from ..trace.events import Trace
 from ..trace.io import load_trace, save_trace
 from ..trace.stream import content_digest
 from .engine import ContextSwitchConfig, simulate_with_backend
+from .kernels import _LAYOUT_MEMO, _layout_memo
 from .results import ResultMatrix, RunTelemetry, SimulationResult
 
 __all__ = [
@@ -168,6 +174,14 @@ def _load_spooled(path: str) -> Trace:
         # Deliberate per-worker-process memo: never read by the parent.
         _TRACE_MEMO[path] = trace  # check: allow(conc/global-write-in-worker)
     return trace
+
+
+def _init_worker() -> None:
+    """Pool initializer: the worker runs every cell it draws under the
+    layout memo. Workers live for one :func:`execute_matrix` call, so
+    the memo goes with them."""
+    # Deliberate per-worker-process memo: never read by the parent.
+    _LAYOUT_MEMO.reset(1)  # check: allow(conc/global-write-in-worker)
 
 
 def _worker_recorder():
@@ -378,6 +392,7 @@ def _is_picklable(builder) -> bool:
         return False
 
 
+@_layout_memo()
 def execute_matrix(
     builders: Mapping[str, "PredictorBuilder"],  # noqa: F821 - doc alias
     cases: Sequence["BenchmarkCase"],  # noqa: F821
@@ -413,7 +428,9 @@ def execute_matrix(
             that actually ran each cell is recorded in the telemetry.
         n_workers: worker processes; ``1`` is a plain in-process loop
             (no executor, no trace spooling) whose results every other
-            worker count reproduces bit-identically.
+            worker count reproduces bit-identically. Either way cells
+            run case-major under the layout memo and are assembled
+            scheme-major.
         result_cache: on-disk cell cache; ``None`` disables caching.
         progress: live-monitoring hook; receives one
             :class:`repro.obs.live.Heartbeat` per cell event (start /
@@ -522,10 +539,12 @@ def execute_matrix(
         Tuple[str, str],
         Tuple[Optional[SimulationResult], str, float, Dict[str, float], str, int],
     ] = {}
+    # Case-major, so consecutive cells share a trace and the layout
+    # memo builds each of its set-associative layouts once.
     pending: List[Tuple[str, "BenchmarkCase", Optional[str]]] = []
-    for label, builder in builders.items():
-        builder_key = getattr(builder, "cache_key", None)
-        for case in cases:
+    for case in cases:
+        for label, builder in builders.items():
+            builder_key = getattr(builder, "cache_key", None)
             if result_cache is None or builder_key is None:
                 if result_cache is not None:
                     telemetry.uncacheable += 1
@@ -692,7 +711,7 @@ def execute_matrix(
 
         try:
             trace_paths = _spool_traces({case.name: case for _, case, _ in remote}, spool)
-            with ProcessPoolExecutor(max_workers=n_workers) as pool:
+            with ProcessPoolExecutor(max_workers=n_workers, initializer=_init_worker) as pool:
                 futures = {}
                 for label, case, key in remote:
                     test_path, training_path = trace_paths[case.name]

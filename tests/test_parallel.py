@@ -126,6 +126,32 @@ class TestDeterminism:
         assert matrix.benchmarks == ["a", "b", "c"]
 
 
+class TestLayoutMemo:
+    """Cells run case-major under the layout memo, so every scheme at one
+    set-associative geometry shares each trace's LRU replay."""
+
+    SCHEMES = ("pag-4-512x4", "pag-8-512x4", "pag-6-lt-512x4", "pap-4-512x4",
+               "pap-6-512x4", "btb-a2")
+
+    def test_one_lru_replay_per_trace_and_geometry(self, monkeypatch):
+        from repro.sim import kernels
+
+        calls = []
+        original = kernels._lru_metadata
+        monkeypatch.setattr(kernels, "_lru_metadata",
+                            lambda *args: calls.append(1) or original(*args))
+        builders = {name: spec(name) for name in self.SCHEMES}
+        cases = _suite()
+        serial = run_matrix(builders, cases, n_workers=1)
+        assert len(calls) == 3
+        switched = run_matrix(builders, cases, n_workers=1,
+                              context_switches=ContextSwitchConfig(interval=100))
+        assert len(calls) == 6
+        assert run_matrix(builders, cases, n_workers=2, backend="python") == serial
+        assert switched == run_matrix(builders, cases, n_workers=2, backend="python",
+                                      context_switches=ContextSwitchConfig(interval=100))
+
+
 class TestResultCaching:
     def test_warm_rerun_executes_zero_simulations(self, tmp_path):
         cases = _suite()
