@@ -38,12 +38,13 @@ def _training_run(trace: Trace):
     """The kernels' prepared pass over ``trace`` (no flushes, no
     warmup), or None when it has no conditional record.
 
-    The arrays come from one uncached block: a training trace is never
-    simulated, so caching its arrays would only hold memory.
+    An in-memory trace lends its cached :meth:`Trace.as_arrays`, so
+    training GSg, PSg and the profile on one trace converts it once;
+    any other source is read as one uncached block.
     """
     from ..sim.kernels import _Run
 
-    block = next(trace.iter_blocks(), None)
+    block = trace if isinstance(trace, Trace) else next(trace.iter_blocks(), None)
     if block is None:
         return None
     run = _Run(block, None, False, 0)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Dict, Mapping, Optional
 
 from ..trace.events import Trace
-from ..trace.stats import site_tally
+from ..trace.stats import column_blocks, site_tally
 from .base import BranchPredictor
 
 
@@ -105,9 +105,9 @@ def profile_directions(trace: Trace) -> Dict[int, bool]:
     """Majority taken-direction per static conditional branch, from the
     per-site tally of :func:`repro.trace.stats.site_tally`.
 
-    Ties resolve to taken. The arrays come from one uncached block, so
-    profiling a training trace (never simulated itself) leaves no
-    arrays cached on it.
+    Ties resolve to taken. An in-memory trace tallies its cached
+    :meth:`Trace.as_arrays` (which Static Training's presets reuse);
+    a streamed source is tallied block by block.
     """
-    sites, taken, total = site_tally(block.as_arrays() for block in trace.iter_blocks())
+    sites, taken, total = site_tally(column_blocks(trace))
     return dict(zip(sites.tolist(), (taken * 2 >= total).tolist()))

@@ -51,12 +51,30 @@ derives in closed form, in log-depth passes over the epoch length.
 
 Hybrid and per-set schemes compose the same machinery: gselect
 concatenates address bits into the global-history key, SAg/SAs group
-per-set shift registers, and the tournament kernel runs both component
-kernels per-record and arbitrates with a chooser-automaton scan over
-the disagreement records. Automata beyond 4 states or without
-the ``f^4 == f^3`` fixed point, and history registers above
-``_MAX_HISTORY_BITS``, have no kernel: ``simulate(..., backend="auto")``
-runs them through the interpreted loop (see :func:`kernel_supports`).
+per-set shift registers, and the tournament kernel takes both component
+kernels' mispredicted records and arbitrates with a chooser-automaton
+scan over the records where exactly one component misses. Automata
+beyond 4 states or without the ``f^4 == f^3`` fixed point, and history
+registers above ``_MAX_HISTORY_BITS``, have no kernel:
+``simulate(..., backend="auto")`` runs them through the interpreted
+loop (see :func:`kernel_supports`).
+
+Scoring
+-------
+
+A kernel's outcome is a correct count or the int64 block-local,
+trace-order indices of its mispredicted conditional records, each
+once. Scanning schemes return the count when the run aggregates (no
+warmup, no per-site tracking); otherwise :func:`_run_wrong_positions`
+reads the mispredicted records off the runs — up to three head offsets
+per run where ``head_wrong`` steps up, plus the whole tail where
+``tail_mis`` is set — and :func:`_scan` maps them through the group
+sort back to trace order. GSg, PSg and the static schemes return where
+their direct predictions miss; the tournament rebuilds its components'
+miss masks from their indices. :func:`_fold` counts the indices at or
+past the warmup, and the per-site dictionaries are ``bincount`` s of the
+site ids of every scored record (executions) and of the scored indices
+(mispredictions).
 
 The first-level layout memo
 ---------------------------
@@ -267,15 +285,14 @@ class _Runs:
     """Maximal same-outcome runs within pattern groups, plus the
     automaton state entering each run (the output of the scan)."""
 
-    __slots__ = ("first", "length", "lcap", "out", "state0", "starts")
+    __slots__ = ("first", "length", "lcap", "out", "state0")
 
-    def __init__(self, first, length, lcap, out, state0, starts) -> None:
+    def __init__(self, first, length, lcap, out, state0) -> None:
         self.first = first
         self.length = length
         self.lcap = lcap
         self.out = out
         self.state0 = state0
-        self.starts = starts
 
 
 def _find_runs(out_u8: np.ndarray, grp_new: np.ndarray, ops: _AutomatonOps,
@@ -342,7 +359,7 @@ def _find_runs(out_u8: np.ndarray, grp_new: np.ndarray, ops: _AutomatonOps,
         H[active] = compose_flat[(prior << 8) | H[active]]
         step <<= 1
     state0 = ops.apply[H, init_run]
-    return _Runs(first, length, lcap, out, state0, starts)
+    return _Runs(first, length, lcap, out, state0)
 
 
 def _runs_wrong_total(runs: _Runs, ops: _AutomatonOps) -> int:
@@ -353,15 +370,26 @@ def _runs_wrong_total(runs: _Runs, ops: _AutomatonOps) -> int:
     return int(head.sum() + tail.sum())
 
 
-def _expand_run_preds(n: int, runs: _Runs, ops: _AutomatonOps) -> np.ndarray:
-    """Per-record predictions (group-sorted order) from run states."""
-    nruns = runs.first.shape[0]
-    preds = np.empty((nruns, 4), dtype=np.bool_)
-    for j in range(4):
-        preds[:, j] = ops.pred4[ops.apply[ops.pow_codes[runs.out, j], runs.state0]]
-    run_id = np.cumsum(runs.starts) - 1
-    offset = np.minimum(np.arange(n) - runs.first[run_id], 3)
-    return preds[run_id, offset]
+def _run_wrong_positions(runs: _Runs, ops: _AutomatonOps) -> np.ndarray:
+    """Group-sorted positions of the mispredicted records, each once.
+
+    Head offset ``j < lcap`` of a run mispredicts exactly when
+    ``head_wrong`` steps up between ``j`` and ``j + 1``; past the head
+    the automaton sits at its fixed point, so the whole tail
+    ``first + 3 ...`` mispredicts when ``tail_mis`` is set and none of
+    it otherwise.
+    """
+    cell = runs.out.astype(np.int64) * 4 + runs.state0
+    step_wrong = (np.diff(ops.head_wrong, axis=2) > 0).reshape(8, 3)[cell]
+    parts = [runs.first[step_wrong[:, 0]]]
+    for j in (1, 2):
+        parts.append(runs.first[step_wrong[:, j] & (runs.lcap > j)] + j)
+    tail = ops.tail_mis.ravel()[cell] != 0
+    if tail.any():
+        spans = runs.length[tail] - runs.lcap[tail]
+        shift = runs.first[tail] + 3 - (np.cumsum(spans) - spans)
+        parts.append(np.repeat(shift, spans) + np.arange(int(spans.sum())))
+    return np.concatenate(parts)
 
 
 # ----------------------------------------------------------------------
@@ -602,15 +630,12 @@ def _splice(patterns: np.ndarray, window: np.ndarray, heads: np.ndarray,
 def _scan(out_s: np.ndarray, grp_new: np.ndarray, order: np.ndarray,
           ops: _AutomatonOps, init: Optional[np.ndarray], aggregate: bool):
     """``(outcome, runs)``: scan group-sorted outcomes, then score either
-    in closed form (a correct count) or per record (predictions in the
-    trace order ``order`` maps back to)."""
+    in closed form (a correct count) or per record (the mispredicted
+    records' indices in the trace order ``order`` maps back to)."""
     runs = _find_runs(out_s, grp_new, ops, init)
-    n = out_s.shape[0]
     if aggregate:
-        return n - _runs_wrong_total(runs, ops), runs
-    pred = np.empty(n, dtype=np.bool_)
-    pred[order] = _expand_run_preds(n, runs, ops)
-    return pred, runs
+        return out_s.shape[0] - _runs_wrong_total(runs, ops), runs
+    return order[_run_wrong_positions(runs, ops)], runs
 
 
 def _group_final_states(runs: _Runs, grp_new: np.ndarray, ops: _AutomatonOps) -> np.ndarray:
@@ -755,7 +780,7 @@ def _kernel_gsg(predictor: GSgPredictor):
 
     def kernel(run: _Run, carry):
         ghr, carry = _global_history(run, k, (1 << k) - 1, carry)
-        return bits[ghr], carry
+        return np.flatnonzero(bits[ghr] != run.out_bool), carry
 
     return kernel
 
@@ -1252,12 +1277,11 @@ def _kernel_psg(predictor: PSgPredictor):
     def kernel(run: _Run, slots):
         layout = _pa_layout(run, bht, slots)
         patterns_s = _pa_patterns(layout, k, slots)
-        pred = np.empty(run.n_c, dtype=np.bool_)
-        pred[layout.order] = bits[patterns_s]
+        wrong = layout.order[bits[patterns_s] != layout.out_s.view(np.bool_)]
         if run.final:
-            return pred, None
-        return pred, _slot_carry(run, layout, slots,
-                                 reg=_pa_registers_out(layout, patterns_s, k))
+            return wrong, None
+        return wrong, _slot_carry(run, layout, slots,
+                                  reg=_pa_registers_out(layout, patterns_s, k))
 
     return kernel
 
@@ -1452,30 +1476,35 @@ def _kernel_tournament(predictor: TournamentPredictor):
 
     def kernel(run: _Run, carry):
         first, second, choosers = carry or (None, None, None)
-        # Both components' guesses are needed per record even when the
-        # outer run could aggregate.
+        # Both components' mispredicted records are needed even when
+        # the outer run could aggregate.
         saved = run.aggregate
         run.aggregate = False
         try:
-            p1, first = first_kernel(run, first)
-            p2, second = second_kernel(run, second)
+            wrong1, first = first_kernel(run, first)
+            wrong2, second = second_kernel(run, second)
         finally:
             run.aggregate = saved
-        pred = p1.copy()
-        d = np.flatnonzero(p1 != p2)
-        if d.size:
-            # Choosers step only on disagreement, keyed by pc, and are
-            # never flushed — one scan over the disagreement records
-            # with input "second component was correct" yields each
-            # record's pre-update chooser verdict.
-            second_correct = (p2[d] == run.out_bool[d]).view(np.uint8)
-            order, grp_new, key_s = _group_sort(run.pc_c[d] & cmask)
-            use_second, choosers = _scan_store(
-                run, ops, key_s, second_correct[order], grp_new, order, choosers,
-                aggregate=False,
-            )
-            pred[d] = np.where(use_second, p2[d], p1[d])
-        return pred, (first, second, choosers)
+        miss1 = np.zeros(run.n_c, dtype=np.bool_)
+        miss1[wrong1] = True
+        miss2 = np.zeros(run.n_c, dtype=np.bool_)
+        miss2[wrong2] = True
+        both = np.flatnonzero(miss1 & miss2)
+        # The components disagree exactly where one of them is wrong.
+        d = np.flatnonzero(miss1 != miss2)
+        if d.size == 0:
+            return both, (first, second, choosers)
+        # Choosers step only on disagreement, keyed by pc, and are never
+        # flushed — one scan over the disagreement records with input
+        # "second component was correct" (the first was wrong) finds
+        # where the chooser picks the wrong component.
+        second_correct = miss1[d].view(np.uint8)
+        order, grp_new, key_s = _group_sort(run.pc_c[d] & cmask)
+        picked_wrong, choosers = _scan_store(
+            run, ops, key_s, second_correct[order], grp_new, order, choosers,
+            aggregate=False,
+        )
+        return np.concatenate((both, d[picked_wrong])), (first, second, choosers)
 
     return kernel
 
@@ -1486,7 +1515,7 @@ def _kernel_tournament(predictor: TournamentPredictor):
 
 def _kernel_constant(direction: bool):
     def kernel(run: _Run, carry):
-        return np.full(run.n_c, direction, dtype=np.bool_), None
+        return np.flatnonzero(run.out_bool != direction), None
 
     return kernel
 
@@ -1496,7 +1525,8 @@ def _kernel_btfn(predictor: BTFN):
 
     def kernel(run: _Run, carry):
         target_c = run.arrays.target[run.arrays.cond_mask]
-        return np.where(target_c == 0, unknown, target_c < run.pc_c), None
+        pred = np.where(target_c == 0, unknown, target_c < run.pc_c)
+        return np.flatnonzero(pred != run.out_bool), None
 
     return kernel
 
@@ -1512,7 +1542,7 @@ def _kernel_profile(predictor: ProfileGuided):
             dtype=np.bool_,
             count=sites.shape[0],
         )
-        return site_dirs[ids], None
+        return np.flatnonzero(site_dirs[ids] != run.out_bool), None
 
     return kernel
 
@@ -1525,8 +1555,10 @@ def _kernel_for(predictor):
     """The kernel for ``predictor``, or None when unsupported.
 
     A kernel is ``kernel(run, carry) -> (outcome, carry)``: ``carry`` is
-    None before the first block, and the outcome is a correct count or
-    per-record predictions. Dispatch is on the *exact* type: a subclass
+    None before the first block, and the outcome is a correct count
+    (aggregate runs of the scanning kernels) or the int64 block-local
+    trace-order indices of the mispredicted conditional records, each
+    once, in any order. Dispatch is on the *exact* type: a subclass
     may override predict or update semantics the kernels hard-code.
     """
     kind = type(predictor)
@@ -1671,18 +1703,19 @@ def _fold(predictor, blocks, meta, context_switches: Optional[ContextSwitchConfi
     )
 
 
-def _score_predictions(run: _Run, pred: np.ndarray):
-    """Score per-record predictions against outcomes, honouring warmup
-    and (optionally) collecting the per-site dictionaries."""
-    ok = pred == run.out_bool
-    scored_ok = ok[run.warmup:]
-    correct = int(np.count_nonzero(scored_ok))
+def _score_predictions(run: _Run, wrong: np.ndarray):
+    """Score a block from its mispredicted records' indices, honouring
+    warmup and (optionally) collecting the per-site dictionaries: every
+    scored record counts toward its site's executions, every scored
+    index toward its site's mispredictions."""
+    if run.warmup:
+        wrong = wrong[wrong >= run.warmup]
+    correct = max(run.n_c - run.warmup, 0) - int(wrong.shape[0])
     if not run.track_per_site:
         return correct, None, None
     sites, ids = run.arrays.conditional_site_ids()
-    scored_ids = ids[run.warmup:]
-    seen = np.bincount(scored_ids, minlength=sites.shape[0])
-    wrong = np.bincount(scored_ids[~scored_ok], minlength=sites.shape[0])
+    seen = np.bincount(ids[run.warmup:], minlength=sites.shape[0])
+    wrong = np.bincount(ids[wrong], minlength=sites.shape[0])
     per_seen = {int(sites[i]): int(seen[i]) for i in np.flatnonzero(seen)}
     per_wrong = {int(sites[i]): int(wrong[i]) for i in np.flatnonzero(wrong)}
     return correct, per_seen, per_wrong

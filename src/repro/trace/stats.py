@@ -90,7 +90,7 @@ class TraceStats:
 _EMPTY_TALLY = (np.empty(0, dtype=np.int64),) * 3
 
 
-def _column_blocks(trace: "TraceSource") -> Iterator[TraceArrays]:
+def column_blocks(trace: "TraceSource") -> Iterator[TraceArrays]:
     """The source's records as :class:`TraceArrays`.
 
     An in-memory :class:`Trace` yields its cached :meth:`Trace.as_arrays`,
@@ -157,7 +157,7 @@ def compute_stats(trace: "TraceSource") -> TraceStats:
     class_counts = np.zeros(256, dtype=np.int64)
     trap_count = 0
     tally = _EMPTY_TALLY
-    for arrays in _column_blocks(trace):
+    for arrays in column_blocks(trace):
         class_counts += np.bincount(arrays.cls, minlength=256)
         trap_count += int(np.count_nonzero(arrays.trap))
         tally = _add_sites(tally, arrays)
@@ -183,5 +183,5 @@ def per_site_bias(trace: "TraceSource") -> Dict[int, float]:
     Useful for profiling-based prediction and interference analysis.
     Accepts any bounded :class:`~repro.trace.stream.TraceSource`.
     """
-    sites, taken, total = site_tally(_column_blocks(trace))
+    sites, taken, total = site_tally(column_blocks(trace))
     return dict(zip(sites.tolist(), (taken / total).tolist()))

@@ -14,6 +14,8 @@ from repro.sim import kernels as kernels_module
 from repro.sim.kernels import automaton_ops, simulate_vectorized, simulate_vectorized_stream
 from repro.trace.events import TraceBuilder
 
+from .test_sim_differential import CONTRARIAN
+
 A2 = PAPER_AUTOMATA["A2"]
 A3 = PAPER_AUTOMATA["A3"]
 
@@ -151,6 +153,27 @@ class TestMutationSensitivity:
         ops.head_wrong[1, 0, 2] += 1
         findings = verify_ops(A2, ops)
         assert _rules(findings) == {"kernels/run-scoring"}
+
+    def test_corrupt_head_step_only_moves_sparse_offsets(self):
+        # head_wrong[..., 0] never enters a closed-form count, but the
+        # sparse scorer reads offset 0 as the step from it to [..., 1]:
+        # a not-taken run entered in A2's taken state 3 mispredicts at
+        # offset 0, which this corruption hides.
+        ops = _mutable_ops(A2)
+        assert ops.head_wrong[0, 3, 1] == 1
+        ops.head_wrong[0, 3, 0] = 1
+        findings = verify_ops(A2, ops)
+        assert len(findings) == 1
+        assert _rules(findings) == {"kernels/run-scoring"}
+        assert "sparse scorer marks offsets []" in findings[0].message
+        assert "entered in state 3" in findings[0].message
+
+    def test_contrarian_tails_prove_clean(self):
+        # Every run tail of a counter predicting against its state
+        # mispredicts, so the sparse scorer's tail branch is proved too.
+        ops = automaton_ops(CONTRARIAN)
+        assert ops.tail_mis.all()
+        assert verify_ops(CONTRARIAN, ops) == []
 
     def test_corrupt_tail_rate_overflows_range(self):
         ops = _mutable_ops(A2)

@@ -16,6 +16,7 @@ The example budget comes from the hypothesis profile named by
 default, a larger ``ci`` one in the CI gate.
 """
 
+import dataclasses
 import os
 import random
 
@@ -49,6 +50,15 @@ def _training_trace():
 
 TRAINING = _training_trace()
 
+#: A 2-bit counter that predicts against its own state: every run past
+#: its three-step head sits at a fixed point that mispredicts, so the
+#: sparse scorer's whole-tail branch fires (no paper automaton reaches
+#: one).
+CONTRARIAN = dataclasses.replace(
+    saturating_counter(2), name="contrarian",
+    predictions=tuple(not p for p in saturating_counter(2).predictions),
+)
+
 #: Small geometries (4 sets of 4 ways, 8 direct-mapped sets) so a pool of
 #: a few dozen pcs contends for ways, plus paper-sized configurations.
 SCHEMES = {
@@ -59,6 +69,7 @@ SCHEMES = {
     "gsg-4": lambda: make_predictor("gsg-4", TRAINING),
     "psg-4-16x4": lambda: make_predictor("psg-4-16x4", TRAINING),
     "pag-4-16x4": lambda: make_pag(4, A2, 16, 4),
+    "pag-4-16x4-contrarian": lambda: make_pag(4, CONTRARIAN, 16, 4),
     "pag-5-8x1": lambda: make_pag(5, A2, 8, 1),
     "pag-4-ideal": lambda: make_pag(4, A2, None),
     "pag-12-512x4": lambda: make_predictor("pag-12-512x4"),

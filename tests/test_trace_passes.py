@@ -30,7 +30,7 @@ from repro.core.twolevel import TwoLevelConfig, _PerAddressBase
 from repro.predictors.static import profile_directions
 from repro.sim.parallel import trace_digest
 from repro.trace.io import dumps
-from repro.trace.events import BranchClass, Trace, TraceMeta
+from repro.trace.events import BranchClass, Trace, TraceArrays, TraceMeta
 from repro.trace.stats import TraceStats, compute_stats, per_site_bias
 
 PROFILE = settings(
@@ -229,13 +229,27 @@ def test_profile_and_presets_match_reference(trace, history_bits):
     )
 
 
-def test_training_leaves_no_arrays_cached():
+def test_training_converts_an_in_memory_trace_once(monkeypatch):
     trace = Trace(TraceMeta(name="t"), [4, 8, 4], [True, False, True], [0, 0, 0],
                   [0, 0, 0], [1, 2, 3], [False] * 3)
+    built = []
+    init = TraceArrays.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(TraceArrays, "__init__", counting_init)
+    # A streamed source is profiled block by block, never through the
+    # trace's cache.
+    profile_directions(_Blocked(trace, 2))
+    assert len(built) == 2 and trace._arrays is None
+    built.clear()
+    # The profile and both presets share one cached conversion.
     profile_directions(trace)
     train_global_presets(trace, 4)
     train_per_address_presets(trace, 4)
-    assert trace._arrays is None
+    assert len(built) == 1 and trace._arrays is built[0]
 
 
 @PROFILE
