@@ -89,17 +89,18 @@ def train_per_address_presets(trace: Trace, history_bits: int) -> Dict[int, bool
     The first level is ideal (one register per static branch), as in
     :meth:`PSgPredictor.trained_on`: tallies ``(pattern, taken)`` over
     the per-address windows the PAg/PSg kernels build
-    (:func:`repro.sim.kernels._pa_layout` with an :class:`IdealBHT`,
+    (:func:`repro.sim.kernels._build_layout` with an :class:`IdealBHT`,
     then :func:`repro.sim.kernels._pa_patterns`). All branches feed one
     global tally, exactly as all PSg history registers index one global
-    preset table.
+    preset table. The layout bypasses the kernels' layout memo, so
+    training never evicts the layouts of the trace under test.
     """
-    from ..sim.kernels import _pa_layout, _pa_patterns
+    from ..sim.kernels import _build_layout, _pa_patterns
 
     run = _training_run(trace)
     if run is None:
         return {}
-    layout = _pa_layout(run, IdealBHT(), None)
+    layout = _build_layout(run, IdealBHT(), None)
     patterns = _pa_patterns(layout, history_bits, None)
     return _majority(patterns, layout.out_s.view(bool))
 

@@ -20,12 +20,21 @@ How a two-level scheme is vectorized
 2. **History patterns in closed form.** A history register's content
    before record ``i`` is the window of the last ``min(d, k)`` outcomes
    (``d`` = records since the register was (re)initialised) extended
-   with the fill bit — computable for all records at once with ``k``
-   shifted adds. Per-address registers need the records grouped by BHT
-   residency first, which one stable sort provides.
+   with the fill bit — computable for all records at once from about
+   ``2 log2 k`` doubling ORs (the ``a + b`` window is the ``a`` window
+   OR the ``b`` window ``a`` records back, shifted up ``a`` bits).
+   Per-address registers need the records grouped by BHT residency
+   first, which one stable sort provides.
 3. **Pattern-table evolution as a composed automaton.** Grouping records
    by (table, pattern) key makes each pattern entry's life a sequence of
-   outcomes driving one automaton. The per-outcome transition function
+   outcomes driving one automaton. One sort groups them: each record
+   packs into an int64 word ``key << (s + 1) | trace_index << 1 |
+   outcome`` (``s`` = bit width of ``n - 1``), and sorting the words
+   yields the sorted keys, the outcomes in group order and — only when
+   the records are scored one by one — the trace index of each, with
+   ties broken by trace index, i.e. time order inside every group. Keys
+   too wide for the word fall back to a stable argsort and gathers.
+   The per-outcome transition function
    packs into a byte (:func:`repro.core.automata.packed_transition_code`),
    function composition becomes a 256x256 table lookup, and a segmented
    doubling scan yields every entry's state *before* each update. Runs
@@ -79,19 +88,23 @@ site ids of every scored record (executions) and of the scored indices
 The first-level layout memo
 ---------------------------
 
-A set-associative BHT's residency — which records miss or evict, and
-which way each lives in — depends only on the trace, the geometry and
-the context-switch model, never on history length or automaton. So
-while :func:`repro.sim.parallel.execute_matrix` runs its cells
-(case-major, inside :func:`_layout_memo`), a whole-trace call
-(``run.final`` and no carry) takes its :class:`_Layout` from
-``_LAYOUT_MEMO``. The key is the trace's cached ``TraceArrays`` object
-(held, so its identity cannot be reused), ``(num_sets,
-associativity)`` and ``(interval, switch_on_traps)``. The memo holds
-one trace's layouts at most: a different arrays object replaces them.
+A BHT's residency — which records miss or evict, and which slot each
+lives in — depends only on the trace, the first level (ideal,
+direct-mapped or set-associative) and the context-switch model, never
+on history length or automaton. So every whole-trace call (``run.final``
+and no carry) takes its :class:`_Layout` from ``_LAYOUT_MEMO``, whether
+it comes from ``simulate``, ``run_case`` or
+:func:`repro.sim.parallel.execute_matrix` (which runs its cells
+case-major, so each trace arrives once). The memo belongs to the
+trace's cached ``TraceArrays``: it holds a weak reference to that
+object and its layouts keyed by ``(num_sets, associativity)`` (``None``
+for the ideal BHT) and ``(interval, switch_on_traps)``. It holds one
+trace's layouts at most: a call on another trace replaces them, and the
+reference's callback drops them once the trace's arrays are collected.
 Memoized arrays are read-only, so a kernel that writes into a shared
-layout fails loudly. Streamed blocks, ideal and direct-mapped layouts
-(cheap to rebuild) and calls outside a matrix never touch it.
+layout fails loudly. Streamed and carried calls never touch it, and
+static training builds its layouts outside it, so training a predictor
+never evicts the layouts of the trace under test.
 
 Carried state
 -------------
@@ -125,8 +138,7 @@ builds predictors.
 
 from __future__ import annotations
 
-import threading
-from contextlib import contextmanager
+import weakref
 from typing import Dict, Optional
 
 import numpy as np
@@ -434,12 +446,44 @@ def _lasts(heads: np.ndarray, n: int) -> np.ndarray:
     return lasts
 
 
-def _group_sort(keys: np.ndarray):
-    """``(order, grp_new, key_s)``: stable sort by key, group-start
-    marks, and the sorted keys."""
-    order = _stable_argsort(keys)
-    key_s = keys[order]
-    return order, _change_marks(key_s), key_s
+def _group_sort(keys: np.ndarray, out_u8: np.ndarray, base: Optional[np.ndarray] = None,
+                need_order: bool = True):
+    """``(order, grp_new, key_s, out_s)``: records grouped by their
+    non-negative ``keys``, ties broken by trace index (time order).
+
+    ``order`` holds each grouped record's trace index (None unless
+    ``need_order``), ``grp_new`` marks group starts, and ``key_s`` and
+    ``out_s`` are the sorted keys and the outcomes in the same order.
+    ``keys`` and ``out_u8`` are in trace order, or in a ``base`` order
+    (``base[i]`` = trace index of element ``i``). One sort of the unique
+    words ``key << (s + 1) | trace_index << 1 | outcome`` gives all
+    four; keys too wide for that word take a stable argsort and gathers
+    instead.
+    """
+    n = keys.shape[0]
+    s = (n - 1).bit_length()
+    if int(keys.max()).bit_length() + s + 1 > 63:
+        order = _stable_argsort(keys) if base is None else np.lexsort((base, keys))
+        key_s = keys[order]
+        out_s = out_u8[order]
+        if base is not None:
+            order = base[order]
+        return order if need_order else None, _change_marks(key_s), key_s, out_s
+    words = keys.astype(np.int64)
+    words <<= s
+    words |= np.arange(n, dtype=np.int64) if base is None else base
+    words <<= 1
+    words |= out_u8
+    words.sort()
+    key_s = words >> (s + 1)
+    out_s = words.astype(np.uint8)  # the low byte; its bit 0 is the outcome
+    out_s &= 1
+    order = None
+    if need_order:
+        words >>= 1
+        words &= (1 << s) - 1
+        order = words
+    return order, _change_marks(key_s), key_s, out_s
 
 
 def _start_indices(new_mark: np.ndarray) -> np.ndarray:
@@ -457,13 +501,31 @@ def _start_indices(new_mark: np.ndarray) -> np.ndarray:
 
 def _outcome_window(out_u8: np.ndarray, k: int) -> np.ndarray:
     """``W[i]`` = the previous ``k`` outcomes before position ``i``,
-    newest in bit 0 (group boundaries handled by the callers' masks)."""
+    newest in bit 0 (group boundaries handled by the callers' masks).
+
+    Built in log depth: with ``V_a`` the ``a``-record window,
+    ``V_{a+b}[i] = V_a[i] | V_b[i - a] << a``. Doubling ``V_1`` gives
+    ``V_1, V_2, V_4, ...``, and the powers in ``k``'s binary expansion
+    combine into ``V_k``.
+    """
     n = out_u8.shape[0]
-    window = np.zeros(n, dtype=np.int32)
-    lifted = out_u8.astype(np.int32)
-    for back in range(1, k + 1):
-        window[back:] += lifted[:-back] << np.int32(back - 1)
-    return window
+    window = np.zeros(n, dtype=np.int32)  # V_have
+    power = np.zeros(n, dtype=np.int32)  # V_width
+    power[1:] = out_u8[:-1]
+    have = 0
+    width = 1
+    while True:
+        if k & width:
+            if have == 0:
+                window[:] = power
+            elif have < n:
+                window[have:] |= power[:n - have] << np.int32(have)
+            have += width
+        if width << 1 > k:
+            return window
+        if width < n:
+            power[width:] |= power[:n - width] << np.int32(width)
+        width <<= 1
 
 
 def _fill_extended(window: np.ndarray, since: np.ndarray, fill: np.ndarray, k: int) -> np.ndarray:
@@ -627,11 +689,12 @@ def _splice(patterns: np.ndarray, window: np.ndarray, heads: np.ndarray,
     patterns[idx] = (carried | (window[idx] & low)) & ((1 << k) - 1)
 
 
-def _scan(out_s: np.ndarray, grp_new: np.ndarray, order: np.ndarray,
+def _scan(out_s: np.ndarray, grp_new: np.ndarray, order: Optional[np.ndarray],
           ops: _AutomatonOps, init: Optional[np.ndarray], aggregate: bool):
     """``(outcome, runs)``: scan group-sorted outcomes, then score either
     in closed form (a correct count) or per record (the mispredicted
-    records' indices in the trace order ``order`` maps back to)."""
+    records' indices in the trace order ``order`` maps back to; only
+    read when not ``aggregate``)."""
     runs = _find_runs(out_s, grp_new, ops, init)
     if aggregate:
         return out_s.shape[0] - _runs_wrong_total(runs, ops), runs
@@ -652,7 +715,7 @@ def _group_final_states(runs: _Runs, grp_new: np.ndarray, ops: _AutomatonOps) ->
 
 
 def _scan_store(run: _Run, ops: _AutomatonOps, key_s: np.ndarray, out_s: np.ndarray,
-                grp_new: np.ndarray, order: np.ndarray, store: Optional[_Keyed],
+                grp_new: np.ndarray, order: Optional[np.ndarray], store: Optional[_Keyed],
                 aggregate: Optional[bool] = None):
     """The pattern-table pass: each (sorted) key group starts from its
     carried entry state, and — unless the block is final — every touched
@@ -673,12 +736,10 @@ def _scan_store(run: _Run, ops: _AutomatonOps, key_s: np.ndarray, out_s: np.ndar
 def _scan_keys(run: _Run, ops: _AutomatonOps, keys: np.ndarray, store: Optional[_Keyed],
                out: Optional[np.ndarray] = None, base: Optional[np.ndarray] = None):
     """Group records by pattern-table index and scan them. ``keys`` and
-    ``out`` may be in a pre-sorted ``base`` order whose stable
-    refinement keeps time order inside every group."""
-    order, grp_new, key_s = _group_sort(keys)
-    out_s = (run.out_u8 if out is None else out)[order]
-    if base is not None:
-        order = base[order]
+    ``out`` may be in a ``base`` order (``base[i]`` = trace index of
+    element ``i``); ties break by trace index (see :func:`_group_sort`)."""
+    order, grp_new, key_s, out_s = _group_sort(
+        keys, run.out_u8 if out is None else out, base, need_order=not run.aggregate)
     return _scan_store(run, ops, key_s, out_s, grp_new, order, store)
 
 
@@ -800,14 +861,15 @@ class _Layout:
     still-valid occupant. ``blk_new`` marks each slot's first record in
     the block; ``cont`` says, per such head, whether it hits an entry
     carried in from the previous block. ``m`` counts records since the
-    last episode start or head.
+    last episode start or head, and ``first_out`` is the outcome of that
+    start.
 
     ``heads``, ``lasts`` (each slot's first and last record), ``hkey``
     (each head's slot) and ``cont`` are None when the block neither
     resumes nor carries out slots.
     """
 
-    __slots__ = ("order", "out_s", "ep_new", "ep_start", "m", "blk_new",
+    __slots__ = ("order", "out_s", "ep_new", "m", "first_out", "blk_new",
                  "evict", "heads", "lasts", "hkey", "cont", "ideal")
 
     def __init__(self, order, out_s, ep_new, blk_new, evict, heads, hkey, cont,
@@ -823,16 +885,24 @@ class _Layout:
         self.hkey = hkey
         self.cont = cont
         self.ideal = ideal
-        self.ep_start = _start_indices(ep_new if heads is None else ep_new | blk_new)
-        self.m = np.arange(n, dtype=np.int32) - self.ep_start
+        ep_start = _start_indices(ep_new if heads is None else ep_new | blk_new)
+        self.first_out = out_s[ep_start]
+        self.m = np.arange(n, dtype=np.int32)
+        self.m -= ep_start
 
 
 def _pa_layout(run: _Run, bht, carry: Optional[_Keyed]) -> _Layout:
     """The slot layout, resuming ``carry``'s entries (keyed by slot,
-    with the occupant pc and the flush stamp of its last access)."""
+    with the occupant pc and the flush stamp of its last access); a
+    whole-trace call is served from :data:`_LAYOUT_MEMO`."""
+    if carry is None and run.final:
+        return _LAYOUT_MEMO.layout(run, bht)
+    return _build_layout(run, bht, carry)
+
+
+def _build_layout(run: _Run, bht, carry: Optional[_Keyed]) -> _Layout:
+    """:func:`_pa_layout` without the memo."""
     if isinstance(bht, CacheBHT) and bht.associativity > 1:
-        if carry is None and run.final and _LAYOUT_MEMO.depth:
-            return _LAYOUT_MEMO.layout(run, bht)
         return _assoc_layout(run, bht, carry)
     ideal = isinstance(bht, IdealBHT)
     if ideal:
@@ -1146,61 +1216,57 @@ def _assoc_layout(run: _Run, bht: CacheBHT, carry: Optional[_Keyed]) -> _Layout:
 
 
 class _LayoutMemo:
-    """Whole-trace set-associative layouts of the current trace.
+    """Whole-trace layouts of the most recently simulated trace.
 
-    Serves only while ``depth`` (the open :func:`_layout_memo` scopes,
-    counted under ``lock``) is positive. ``current`` is ``(arrays,
-    layouts)``: the trace's cached ``TraceArrays`` — held, so its
-    identity cannot be reused by another trace — and its layouts keyed
-    by ``(num_sets, associativity, cs)``. A different arrays object
-    replaces the pair, so at most one trace's layouts are alive.
+    ``current`` is ``(ref, layouts)``: a weak reference to the trace's
+    cached ``TraceArrays`` and its layouts keyed by ``(num_sets,
+    associativity, cs)`` (``None, None`` for the ideal BHT). A call on
+    another arrays object replaces the pair, and the reference's
+    callback clears it once the arrays are collected, so at most one
+    trace's layouts are alive and none outlives its trace.
+
+    No lock: each call works on its own local reference to the pair,
+    and every step on it is one atomic operation, so concurrent calls
+    can at worst build a layout twice or drop the other's pair.
     """
 
-    __slots__ = ("depth", "current", "lock")
+    __slots__ = ("current",)
 
     def __init__(self) -> None:
-        self.depth = 0
         self.current: Optional[tuple] = None
-        self.lock = threading.Lock()
 
-    def reset(self, depth: int) -> None:
-        self.depth = depth
+    def clear(self) -> None:
         self.current = None
 
-    def layout(self, run: _Run, bht: CacheBHT) -> _Layout:
+    def _release(self, ref) -> None:
         current = self.current
-        if current is None or current[0] is not run.arrays:
-            current = self.current = (run.arrays, {})
+        if current is not None and current[0] is ref:
+            self.current = None
+
+    def layout(self, run: _Run, bht) -> _Layout:
+        current = self.current
+        if current is None or current[0]() is not run.arrays:
+            ref = weakref.ref(run.arrays, self._release)
+            # Deliberate per-process memo, bounded to one trace.
+            current = self.current = (ref, {})  # check: allow(conc/global-write-in-worker)
         layouts = current[1]
-        key = (bht.num_sets, bht.associativity, run.cs)
+        if isinstance(bht, IdealBHT):
+            key = (None, None, run.cs)
+        else:
+            key = (bht.num_sets, bht.associativity, run.cs)
         layout = layouts.get(key)
         if layout is None:
-            layout = _assoc_layout(run, bht, None)
+            layout = _build_layout(run, bht, None)
             for name in _Layout.__slots__:
                 value = getattr(layout, name)
                 if isinstance(value, np.ndarray):
                     value.setflags(write=False)
-            layouts[key] = layout
+            layout = layouts.setdefault(key, layout)
         return layout
 
 
 #: This process's layout memo (see "The first-level layout memo" above).
 _LAYOUT_MEMO = _LayoutMemo()
-
-
-@contextmanager
-def _layout_memo():
-    """Serve whole-trace set-associative layouts from :data:`_LAYOUT_MEMO`
-    inside the block; leaving the outermost scope empties it."""
-    with _LAYOUT_MEMO.lock:
-        _LAYOUT_MEMO.depth += 1
-    try:
-        yield
-    finally:
-        with _LAYOUT_MEMO.lock:
-            _LAYOUT_MEMO.depth -= 1
-            if not _LAYOUT_MEMO.depth:
-                _LAYOUT_MEMO.reset(0)
 
 
 def _slot_carry(run: _Run, layout: _Layout, carry: Optional[_Keyed], **cols) -> _Keyed:
@@ -1228,8 +1294,7 @@ def _pa_patterns(layout: _Layout, k: int, carry: Optional[_Keyed]) -> np.ndarray
     """
     mask = (1 << k) - 1
     window = _outcome_window(layout.out_s, k)
-    first_outcome = layout.out_s[layout.ep_start].astype(np.int32)
-    patterns = _fill_extended(window, layout.m, first_outcome, k)
+    patterns = _fill_extended(window, layout.m, layout.first_out, k)
     patterns[layout.m == 0] = mask
     if carry is not None:
         heads = layout.heads[layout.cont]
@@ -1258,9 +1323,8 @@ def _kernel_pag(predictor: PAgPredictor):
         slots, store = carry or (None, None)
         layout = _pa_layout(run, bht, slots)
         patterns_s = _pa_patterns(layout, k, slots)
-        patterns = np.empty(run.n_c, dtype=np.int32)
-        patterns[layout.order] = patterns_s
-        result, store = _scan_keys(run, ops, patterns, store)
+        result, store = _scan_keys(run, ops, patterns_s, store, out=layout.out_s,
+                                   base=layout.order)
         if run.final:
             return result, None
         return result, (_slot_carry(run, layout, slots,
@@ -1332,9 +1396,6 @@ def _kernel_pap(predictor: PApPredictor):
             ids[fresh] = next_table + np.arange(added)
             ids[table_id[resumed[0]]] = resumed[1]
             table_id = ids[table_id]
-        # Sorting by (table, pattern) from the slot-sorted order keeps
-        # time order inside each group (a table's records live within
-        # one slot block, where this order is already chronological).
         keys = (table_id << k) | patterns_s
         result, store = _scan_keys(run, ops, keys, store, out=layout.out_s, base=layout.order)
         if run.final:
@@ -1427,10 +1488,8 @@ def _kernel_sag(predictor: SAgPredictor):
 
     def kernel(run: _Run, carry):
         regs, store = carry or (None, None)
-        order1, _set_s, _out_s, patterns_s, regs = _perset_patterns(run, num_sets, k, regs)
-        patterns = np.empty(run.n_c, dtype=np.int32)
-        patterns[order1] = patterns_s
-        result, store = _scan_keys(run, ops, patterns, store)
+        order1, _set_s, out_s, patterns_s, regs = _perset_patterns(run, num_sets, k, regs)
+        result, store = _scan_keys(run, ops, patterns_s, store, out=out_s, base=order1)
         return result, (regs, store)
 
     return kernel
@@ -1444,8 +1503,6 @@ def _kernel_sas(predictor: SAsPredictor):
     def kernel(run: _Run, carry):
         regs, store = carry or (None, None)
         order1, set_s, out_s, patterns_s, regs = _perset_patterns(run, num_sets, k, regs)
-        # (set, pattern) keys from the set-sorted order keep time order
-        # inside each per-set table group (cf. the PAp kernel).
         keys = (set_s.astype(np.int64) << k) | patterns_s
         result, store = _scan_keys(run, ops, keys, store, out=out_s, base=order1)
         return result, (regs, store)
@@ -1498,12 +1555,9 @@ def _kernel_tournament(predictor: TournamentPredictor):
         # flushed — one scan over the disagreement records with input
         # "second component was correct" (the first was wrong) finds
         # where the chooser picks the wrong component.
-        second_correct = miss1[d].view(np.uint8)
-        order, grp_new, key_s = _group_sort(run.pc_c[d] & cmask)
-        picked_wrong, choosers = _scan_store(
-            run, ops, key_s, second_correct[order], grp_new, order, choosers,
-            aggregate=False,
-        )
+        order, grp_new, key_s, out_s = _group_sort(run.pc_c[d] & cmask, miss1[d].view(np.uint8))
+        picked_wrong, choosers = _scan_store(run, ops, key_s, out_s, grp_new, order, choosers,
+                                             aggregate=False)
         return np.concatenate((both, d[picked_wrong])), (first, second, choosers)
 
     return kernel

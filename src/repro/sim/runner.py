@@ -134,10 +134,10 @@ def run_matrix(
         n_workers: worker processes to fan the cells out over; ``1``
             (the default) runs a plain serial loop in this process.
             Every value of ``n_workers`` yields a bit-identical matrix —
-            cells are independent, execute case-major under the
-            first-level layout memo (each trace's set-associative BHT
-            layout is built once per geometry), and are reassembled in
-            scheme-major order.
+            cells are independent, execute case-major (so each trace's
+            first-level layouts are built once and shared through the
+            kernels' layout memo), and are reassembled in scheme-major
+            order.
         result_cache: optional on-disk cell cache
             (:class:`repro.trace.cache.ResultCache`). Cells whose
             builders carry a ``cache_key`` (e.g.

@@ -289,7 +289,7 @@ class TraceArrays:
     """
 
     __slots__ = ("pc", "taken", "cls", "target", "instret", "trap",
-                 "cond_mask", "_sites", "_site_ids")
+                 "cond_mask", "_sites", "_site_ids", "__weakref__")
 
     def __init__(self, trace: Optional[Trace] = None, *, columns=None) -> None:
         try:
