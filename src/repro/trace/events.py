@@ -21,7 +21,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from itertools import islice
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 
 class BranchClass(enum.IntEnum):
@@ -105,7 +108,10 @@ class Trace:
     Columns are plain Python lists of primitives: iterating tuples of
     primitives through ``zip`` is several times faster than iterating a
     list of objects, which matters because the prediction engine visits
-    every record once per simulated predictor configuration.
+    every record once per simulated predictor configuration. The
+    constructor copies the columns it is given; a trace built by a
+    :class:`TraceBuilder` takes the builder's freshly decoded lists
+    as they are, together with their :class:`TraceArrays`.
     """
 
     __slots__ = ("meta", "_pc", "_taken", "_cls", "_target", "_instret", "_trap", "_arrays",
@@ -124,14 +130,19 @@ class Trace:
         lengths = {len(pc), len(taken), len(cls), len(target), len(instret), len(trap)}
         if len(lengths) != 1:
             raise ValueError(f"column lengths differ: {sorted(lengths)}")
+        self._adopt(meta, [list(column) for column in (pc, taken, cls, target, instret, trap)])
+
+    @classmethod
+    def _from_lists(cls, meta: TraceMeta, columns, arrays: Optional["TraceArrays"]) -> "Trace":
+        """A trace that owns ``columns`` (six equal-length lists) as given."""
+        trace = cls.__new__(cls)
+        trace._adopt(meta, columns, arrays)
+        return trace
+
+    def _adopt(self, meta: TraceMeta, columns, arrays: Optional["TraceArrays"] = None) -> None:
         self.meta = meta
-        self._pc = list(pc)
-        self._taken = list(taken)
-        self._cls = list(cls)
-        self._target = list(target)
-        self._instret = list(instret)
-        self._trap = list(trap)
-        self._arrays: Optional["TraceArrays"] = None
+        self._pc, self._taken, self._cls, self._target, self._instret, self._trap = columns
+        self._arrays = arrays
         # sha256 hex digest, cached by repro.trace.stream.content_digest.
         self._digest: Optional[str] = None
 
@@ -175,14 +186,16 @@ class Trace:
         """Columnar NumPy view of the trace, built once and cached.
 
         The vectorized simulation backend (:mod:`repro.sim.kernels`)
-        consumes traces through this API; the list->array conversion of
-        a million-record trace costs ~100 ms, so the result is cached
-        on the trace and shared by every simulation of it. The returned
-        arrays are read-only.
+        consumes traces through this API, and every simulation of the
+        trace shares the one cached instance. The returned arrays are
+        read-only. A trace built by a :class:`TraceBuilder` already
+        holds them (the builder decodes its log straight into arrays).
+        Any other trace converts its lists on the first call, which
+        costs ~100 ms for a million-record trace.
 
         Raises:
-            RuntimeError: when NumPy is not installed (the interpreted
-                engine never needs it).
+            OverflowError: when a column holds a value outside the
+                array's dtype (e.g. a pc at or above ``2**63``).
         """
         if self._arrays is None:
             self._arrays = TraceArrays(self)
@@ -292,13 +305,6 @@ class TraceArrays:
                  "cond_mask", "_sites", "_site_ids", "__weakref__")
 
     def __init__(self, trace: Optional[Trace] = None, *, columns=None) -> None:
-        try:
-            import numpy as np
-        except ImportError as exc:  # pragma: no cover - numpy is a soft dep
-            raise RuntimeError(
-                "Trace.as_arrays() requires NumPy; the interpreted "
-                "simulation backend does not"
-            ) from exc
         if (trace is None) == (columns is None):
             raise ValueError("pass exactly one of a Trace or a columns tuple")
         if trace is not None:
@@ -333,7 +339,6 @@ class TraceArrays:
         every conditional record in trace order, the index of its PC in
         ``sites``. Computed once and cached."""
         if self._sites is None:
-            import numpy as np
             sites, ids = np.unique(self.pc[self.cond_mask], return_inverse=True)
             sites.flags.writeable = False
             ids = ids.astype(np.int64, copy=False)
@@ -397,6 +402,17 @@ class TraceBlock:
         return f"TraceBlock(start={self.start}, records={len(self)})"
 
 
+# A TraceBuilder log word packs one builder event into a Python int. The
+# bits from _CODE_BITS up count the instructions the event retires; the
+# low bits are its code. Code 2 * slot + taken (slot >= 1) is a branch
+# record of that slot, code 0 retires instructions only, code 1 a trap.
+_CODE_BITS = 32
+_CODE_MASK = (1 << _CODE_BITS) - 1
+_TRAP_WORD = 1 << _CODE_BITS | 1
+_INT64_MAX = (1 << 63) - 1
+_CONDITIONAL = BranchClass.CONDITIONAL
+
+
 class TraceBuilder:
     """Append-only builder used by all trace producers.
 
@@ -404,39 +420,73 @@ class TraceBuilder:
     dynamic branch and :meth:`instructions` to account for non-branch
     instructions executed between branches; ``instret`` values are
     derived automatically.
+
+    The builder keeps one packed log word per call (see ``_CODE_BITS``)
+    and a slot table of the distinct ``(pc, class, target)`` triples the
+    words point into. :meth:`build` decodes the whole log with NumPy:
+    ``instret`` is a cumulative sum, and pc, class and target are
+    gathers from the slot table, so records of one slot share one int
+    object per column. The decoded arrays become the trace's cached
+    :meth:`Trace.as_arrays`, unless a value does not fit their dtypes;
+    the list columns are exact either way.
     """
 
     def __init__(self, name: str = "anonymous", dataset: str = "", source: str = "unknown") -> None:
         self._name = name
         self._dataset = dataset
         self._source = source
+        self._log: List[int] = []
+        self._events = 0  # log words that are not branch records
+        self._slots: Dict[Tuple[int, int, int], int] = {}  # (pc, cls, target) -> code
+        self._slot_columns: Tuple[List, List, List] = ([0], [0], [0])  # pc, cls, target
+        self._recent: Dict[int, tuple] = {}  # pc -> (target, branch_class, code) seen last
+        self._counted = 0  # log words already summed into _instret
         self._instret = 0
-        self._pending_trap = False
-        self._pc: List[int] = []
-        self._taken: List[bool] = []
-        self._cls: List[int] = []
-        self._target: List[int] = []
-        self._instret_col: List[int] = []
-        self._trap: List[bool] = []
 
     def __len__(self) -> int:
-        return len(self._pc)
+        return len(self._log) - self._events
 
     @property
     def instret(self) -> int:
         """Dynamic instructions retired so far."""
+        log = self._log
+        if self._counted < len(log):
+            self._instret += sum(word >> _CODE_BITS for word in islice(log, self._counted, None))
+            self._counted = len(log)
         return self._instret
 
     def instructions(self, count: int) -> None:
         """Account for ``count`` non-branch instructions retiring."""
         if count < 0:
             raise ValueError("instruction count must be non-negative")
-        self._instret += count
+        if not count:
+            return
+        log = self._log
+        # Runs of instruction-only words (one per instruction from the ISA
+        # simulator) merge into one, unless `instret` has summed it already.
+        if self._counted < len(log) and not log[-1] & _CODE_MASK:
+            log[-1] += count << _CODE_BITS
+        else:
+            log.append(count << _CODE_BITS)
+            self._events += 1
 
     def trap(self) -> None:
         """Record that a trap occurs before the next branch record."""
-        self._pending_trap = True
-        self._instret += 1
+        self._log.append(_TRAP_WORD)
+        self._events += 1
+
+    def _slot(self, pc: int, branch_class: int, target: int) -> int:
+        """The record code (taken bit clear) of a slot, allocated on first use."""
+        key = (pc, int(branch_class), target)
+        code = self._slots.get(key)
+        if code is None:
+            code = 2 * len(self._slot_columns[0])
+            if code > _CODE_MASK:
+                raise OverflowError("too many distinct (pc, class, target) triples")
+            self._slots[key] = code
+            for column, value in zip(self._slot_columns, key):
+                column.append(value)
+        return code
 
     def branch(
         self,
@@ -461,17 +511,19 @@ class TraceBuilder:
         Returns:
             ``taken`` unchanged, so instrumented code can write
             ``if probe.branch(pc, x < y):`` and keep its own semantics.
+
+        Raises:
+            ValueError: when ``work`` is negative.
         """
-        if branch_class is not BranchClass.CONDITIONAL:
+        entry = self._recent.get(pc)
+        if entry is None or entry[0] != target or entry[1] is not branch_class:
+            entry = self._recent[pc] = (target, branch_class, self._slot(pc, branch_class, target))
+        if work < 0:
+            raise ValueError("work must be non-negative")
+        if branch_class is not _CONDITIONAL:
             taken = True
-        self._instret += work + 1
-        self._pc.append(pc)
-        self._taken.append(bool(taken))
-        self._cls.append(int(branch_class))
-        self._target.append(target)
-        self._instret_col.append(self._instret)
-        self._trap.append(self._pending_trap)
-        self._pending_trap = False
+        word = work + 1 << _CODE_BITS | entry[2]
+        self._log.append(word | 1 if taken else word)
         return taken
 
     def conditional(self, pc: int, taken: bool, work: int = 0) -> bool:
@@ -488,18 +540,43 @@ class TraceBuilder:
 
     def build(self, total_instructions: Optional[int] = None) -> Trace:
         """Freeze the builder into an immutable :class:`Trace`."""
+        log = self._log
+        # int64 decoding is exact while no word nor partial sum passes
+        # 2**63 - 1; otherwise the log decodes as Python ints, unbounded.
+        try:
+            words = np.array(log, dtype=np.int64)
+            exact = not log or len(log) * (int(words.max()) >> _CODE_BITS) <= _INT64_MAX
+        except OverflowError:
+            exact = False
+        if not exact:
+            words = np.array(log, dtype=object)
+        codes = (words & _CODE_MASK).astype(np.int64, copy=False)
+        clock = np.cumsum(words >> _CODE_BITS)
+        records = np.flatnonzero(codes > 1)
+        traps_so_far = np.cumsum(codes == 1)[records]
+        record_codes = codes[records]
+        slots = record_codes >> 1
+        taken = (record_codes & 1).astype(np.bool_)
+        trap = np.diff(traps_so_far, prepend=0) > 0
+        instret = clock[records]
+        pc, cls, target = (np.array(column, dtype=object)[slots].tolist()
+                           for column in self._slot_columns)
+        slot_pc, slot_cls, slot_target = self._slot_columns
+        try:
+            arrays = TraceArrays.from_columns(
+                np.array(slot_pc, dtype=np.int64)[slots], taken,
+                np.array(slot_cls, dtype=np.uint8)[slots],
+                np.array(slot_target, dtype=np.int64)[slots], instret.astype(np.int64), trap,
+            )
+        except (OverflowError, TypeError, ValueError):
+            arrays = None  # as_arrays() converts the lists, and raises, on demand
+        if total_instructions is None:
+            total_instructions = int(clock[-1]) if log else 0
         meta = TraceMeta(
             name=self._name,
             dataset=self._dataset,
             source=self._source,
-            total_instructions=self._instret if total_instructions is None else total_instructions,
+            total_instructions=total_instructions,
         )
-        return Trace(
-            meta=meta,
-            pc=self._pc,
-            taken=self._taken,
-            cls=self._cls,
-            target=self._target,
-            instret=self._instret_col,
-            trap=self._trap,
-        )
+        columns = (pc, taken.tolist(), cls, target, instret.tolist(), trap.tolist())
+        return Trace._from_lists(meta, columns, arrays)

@@ -27,7 +27,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, Iterator, Optional, Set
 
-from ..trace.events import BranchClass, Trace, TraceBuilder
+from ..trace.events import _CODE_BITS, BranchClass, Trace, TraceBuilder
 
 _PC_SPACE_BITS = 28
 _PC_ALIGN = 4
@@ -52,14 +52,22 @@ class BranchProbe:
     Wraps a :class:`TraceBuilder` with stable site-id allocation and
     branch-shaped conveniences. The instrumented code keeps its own
     semantics: ``probe.cond(...)`` returns the outcome it was given.
+
+    Conditional records skip :meth:`TraceBuilder.branch`: the probe
+    caches each label's packed slot code and appends one log word per
+    record to the builder itself.
     """
 
     def __init__(self, namespace: str, builder: TraceBuilder) -> None:
         self.namespace = namespace
         self.builder = builder
         self._sites: Dict[str, int] = {}
-        self._backward: Set[str] = set()
         self._used_pcs: Set[int] = set()
+        # label -> slot code of its conditional records. Once a label is
+        # declared backward it stays backward, so it enters both maps.
+        self._codes: Dict[str, int] = {}
+        self._backward: Dict[str, int] = {}
+        self._append = builder._log.append
 
     # ------------------------------------------------------------------
     # Site management
@@ -81,6 +89,15 @@ class BranchProbe:
     def num_sites(self) -> int:
         return len(self._sites)
 
+    def _code(self, label: str, backward: bool) -> int:
+        """Allocate the slot code of ``label``'s conditional records."""
+        pc = self.site(label)
+        target = pc - _BRANCH_SPAN if backward else pc + _BRANCH_SPAN
+        code = self._codes[label] = self.builder._slot(pc, BranchClass.CONDITIONAL, target)
+        if backward:
+            self._backward[label] = code
+        return code
+
     # ------------------------------------------------------------------
     # Branch-shaped events
     # ------------------------------------------------------------------
@@ -92,13 +109,19 @@ class BranchProbe:
             taken: the decision the algorithm actually made.
             work: non-branch instructions charged before this branch.
             backward: lay the branch out as a loop back-edge (target
-                below pc) for the BTFN scheme.
+                below pc) for the BTFN scheme. The label stays
+                backward for every later record.
+
+        Raises:
+            ValueError: when ``work`` is negative.
         """
-        pc = self.site(label)
-        if backward:
-            self._backward.add(label)
-        target = pc - _BRANCH_SPAN if label in self._backward else pc + _BRANCH_SPAN
-        self.builder.branch(pc, taken, BranchClass.CONDITIONAL, target=target, work=work)
+        code = (self._backward if backward else self._codes).get(label)
+        if code is None:
+            code = self._code(label, backward)
+        if work < 0:
+            raise ValueError("work must be non-negative")
+        word = work + 1 << _CODE_BITS | code
+        self._append(word | 1 if taken else word)
         return taken
 
     def loop(self, label: str, count: int, work: int = 3) -> Iterator[int]:
@@ -107,11 +130,18 @@ class BranchProbe:
         Emits a *taken* backward branch per completed iteration and one
         final *not-taken* branch at loop exit — the classic
         test-at-bottom loop shape. Zero-trip loops emit a single
-        not-taken branch (the guard fails immediately).
+        not-taken branch (the guard fails immediately). The records are
+        exactly those of ``cond(label, ..., backward=True)`` calls.
         """
+        append = self._append
+        back_edge = None  # the taken word, packed once the first record is in
         for index in range(count):
             yield index
-            self.cond(label, True, work=work, backward=True)
+            if back_edge is None:
+                self.cond(label, True, work=work, backward=True)
+                back_edge = work + 1 << _CODE_BITS | self._codes[label] | 1
+            else:
+                append(back_edge)
         self.cond(label, False, work=work, backward=True)
 
     def while_(self, label: str, condition: bool, work: int = 3) -> bool:

@@ -1,0 +1,178 @@
+"""The trace recorders that the packed-log :class:`TraceBuilder` replaced.
+
+``ReferenceBuilder`` is the six-list builder and ``ReferenceProbe`` the
+probe over it, kept verbatim as the oracle for
+``tests/test_trace_builder.py`` and the speed pin in
+``benchmarks/test_bench_workloads.py``, with the comparison both use.
+"""
+
+from typing import Dict, List, Optional, Set
+
+import numpy as np
+import pytest
+
+from repro.trace.events import BranchClass, Trace, TraceArrays, TraceMeta
+from repro.trace.stream import content_digest
+from repro.workloads.base import stable_site_id
+
+_BRANCH_SPAN = 64
+
+
+class ReferenceBuilder:
+    def __init__(self, name: str = "anonymous", dataset: str = "", source: str = "unknown") -> None:
+        self._name = name
+        self._dataset = dataset
+        self._source = source
+        self._instret = 0
+        self._pending_trap = False
+        self._pc: List[int] = []
+        self._taken: List[bool] = []
+        self._cls: List[int] = []
+        self._target: List[int] = []
+        self._instret_col: List[int] = []
+        self._trap: List[bool] = []
+
+    def __len__(self) -> int:
+        return len(self._pc)
+
+    @property
+    def instret(self) -> int:
+        return self._instret
+
+    def instructions(self, count: int) -> None:
+        if count < 0:
+            raise ValueError("instruction count must be non-negative")
+        self._instret += count
+
+    def trap(self) -> None:
+        self._pending_trap = True
+        self._instret += 1
+
+    def branch(self, pc, taken, branch_class=BranchClass.CONDITIONAL, target=0, work=0):
+        if branch_class is not BranchClass.CONDITIONAL:
+            taken = True
+        self._instret += work + 1
+        self._pc.append(pc)
+        self._taken.append(bool(taken))
+        self._cls.append(int(branch_class))
+        self._target.append(target)
+        self._instret_col.append(self._instret)
+        self._trap.append(self._pending_trap)
+        self._pending_trap = False
+        return taken
+
+    def conditional(self, pc, taken, work=0):
+        return self.branch(pc, taken, BranchClass.CONDITIONAL, work=work)
+
+    def unconditional(self, pc, target=0, work=0):
+        self.branch(pc, True, BranchClass.UNCONDITIONAL, target=target, work=work)
+
+    def call(self, pc, target=0, work=0):
+        self.branch(pc, True, BranchClass.CALL, target=target, work=work)
+
+    def ret(self, pc, target=0, work=0):
+        self.branch(pc, True, BranchClass.RETURN, target=target, work=work)
+
+    def build(self, total_instructions: Optional[int] = None) -> Trace:
+        meta = TraceMeta(
+            name=self._name,
+            dataset=self._dataset,
+            source=self._source,
+            total_instructions=self._instret if total_instructions is None else total_instructions,
+        )
+        return Trace(
+            meta=meta,
+            pc=self._pc,
+            taken=self._taken,
+            cls=self._cls,
+            target=self._target,
+            instret=self._instret_col,
+            trap=self._trap,
+        )
+
+
+class ReferenceProbe:
+    def __init__(self, namespace: str, builder) -> None:
+        self.namespace = namespace
+        self.builder = builder
+        self._sites: Dict[str, int] = {}
+        self._backward: Set[str] = set()
+        self._used_pcs: Set[int] = set()
+
+    def site(self, label: str) -> int:
+        pc = self._sites.get(label)
+        if pc is None:
+            salt = 0
+            pc = stable_site_id(self.namespace, label, salt)
+            while pc in self._used_pcs:
+                salt += 1
+                pc = stable_site_id(self.namespace, label, salt)
+            self._sites[label] = pc
+            self._used_pcs.add(pc)
+        return pc
+
+    @property
+    def num_sites(self) -> int:
+        return len(self._sites)
+
+    def cond(self, label, taken, work=3, backward=False):
+        pc = self.site(label)
+        if backward:
+            self._backward.add(label)
+        target = pc - _BRANCH_SPAN if label in self._backward else pc + _BRANCH_SPAN
+        self.builder.branch(pc, taken, BranchClass.CONDITIONAL, target=target, work=work)
+        return taken
+
+    def loop(self, label, count, work=3):
+        for index in range(count):
+            yield index
+            self.cond(label, True, work=work, backward=True)
+        self.cond(label, False, work=work, backward=True)
+
+    def while_(self, label, condition, work=3):
+        return self.cond(label, condition, work=work, backward=True)
+
+    def call(self, label, work=2):
+        pc = self.site(label)
+        self.builder.call(pc, target=pc + _BRANCH_SPAN, work=work)
+
+    def ret(self, label, work=1):
+        pc = self.site(label)
+        self.builder.ret(pc, work=work)
+
+    def jump(self, label, work=1):
+        pc = self.site(label)
+        self.builder.unconditional(pc, target=pc + _BRANCH_SPAN, work=work)
+
+    def trap(self):
+        self.builder.trap()
+
+    def work(self, count):
+        self.builder.instructions(count)
+
+
+def assert_same_trace(trace: Trace, expected: Trace, digest: bool = True) -> None:
+    """``trace`` equals ``expected`` column for column, element type for
+    element type, with equal metadata. When ``expected`` converts to
+    arrays, ``trace`` carries equal read-only arrays already; when it
+    does not, ``trace`` carries none and ``as_arrays`` raises."""
+    assert trace.meta == expected.meta
+    assert len(trace) == len(expected)
+    for column, want in zip(trace.columns, expected.columns):
+        assert column == want
+        assert list(map(type, column)) == list(map(type, want))
+    try:
+        want_arrays = TraceArrays(expected)
+    except OverflowError:
+        assert trace._arrays is None
+        with pytest.raises(OverflowError):
+            trace.as_arrays()
+        return
+    arrays = trace._arrays
+    assert arrays is not None, "a builder trace within the dtypes carries its arrays"
+    for name in ("pc", "taken", "cls", "target", "instret", "trap", "cond_mask"):
+        got, want = getattr(arrays, name), getattr(want_arrays, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+        assert not got.flags.writeable
+    if digest:
+        assert content_digest(trace) == content_digest(expected)

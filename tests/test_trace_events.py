@@ -55,6 +55,29 @@ class TestTraceBuilder:
         with pytest.raises(ValueError):
             builder.instructions(-1)
 
+    def test_negative_branch_work_rejected(self):
+        from repro.workloads.base import BranchProbe
+
+        builder = TraceBuilder()
+        builder.conditional(1, True, work=5)
+        probe = BranchProbe("ns", builder)
+        for record in (
+            lambda: builder.branch(1, True, work=-1),
+            lambda: builder.conditional(1, True, work=-10),
+            lambda: builder.unconditional(1, work=-1),
+            lambda: builder.call(1, work=-1),
+            lambda: builder.ret(1, work=-1),
+            lambda: probe.cond("site", True, work=-1),
+            lambda: probe.while_("loop", True, work=-1),
+            lambda: list(probe.loop("loop", 2, work=-1)),
+        ):
+            with pytest.raises(ValueError):
+                record()
+        assert len(builder) == 1
+        trace = builder.build()
+        assert trace.columns[4] == [6]
+        assert trace.meta.total_instructions == 6
+
     def test_convenience_wrappers_set_classes(self):
         builder = TraceBuilder()
         builder.conditional(1, True)
