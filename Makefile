@@ -74,15 +74,15 @@ characterize:
 experiments:
 	$(PYTHON) -m repro.experiments.cli all --out results/
 
-# Committed-results gate: regenerate every table and figure uncached
-# into a temporary directory and require each file to be byte-identical
-# to its committed copy under results/ (fails with a unified diff).
+# Committed-results gate: regenerate every table, figure and extra
+# uncached into a temporary directory and require each file to be
+# byte-identical to its committed copy under results/ (fails with a
+# unified diff).
 results-check:
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
-	PYTHONPATH=src $(PYTHON) -m repro.experiments.cli tables --no-cache --out "$$tmp" >/dev/null && \
-	PYTHONPATH=src $(PYTHON) -m repro.experiments.cli figures --no-cache --out "$$tmp" >/dev/null || exit 1; \
+	PYTHONPATH=src $(PYTHON) -m repro.experiments.cli all --no-cache --out "$$tmp" >/dev/null || exit 1; \
 	status=0; \
-	for f in "$$tmp"/table*.txt "$$tmp"/fig*.txt; do \
+	for f in "$$tmp"/table*.txt "$$tmp"/fig*.txt "$$tmp"/extra-*.txt; do \
 		diff -u "results/$${f##*/}" "$$f" || status=1; \
 	done; \
 	exit $$status

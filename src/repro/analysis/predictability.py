@@ -62,7 +62,7 @@ from ..core.history import history_mask
 from ..predictors.base import BranchPredictor
 from ..trace.events import BranchClass, Trace
 from ..trace.stream import TraceSource, iter_source_tuples
-from .breakdown import _COLD_OCCURRENCES, _POST_FLUSH_WINDOW, MispredictionBreakdown
+from .breakdown import MispredictionBreakdown, _replay
 from .interference import bht_pressure, first_level_interference, second_level_interference
 
 try:  # NumPy powers the vectorized estimator; pure python always works.
@@ -721,61 +721,25 @@ def attribute_scheme(
 ) -> SchemeAttribution:
     """Replay one predictor, collecting per-site hits and miss classes.
 
-    A single streaming pass combining
-    :func:`repro.analysis.breakdown.misprediction_breakdown` (same
-    cold / post-flush / steady classification and context-switch
-    cadence) with per-site correct counts, so the per-cluster winner
-    table costs one replay per scheme.
+    One replay yields both the
+    :func:`repro.analysis.breakdown.misprediction_breakdown` miss
+    classes and the per-site correct counts, so the per-cluster winner
+    table costs one replay per scheme. Like the breakdown, it scores
+    the engine's mispredicted records and needs a freshly built
+    ``predictor``.
     """
-    occurrences: Dict[int, int] = {}
-    since_flush: Dict[int, int] = {}
-    site_correct: Dict[int, int] = {}
-    total = 0
-    misses = 0
-    cold = 0
-    post_flush = 0
-    cs_enabled = context_switches is not None
-    interval = context_switches.interval if cs_enabled else 0
-    switch_on_traps = context_switches.switch_on_traps if cs_enabled else False
-    next_switch = interval
-    for pc, taken, cls, target, instret, trap in iter_source_tuples(
-        source, block_size
-    ):
-        if cs_enabled and ((trap and switch_on_traps) or instret >= next_switch):
-            predictor.on_context_switch()
-            if instret >= next_switch:
-                next_switch += interval * ((instret - next_switch) // interval + 1)
-            since_flush = {}
-        if cls != _COND:
-            continue
-        prediction = predictor.predict(pc, target)
-        predictor.update(pc, taken, target)
-        total += 1
-        count = occurrences.get(pc, 0)
-        occurrences[pc] = count + 1
-        flush_count = since_flush.get(pc, 0)
-        since_flush[pc] = flush_count + 1
-        if prediction == taken:
-            site_correct[pc] = site_correct.get(pc, 0) + 1
-            continue
-        misses += 1
-        if count < _COLD_OCCURRENCES:
-            cold += 1
-        elif cs_enabled and flush_count < _POST_FLUSH_WINDOW:
-            post_flush += 1
+    tally = _replay(predictor, source, context_switches, block_size)
+    breakdown = tally.breakdown()
+    correct = tally.executions - tally.misses
     return SchemeAttribution(
         scheme=scheme or type(predictor).__name__,
-        executions=total,
-        correct=total - misses,
-        breakdown=MispredictionBreakdown(
-            total_branches=total,
-            total_misses=misses,
-            cold_misses=cold,
-            post_flush_misses=post_flush,
-            steady_misses=misses - cold - post_flush,
-        ),
-        site_correct=site_correct,
-        site_executions=dict(occurrences),
+        executions=breakdown.total_branches,
+        correct=breakdown.total_branches - breakdown.total_misses,
+        breakdown=breakdown,
+        site_correct={
+            int(tally.sites[i]): int(correct[i]) for i in _np.flatnonzero(correct).tolist()
+        },
+        site_executions=dict(zip(tally.sites.tolist(), tally.executions.tolist())),
     )
 
 

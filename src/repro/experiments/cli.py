@@ -72,7 +72,7 @@ def run_experiment(
         cases: pre-built benchmark cases shared across experiments.
         n_workers: worker processes for matrix-producing drivers.
         result_cache: on-disk result cache for matrix-producing drivers.
-        backend: simulation backend for matrix-producing drivers
+        backend: simulation backend for drivers that simulate
             (``"auto"`` / ``"python"`` / ``"vectorized"``; results are
             bit-identical, see :data:`repro.sim.engine.SIM_BACKENDS`).
 

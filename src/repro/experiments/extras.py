@@ -131,6 +131,7 @@ def extra_interference(
     cases: Optional[Sequence[BenchmarkCase]] = None,
     scale: int = 1,
     history_bits: int = 6,
+    backend: str = "auto",
 ) -> FigureResult:
     """Interference measured directly, next to the variation accuracies."""
     cases = _cases(cases, scale)
@@ -148,9 +149,9 @@ def extra_interference(
         first = first_level_interference(trace, history_bits)
         second = second_level_interference(trace, history_bits)
         pressure = bht_pressure(trace)
-        gag = simulate(make_gag(history_bits), trace).accuracy
-        pag = simulate(make_pag(history_bits), trace).accuracy
-        pap = simulate(make_pap(history_bits), trace).accuracy
+        gag = simulate(make_gag(history_bits), trace, backend=backend).accuracy
+        pag = simulate(make_pag(history_bits), trace, backend=backend).accuracy
+        pap = simulate(make_pap(history_bits), trace, backend=backend).accuracy
         bound = history_bound(trace, history_bits)
         rows.append(
             [case.name, first.pollution_rate, second.destructive_rate,
@@ -238,6 +239,7 @@ def extra_sensitivity(
     cases: Optional[Sequence[BenchmarkCase]] = None,
     scale: int = 1,
     history_bits: int = 12,
+    backend: str = "auto",
 ) -> FigureResult:
     """Dataset-shift sensitivity of profiled vs adaptive schemes.
 
@@ -271,11 +273,14 @@ def extra_sensitivity(
             for spec in workload.alternate_datasets
         ]
         for label, trace in targets:
-            pag = simulate(make_pag(history_bits), trace).accuracy
+            pag = simulate(make_pag(history_bits), trace, backend=backend).accuracy
             psg = simulate(
-                PSgPredictor.trained_on(training, history_bits, 512, 4), trace
+                PSgPredictor.trained_on(training, history_bits, 512, 4), trace,
+                backend=backend,
             ).accuracy
-            profile = simulate(ProfileGuided.trained_on(training), trace).accuracy
+            profile = simulate(
+                ProfileGuided.trained_on(training), trace, backend=backend
+            ).accuracy
             rows.append([name, label, pag, psg, profile])
             summary.setdefault(name, {})[label] = {
                 "pag": pag, "psg": psg, "profile": profile,
@@ -297,6 +302,7 @@ def extra_ipc(
     scale: int = 1,
     width: int = 8,
     resolve_depth: int = 12,
+    backend: str = "auto",
 ) -> FigureResult:
     """The paper's §1 motivation, quantified: predictor accuracy turned
     into first-order effective IPC on a wide, deep machine.
@@ -319,8 +325,8 @@ def extra_ipc(
     summary = {}
     for case in cases:
         trace = case.test_trace
-        pag_result = simulate(make_pag(12), trace)
-        btb_result = simulate(btb_a2(), trace)
+        pag_result = simulate(make_pag(12), trace, backend=backend)
+        btb_result = simulate(btb_a2(), trace, backend=backend)
         pag_ipc = ipc_from_result(pag_result, machine).effective_ipc
         btb_ipc = ipc_from_result(btb_result, machine).effective_ipc
         rows.append(

@@ -534,7 +534,7 @@ def _cmd_attribute(args: argparse.Namespace) -> int:
     scheme_name = normalize_scheme(args.scheme)
     context = _context_from_args(args)
     try:
-        # Each replay needs a fresh predictor — the passes mutate state.
+        # Each replay needs a freshly built predictor (see simulate).
         breakdown = misprediction_breakdown(
             make_predictor(scheme_name, training_trace),
             test_trace,

@@ -47,7 +47,7 @@ from __future__ import annotations
 
 from itertools import chain
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Tuple, TypeVar
 
 from ..predictors.base import BranchPredictor
 from ..trace.events import BranchClass, Trace
@@ -66,6 +66,8 @@ __all__ = [
     "simulate_named",
     "simulate_with_backend",
 ]
+
+_T = TypeVar("_T")
 
 SIM_BACKENDS: Tuple[str, ...] = ("auto", "python", "vectorized")
 """Accepted ``backend`` arguments: ``"python"`` is the interpreted
@@ -359,6 +361,102 @@ def simulate_with_backend(
     )
     _log_run_end(logger, result)
     return result, "python"
+
+
+def _replay_mispredictions(
+    predictor: BranchPredictor,
+    source: "TraceSource",
+    fold: Callable[[Iterator[tuple]], _T],
+    context_switches: Optional[ContextSwitchConfig] = None,
+    block_size: Optional[int] = None,
+) -> _T:
+    """Replay ``source`` through ``predictor`` and return ``fold(blocks)``.
+
+    ``blocks`` yields one ``(pc, taken, seg, wrong)`` tuple of NumPy
+    arrays per block: the conditional records' pcs, outcomes and
+    flush-segment ids (non-decreasing; they step at every context
+    switch and stay comparable across blocks), and the block-local
+    indices of the mispredicted ones, each once, in any order. The
+    blocks come from the kernel fold, walked as :func:`simulate` walks
+    them, so ``predictor`` must be freshly built. A predictor with no
+    kernel, or a source that breaks a kernel precondition, is replayed
+    by the probed interpreted loop instead, as one block holding every
+    conditional record. A fold the kernel abandoned part-way is
+    discarded, not resumed, so ``fold`` sees exactly one complete
+    replay.
+
+    Raises:
+        ValueError: for an unbounded source or a block size < 1.
+    """
+    if block_size is not None and block_size < 1:
+        raise ValueError("block_size must be >= 1")
+    if getattr(source, "num_records", 0) is None:
+        raise ValueError(
+            "cannot replay an unbounded trace source; bound it with .limit(n)"
+        )
+    from .kernels import _DEFAULT_STREAM_BLOCK, KernelUnavailable, _kernel_blocks
+
+    if block_size is None and isinstance(source, Trace):
+        blocks, final = (source,), True
+    else:
+        blocks, final = source.iter_blocks(block_size or _DEFAULT_STREAM_BLOCK), False
+    # Per-site tracking keeps every kernel returning miss indices.
+    runs = _kernel_blocks(predictor, blocks, context_switches, track_per_site=True,
+                          warmup_branches=0, final=final)
+    try:
+        return fold((run.pc_c, run.out_bool, run.seg_c, wrong)
+                    for run, wrong in runs if run.n_c)
+    except KernelUnavailable as exc:
+        from ..obs.log import get_logger
+
+        get_logger("sim.engine").event(
+            "kernel_fallback",
+            scheme=getattr(predictor, "name", type(predictor).__name__),
+            trace=source.meta.name,
+            streaming=not final,
+            reason=str(exc),
+        )
+    probe = _MissProbe()
+    _simulate_probed(predictor, source, probe, context_switches=context_switches,
+                     block_size=block_size)
+    return fold(iter((probe.block(),)))
+
+
+class _MissProbe:
+    """Probe collecting the probed loop's conditional records as one
+    :func:`_replay_mispredictions` block."""
+
+    def __init__(self) -> None:
+        self.pc: List[int] = []
+        self.taken: List[bool] = []
+        self.seg: List[int] = []
+        self.wrong: List[int] = []
+        self.switches = 0
+
+    def on_run_start(self, predictor, trace) -> None:
+        pass
+
+    def on_branch(self, pc: int, predicted: bool, taken: bool, instret: int) -> None:
+        if predicted != taken:
+            self.wrong.append(len(self.pc))
+        self.pc.append(pc)
+        self.taken.append(taken)
+        self.seg.append(self.switches)
+
+    def on_context_switch(self, instret: int) -> None:
+        self.switches += 1
+
+    def on_interval(self, index: int, instret: int) -> None:
+        pass
+
+    def on_run_end(self, result) -> None:
+        pass
+
+    def block(self) -> tuple:
+        import numpy as np
+
+        return (np.array(self.pc, dtype=np.int64), np.array(self.taken, dtype=np.bool_),
+                np.array(self.seg, dtype=np.int64), np.array(self.wrong, dtype=np.int64))
 
 
 def _record_tuples(trace: "TraceSource", block_size: Optional[int], recorder=None):

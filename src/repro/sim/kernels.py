@@ -80,10 +80,13 @@ per run where ``head_wrong`` steps up, plus the whole tail where
 ``tail_mis`` is set — and :func:`_scan` maps them through the group
 sort back to trace order. GSg, PSg and the static schemes return where
 their direct predictions miss; the tournament rebuilds its components'
-miss masks from their indices. :func:`_fold` counts the indices at or
-past the warmup, and the per-site dictionaries are ``bincount`` s of the
-site ids of every scored record (executions) and of the scored indices
-(mispredictions).
+miss masks from their indices. :func:`_kernel_blocks` is the one
+block loop: it threads the carry and yields each block's run with its
+outcome. :func:`_fold` counts the indices at or past the warmup, and
+the per-site dictionaries are ``bincount`` s of the site ids of every
+scored record (executions) and of the scored indices (mispredictions).
+The miss analyses of :mod:`repro.analysis` read the same generator's
+indices through :func:`repro.sim.engine._replay_mispredictions`.
 
 The first-level layout memo
 ---------------------------
@@ -490,8 +493,8 @@ def _start_indices(new_mark: np.ndarray) -> np.ndarray:
     """For each position, the index of its group's first element.
 
     int32 keeps this (and its downstream arithmetic) at half the memory
-    traffic; :func:`_fold` refuses blocks of ``2**_MAX_BLOCK_INDEX_BITS``
-    or more records.
+    traffic; :func:`_kernel_blocks` refuses blocks of
+    ``2**_MAX_BLOCK_INDEX_BITS`` or more records.
     """
     n = new_mark.shape[0]
     return np.maximum.accumulate(
@@ -1685,30 +1688,36 @@ def kernel_supports(predictor) -> bool:
     return _kernel_for(predictor) is not None
 
 
-def _fold(predictor, blocks, meta, context_switches: Optional[ContextSwitchConfig],
-          track_per_site: bool, warmup_branches: int, final: bool) -> SimulationResult:
+def _kernel_blocks(predictor, blocks, context_switches: Optional[ContextSwitchConfig],
+                   track_per_site: bool, warmup_branches: int, final: bool):
     """Fold ``predictor``'s kernel over ``blocks``, threading its carry,
-    the warmup budget and the absolute context-switch epochs."""
+    the warmup budget and the absolute context-switch epochs.
+
+    Yields ``(run, outcome)`` for every non-empty block: ``outcome`` is
+    the kernel's (see :func:`_kernel_for`), or None for a block with no
+    conditional record. With ``track_per_site`` it is always the
+    block-local indices of the mispredicted conditional records.
+
+    Raises:
+        KernelUnavailable: when no kernel covers the predictor, or a
+            block breaks a kernel precondition; possibly after earlier
+            blocks were yielded.
+    """
     kernel = _kernel_for(predictor)
     if kernel is None:
         raise KernelUnavailable(
             f"no vectorized kernel for {getattr(predictor, 'name', type(predictor).__name__)}"
         )
     warmup = max(int(warmup_branches), 0)
-    track = bool(track_per_site)
-    correct = 0
     cond_seen = 0
-    switches = 0
     prev_epoch: Optional[int] = None
     fires = 0
     last_instret: Optional[int] = None
     carry = None
-    per_seen: Optional[Dict[int, int]] = {} if track else None
-    per_wrong: Optional[Dict[int, int]] = {} if track else None
     for block in blocks:
         if len(block) == 0:
             continue
-        run = _Run(block, context_switches, track, max(warmup - cond_seen, 0),
+        run = _Run(block, context_switches, track_per_site, max(warmup - cond_seen, 0),
                    prev_epoch=prev_epoch, fires_base=fires, t0=cond_seen, final=final)
         if context_switches is not None:
             first_instret = int(run.arrays.instret[0])
@@ -1719,8 +1728,8 @@ def _fold(predictor, blocks, meta, context_switches: Optional[ContextSwitchConfi
                 )
             last_instret = int(run.arrays.instret[-1])
             prev_epoch = run.last_epoch
-        switches += run.switches
         fires = run.fires_end
+        outcome = None
         if run.n_c:
             if run.n_c >= 1 << _MAX_BLOCK_INDEX_BITS:
                 raise KernelUnavailable(
@@ -1733,17 +1742,36 @@ def _fold(predictor, blocks, meta, context_switches: Optional[ContextSwitchConfi
                     "carried table ids would overflow their packed keys"
                 )
             outcome, carry = kernel(run, carry)
-            if isinstance(outcome, (int, np.integer)):
-                correct += int(outcome)
-            else:
-                block_correct, block_seen, block_wrong = _score_predictions(run, outcome)
-                correct += block_correct
-                if track:
-                    for pc, count in block_seen.items():
-                        per_seen[pc] = per_seen.get(pc, 0) + count
-                    for pc, count in block_wrong.items():
-                        per_wrong[pc] = per_wrong.get(pc, 0) + count
         cond_seen += run.n_c
+        yield run, outcome
+
+
+def _fold(predictor, blocks, meta, context_switches: Optional[ContextSwitchConfig],
+          track_per_site: bool, warmup_branches: int, final: bool) -> SimulationResult:
+    """Score :func:`_kernel_blocks` into a :class:`SimulationResult`."""
+    warmup = max(int(warmup_branches), 0)
+    track = bool(track_per_site)
+    correct = 0
+    cond_seen = 0
+    switches = 0
+    per_seen: Optional[Dict[int, int]] = {} if track else None
+    per_wrong: Optional[Dict[int, int]] = {} if track else None
+    for run, outcome in _kernel_blocks(predictor, blocks, context_switches, track,
+                                       warmup, final):
+        switches += run.switches
+        cond_seen += run.n_c
+        if outcome is None:
+            continue
+        if isinstance(outcome, (int, np.integer)):
+            correct += int(outcome)
+        else:
+            block_correct, block_seen, block_wrong = _score_predictions(run, outcome)
+            correct += block_correct
+            if track:
+                for pc, count in block_seen.items():
+                    per_seen[pc] = per_seen.get(pc, 0) + count
+                for pc, count in block_wrong.items():
+                    per_wrong[pc] = per_wrong.get(pc, 0) + count
     return SimulationResult(
         predictor_name=predictor.name,
         trace_name=meta.name,
