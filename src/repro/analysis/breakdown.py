@@ -21,8 +21,8 @@ characterisation for any predictor on any trace:
 
 No pass replays the predictor itself. Each scores the engine's
 mispredicted records, block by block, as the kernel fold of
-:func:`repro.sim.simulate` produces them (or the probed interpreted
-loop, for a predictor with no kernel), and tallies them with NumPy. So
+:func:`repro.sim.simulate` produces them (or its interpreted loop,
+probed, for a predictor with no kernel), and tallies them with NumPy. So
 each pass needs a freshly built predictor, as
 ``simulate(backend="auto")`` does. Per-site counts carry across blocks,
 so memory grows with the static sites and the misses, not the trace.

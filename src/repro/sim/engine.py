@@ -15,12 +15,12 @@ tables alone.
 Observability (see :mod:`repro.obs`): ``simulate`` optionally accepts a
 *probe* — any object with the :class:`repro.obs.Probe` callback surface
 (``on_run_start``, ``on_branch``, ``on_interval``, ``on_context_switch``,
-``on_run_end``). With no probe attached the engine takes a separate
-fast path containing not a single extra per-record operation, so
-results are bit-identical to — and as fast as — a probe-less build;
-with a probe attached, results are still bit-identical because probes
-only *observe* (the purity lint in :mod:`repro.check` enforces that
-they cannot mutate predictor state).
+``on_run_end``). Probed and unprobed runs share one interpreted loop:
+the callbacks are fetched once per run and each is guarded by a local
+``if probing:`` test, so a probe-less run pays one truth test per
+callback site and nothing else. Results are bit-identical either way
+because probes only *observe* (the purity lint in :mod:`repro.check`
+enforces that they cannot mutate predictor state).
 
 Backends: the interpreted loop above is the reference semantics, and
 ``backend="vectorized"`` swaps in the batch kernels of
@@ -29,7 +29,7 @@ folded over blocks with carried state, bit-identical either way and
 pinned by the equivalence and differential suites. ``backend="auto"``
 prefers the kernel and falls back to the interpreted loop only when the
 predictor has none or the trace breaks a kernel precondition; probed
-runs always take the interpreted twin loop, because probes observe
+runs always take the interpreted loop, because probes observe
 per-record state that batch evaluation never materialises.
 
 Trace inputs: every entry point accepts any
@@ -121,14 +121,13 @@ def simulate(
             predicted and updated but *not scored* (the paper does not
             use warm-up — provided for sensitivity studies).
         probe: optional observability probe (see :mod:`repro.obs`).
-            Attaching a probe never changes the returned result; with
-            ``None`` the engine runs the original probe-free loop.
+            Attaching a probe never changes the returned result.
         backend: ``"python"`` (default — the interpreted reference
             loop), ``"vectorized"`` (require a batch kernel; raises
             :class:`repro.sim.kernels.KernelUnavailable` when the
             predictor has none), or ``"auto"`` (kernel when available,
             interpreted loop otherwise). A probe forces the interpreted
-            twin loop under ``"auto"``/``"python"``; an *explicit*
+            loop under ``"auto"``/``"python"``; an *explicit*
             ``"vectorized"`` request with a probe raises
             :class:`~repro.sim.kernels.KernelUnavailable` instead of
             silently running the interpreted loop. Every backend
@@ -191,10 +190,10 @@ def simulate_with_backend(
     streaming = block_size is not None or not isinstance(trace, Trace)
     # Structured-log telemetry (a no-op unless repro.obs.log was
     # enabled; the deferred import keeps package init acyclic). Both
-    # events fire outside the record loop, so the probe-off fast path
-    # is untouched. The span recorder follows the same discipline:
-    # fetched once per run, consulted only at backend/phase boundaries,
-    # and None (no span work at all) unless tracing was enabled.
+    # events fire outside the record loop. The span recorder follows
+    # the same discipline: fetched once per run, consulted only at
+    # backend/phase boundaries, and None (no span work at all) unless
+    # tracing was enabled.
     from ..obs.log import get_logger
     from ..obs.spans import get_recorder as _get_span_recorder
 
@@ -208,40 +207,19 @@ def simulate_with_backend(
         probed=probe is not None,
         backend=backend,
     )
-    if probe is not None:
-        if backend == "vectorized":
-            # An explicit kernel request cannot be honoured: probes
-            # observe per-record predictor state that the batch kernels
-            # never materialise. Failing loudly beats silently running
-            # the interpreted loop under a "vectorized" label.
-            from .kernels import KernelUnavailable
+    if probe is not None and backend == "vectorized":
+        # An explicit kernel request cannot be honoured: probes observe
+        # per-record predictor state that the batch kernels never
+        # materialise. Failing loudly beats silently running the
+        # interpreted loop under a "vectorized" label.
+        from .kernels import KernelUnavailable
 
-            raise KernelUnavailable(
-                "probed runs take the interpreted twin loop; an explicit "
-                "backend='vectorized' cannot honour a probe (use "
-                "backend='auto' or 'python', or drop the probe)"
-            )
-        span_id = (
-            recorder.push("interpret", cat="engine", probed=True)
-            if recorder is not None
-            else 0
+        raise KernelUnavailable(
+            "probed runs take the interpreted loop; an explicit "
+            "backend='vectorized' cannot honour a probe (use "
+            "backend='auto' or 'python', or drop the probe)"
         )
-        try:
-            result = _simulate_probed(
-                predictor,
-                trace,
-                probe,
-                context_switches=context_switches,
-                track_per_site=track_per_site,
-                warmup_branches=warmup_branches,
-                block_size=block_size,
-            )
-        finally:
-            if recorder is not None:
-                recorder.pop_through(span_id)
-        _log_run_end(logger, result)
-        return result, "python"
-    if backend != "python":
+    if probe is None and backend != "python":
         try:
             # Deferred and guarded: the kernels need numpy, which is an
             # optional dependency of the interpreted simulator.
@@ -301,6 +279,40 @@ def simulate_with_backend(
                     recorder.pop_through(span_id, branches=result.conditional_branches)
                 _log_run_end(logger, result)
                 return result, "vectorized"
+    result = _interpret(predictor, trace, context_switches, track_per_site,
+                        warmup_branches, probe, block_size, recorder)
+    _log_run_end(logger, result)
+    return result, "python"
+
+
+def _interpret(
+    predictor: BranchPredictor,
+    trace: "TraceSource",
+    context_switches: Optional[ContextSwitchConfig],
+    track_per_site: bool,
+    warmup_branches: int,
+    probe: Optional["Probe"],
+    block_size: Optional[int],
+    recorder=None,
+) -> SimulationResult:
+    """The interpreted loop: the engine's only per-record replay.
+
+    Every conditional branch is predicted, updated and scored in trace
+    order. With a probe attached the loop also makes its callbacks:
+
+    * ``on_run_start(predictor, trace)`` before the first record;
+    * ``on_branch(pc, predicted, taken, instret)`` after each
+      conditional branch resolves (warm-up branches included);
+    * ``on_context_switch(instret)`` after each history flush;
+    * ``on_interval(index, instret)`` each time the instruction clock
+      crosses a multiple of ``probe.interval_instructions`` (skipped
+      entirely when that attribute is ``None``), checked after every
+      record, conditional or not;
+    * ``on_run_end(result)`` with the final result.
+
+    With an active span ``recorder`` the run is one ``"interpret"``
+    span (``probed=True`` when a probe is attached).
+    """
     conditional = 0
     correct = 0
     switches = 0
@@ -316,8 +328,24 @@ def simulate_with_backend(
     update = predictor.update
     cond_class = int(BranchClass.CONDITIONAL)
 
-    span_id = recorder.push("interpret", cat="engine") if recorder is not None else 0
+    probing = probe is not None
+    if recorder is None:
+        span_id = 0
+    elif probing:
+        span_id = recorder.push("interpret", cat="engine", probed=True)
+    else:
+        span_id = recorder.push("interpret", cat="engine")
     try:
+        window = 0
+        if probing:
+            probe.on_run_start(predictor, trace)
+            on_branch = probe.on_branch
+            on_context_switch = probe.on_context_switch
+            on_interval = probe.on_interval
+            window = getattr(probe, "interval_instructions", None) or 0
+        windowed = bool(window)
+        next_window = window
+        window_index = 0
         for pc, taken, cls, target, instret, trap in _record_tuples(
             trace, block_size, recorder
         ):
@@ -330,19 +358,26 @@ def simulate_with_backend(
                     # trap never reschedules them, and a trap coinciding
                     # with a boundary counts as a single switch.
                     next_switch += interval * ((instret - next_switch) // interval + 1)
-            if cls != cond_class:
-                continue
-            prediction = predict(pc, target)
-            update(pc, taken, target)
-            conditional += 1
-            if conditional <= warmup_branches:
-                continue
-            if prediction == taken:
-                correct += 1
-            elif track_per_site:
-                per_site_wrong[pc] = per_site_wrong.get(pc, 0) + 1
-            if track_per_site:
-                per_site_seen[pc] = per_site_seen.get(pc, 0) + 1
+                if probing:
+                    on_context_switch(instret)
+            if cls == cond_class:
+                prediction = predict(pc, target)
+                update(pc, taken, target)
+                conditional += 1
+                if probing:
+                    on_branch(pc, prediction, taken, instret)
+                if conditional > warmup_branches:
+                    if prediction == taken:
+                        correct += 1
+                    elif track_per_site:
+                        per_site_wrong[pc] = per_site_wrong.get(pc, 0) + 1
+                    if track_per_site:
+                        per_site_seen[pc] = per_site_seen.get(pc, 0) + 1
+            if windowed and instret >= next_window:
+                while instret >= next_window:
+                    next_window += window
+                    window_index += 1
+                on_interval(window_index - 1, instret)
     finally:
         if recorder is not None:
             recorder.pop_through(span_id, branches=conditional)
@@ -359,8 +394,9 @@ def simulate_with_backend(
         per_site_mispredictions=per_site_wrong if track_per_site else None,
         total_instructions=trace.meta.total_instructions,
     )
-    _log_run_end(logger, result)
-    return result, "python"
+    if probing:
+        probe.on_run_end(result)
+    return result
 
 
 def _replay_mispredictions(
@@ -380,7 +416,7 @@ def _replay_mispredictions(
     blocks come from the kernel fold, walked as :func:`simulate` walks
     them, so ``predictor`` must be freshly built. A predictor with no
     kernel, or a source that breaks a kernel precondition, is replayed
-    by the probed interpreted loop instead, as one block holding every
+    by the interpreted loop with a probe instead, as one block holding every
     conditional record. A fold the kernel abandoned part-way is
     discarded, not resumed, so ``fold`` sees exactly one complete
     replay.
@@ -417,13 +453,13 @@ def _replay_mispredictions(
             reason=str(exc),
         )
     probe = _MissProbe()
-    _simulate_probed(predictor, source, probe, context_switches=context_switches,
-                     block_size=block_size)
+    _interpret(predictor, source, context_switches, track_per_site=False,
+               warmup_branches=0, probe=probe, block_size=block_size)
     return fold(iter((probe.block(),)))
 
 
 class _MissProbe:
-    """Probe collecting the probed loop's conditional records as one
+    """Probe collecting the interpreted loop's conditional records as one
     :func:`_replay_mispredictions` block."""
 
     def __init__(self) -> None:
@@ -460,37 +496,22 @@ class _MissProbe:
 
 
 def _record_tuples(trace: "TraceSource", block_size: Optional[int], recorder=None):
-    """The interpreted loops' record iterator: plain tuples, optionally
+    """The interpreted loop's record iterator: plain tuples, optionally
     consumed block-wise so a streamed source never materializes.
 
     With an active span recorder and a block size, each block's
     consumption is wrapped in a ``"block"`` span (the per-block level of
-    the sweep → cell → phase → block hierarchy); with no recorder the
-    iterator is exactly the pre-tracing chain — zero added work.
+    the sweep → cell → phase → block hierarchy) by the same wrapper the
+    kernels use; with no recorder the iterator is a plain chain.
     """
     if block_size is None:
         return trace.iter_tuples()
-    if recorder is None:
-        return chain.from_iterable(
-            block.iter_tuples() for block in trace.iter_blocks(block_size)
-        )
-    return _traced_block_tuples(trace, block_size, recorder)
+    blocks = trace.iter_blocks(block_size)
+    if recorder is not None:
+        from .kernels import _traced_blocks
 
-
-def _traced_block_tuples(trace: "TraceSource", block_size: int, recorder):
-    """Block-wise record iterator emitting one span per consumed block.
-
-    The lenient ``pop_if_open`` matters: on an exception in the
-    consuming loop this generator is finalized *after* the caller has
-    already closed its own enclosing span, and a blind pop would then
-    close somebody else's.
-    """
-    for index, block in enumerate(trace.iter_blocks(block_size)):
-        span_id = recorder.push("block", cat="engine", index=index, records=len(block))
-        try:
-            yield from block.iter_tuples()
-        finally:
-            recorder.pop_if_open(span_id)
+        blocks = _traced_blocks(blocks, recorder)
+    return chain.from_iterable(block.iter_tuples() for block in blocks)
 
 
 def _log_run_end(logger, result: SimulationResult) -> None:
@@ -503,95 +524,6 @@ def _log_run_end(logger, result: SimulationResult) -> None:
         accuracy=round(result.accuracy, 6),
         context_switches=result.context_switches,
     )
-
-
-def _simulate_probed(
-    predictor: BranchPredictor,
-    trace: "TraceSource",
-    probe: "Probe",
-    context_switches: Optional[ContextSwitchConfig] = None,
-    track_per_site: bool = False,
-    warmup_branches: int = 0,
-    block_size: Optional[int] = None,
-) -> SimulationResult:
-    """The probed twin of :func:`simulate`.
-
-    Identical simulation semantics — every branch is predicted, updated
-    and scored in exactly the same order with exactly the same state —
-    plus the probe callbacks:
-
-    * ``on_run_start(predictor, trace)`` before the first record;
-    * ``on_branch(pc, predicted, taken, instret)`` after each
-      conditional branch resolves (warm-up branches included);
-    * ``on_context_switch(instret)`` after each history flush;
-    * ``on_interval(index, instret)`` each time the instruction clock
-      crosses a multiple of ``probe.interval_instructions`` (skipped
-      entirely when that attribute is ``None``);
-    * ``on_run_end(result)`` with the final result.
-    """
-    conditional = 0
-    correct = 0
-    switches = 0
-    per_site_seen: Dict[int, int] = {}
-    per_site_wrong: Dict[int, int] = {}
-
-    cs_enabled = context_switches is not None
-    interval = context_switches.interval if cs_enabled else 0
-    switch_on_traps = context_switches.switch_on_traps if cs_enabled else False
-    next_switch = interval
-
-    predict = predictor.predict
-    update = predictor.update
-    cond_class = int(BranchClass.CONDITIONAL)
-
-    probe.on_run_start(predictor, trace)
-    on_branch = probe.on_branch
-    on_context_switch = probe.on_context_switch
-    on_interval = probe.on_interval
-    window = getattr(probe, "interval_instructions", None)
-    next_window = window if window else 0
-    window_index = 0
-
-    for pc, taken, cls, target, instret, trap in _record_tuples(trace, block_size):
-        if cs_enabled and ((trap and switch_on_traps) or instret >= next_switch):
-            predictor.on_context_switch()
-            switches += 1
-            if instret >= next_switch:
-                # Absolute interval boundaries — see the plain loop.
-                next_switch += interval * ((instret - next_switch) // interval + 1)
-            on_context_switch(instret)
-        if cls == cond_class:
-            prediction = predict(pc, target)
-            update(pc, taken, target)
-            conditional += 1
-            on_branch(pc, prediction, taken, instret)
-            if conditional > warmup_branches:
-                if prediction == taken:
-                    correct += 1
-                elif track_per_site:
-                    per_site_wrong[pc] = per_site_wrong.get(pc, 0) + 1
-                if track_per_site:
-                    per_site_seen[pc] = per_site_seen.get(pc, 0) + 1
-        if window and instret >= next_window:
-            while instret >= next_window:
-                next_window += window
-                window_index += 1
-            on_interval(window_index - 1, instret)
-
-    scored = max(conditional - warmup_branches, 0)
-    result = SimulationResult(
-        predictor_name=predictor.name,
-        trace_name=trace.meta.name,
-        dataset=trace.meta.dataset,
-        conditional_branches=scored,
-        correct_predictions=correct,
-        context_switches=switches,
-        per_site_executions=per_site_seen if track_per_site else None,
-        per_site_mispredictions=per_site_wrong if track_per_site else None,
-        total_instructions=trace.meta.total_instructions,
-    )
-    probe.on_run_end(result)
-    return result
 
 
 def simulate_named(

@@ -10,7 +10,7 @@ small interval switching on traps) and a block size (``None``, 1 or
 random), then requires ``==`` between each pass and its reference, for
 in-memory traces and for a non-``Trace`` source streamed block-wise.
 The schemes are registry configurations plus a predictor with no kernel,
-which replays through the probed interpreted loop.
+which replays through the interpreted loop with a probe attached.
 
 The example budget comes from the hypothesis profile named by
 ``HYPOTHESIS_PROFILE`` (see ``conftest.py``).

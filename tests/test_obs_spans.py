@@ -19,6 +19,8 @@ import json
 
 import pytest
 
+from repro.core.twolevel import make_gag
+from repro.obs import ProbeSet
 from repro.obs.export import load_spans, write_chrome_trace, write_spans
 from repro.obs.spans import (
     Span,
@@ -40,6 +42,7 @@ from repro.obs.spans import (
     validate_chrome_trace,
     validate_span_tree,
 )
+from repro.sim.engine import simulate
 from repro.sim.parallel import spec
 from repro.sim.runner import BenchmarkCase, run_matrix
 from repro.trace import synthetic
@@ -187,6 +190,17 @@ class TestActiveRecorder:
         with recording() as recorder:
             assert get_recorder() is recorder
         assert get_recorder() is None
+
+
+class TestEngineBlockSpans:
+    def test_probed_and_bare_block_wise_runs_emit_the_same_block_spans(self):
+        trace = synthetic.interleaved([synthetic.loop_source(5)], length=1000)
+        counts = []
+        for probe in (None, ProbeSet()):
+            with recording() as recorder:
+                simulate(make_gag(6), trace, probe=probe, block_size=100)
+            counts.append(sum(span.name == "block" for span in recorder.spans))
+        assert counts == [10, 10]
 
 
 class TestWireProtocol:

@@ -1,8 +1,13 @@
 """Tests for the §3.1 pipeline-timing model (speculative history)."""
 
+import os
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.twolevel import make_gag, make_pag, make_pap
+from repro.obs import Probe
 from repro.sim.engine import simulate
 from repro.sim.pipeline import (
     RecoveryPolicy,
@@ -10,6 +15,7 @@ from repro.sim.pipeline import (
     simulate_delayed,
 )
 from repro.trace import synthetic
+from repro.trace.events import BranchClass, Trace, TraceMeta
 
 
 def _mixed_trace(length=20_000):
@@ -114,3 +120,49 @@ class TestValidationAndPlumbing:
         assert prediction is True
         wrapper.resolve(0xA, False, context)
         assert wrapper.inner.ghr == 0b0000
+
+
+class _Predictions(Probe):
+    """Collects the engine's immediate-update predictions in order."""
+
+    def __init__(self) -> None:
+        self.predicted = []
+        self.taken = []
+
+    def on_branch(self, pc, predicted, taken, instret):
+        self.predicted.append(predicted)
+        self.taken.append(taken)
+
+
+@st.composite
+def _random_traces(draw):
+    n = draw(st.integers(0, 300))
+    pcs = draw(st.lists(st.integers(0, 15), min_size=n, max_size=n))
+    classes = draw(st.lists(st.sampled_from(list(BranchClass)), min_size=n, max_size=n))
+    taken = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return Trace(
+        meta=TraceMeta(name="stale-gag"),
+        pc=pcs, taken=taken, cls=[int(c) for c in classes], target=[0] * n,
+        instret=list(range(1, n + 1)), trap=[False] * n,
+    )
+
+
+class TestStaleUpdateClosedForm:
+    """Paper §3.1: with updates applied D branches late, GAg predicts
+    branch ``i`` from the state the immediate-update run had before
+    branch ``i - D``, so its delayed predictions are the immediate ones
+    shifted by D (branches before the first resolution all see the
+    initial state, i.e. ``pred[0]``). PAg does not satisfy the
+    identity: its per-address registers lag differently, each by the
+    number of *its own* branches still in flight rather than by D.
+    """
+
+    @settings(settings.get_profile(os.environ.get("HYPOTHESIS_PROFILE", "tier1")))
+    @given(trace=_random_traces(), k=st.integers(1, 12), latency=st.integers(0, 12))
+    def test_gag_delayed_score_is_the_shifted_immediate_score(self, trace, k, latency):
+        probe = _Predictions()
+        simulate(make_gag(k), trace, probe=probe)
+        pred, taken = probe.predicted, probe.taken
+        expected = sum(pred[max(i - latency, 0)] == taken[i] for i in range(len(taken)))
+        delayed = simulate_delayed(make_gag(k), trace, resolution_latency=latency)
+        assert delayed.result.correct_predictions == expected
