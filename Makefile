@@ -125,6 +125,9 @@ obs-demo:
 	| $(PYTHON) -c "import json,sys; r=json.load(sys.stdin); \
 		assert r['schema']=='repro.obs/1', r['schema']; \
 		assert r['result']['conditional_branches']>0; \
+		t=r['timing']; \
+		assert all(t[p]['calls']==1 and t[p]['seconds']>0 for p in ('trace_load','build','simulate')), t; \
+		assert not {'predict','update'} & set(t), t; \
 		print('obs-demo ok:', r['scheme'], 'on', r['workload'], \
 		      'accuracy', round(100*r['result']['correct_predictions']/r['result']['conditional_branches'],2), '%')"
 

@@ -11,8 +11,7 @@ The subsystem splits into four layers, each usable on its own:
 * :mod:`repro.obs.metrics` — interval accuracy series, mispredict-streak
   histograms, top-K offender tables, post-flush warm-up curves, and
   PHT/BHT occupancy + interference counters.
-* :mod:`repro.obs.profile` — per-phase ``perf_counter`` spans,
-  per-call predict/update timing, optional cProfile capture.
+* :mod:`repro.obs.profile` — optional cProfile capture.
 * :mod:`repro.obs.report` / :mod:`repro.obs.export` /
   :mod:`repro.obs.runner` — the schema-stable :class:`RunReport`, JSONL
   event traces, and the :func:`observe` orchestration behind
@@ -26,7 +25,8 @@ The subsystem splits into four layers, each usable on its own:
   span tracing across worker processes (sweep → cell → phase → block)
   with per-cell resource readings, exported as Perfetto-loadable
   Chrome trace-event JSON (``repro-obs sweep --trace-out`` /
-  ``repro-obs trace``).
+  ``repro-obs trace``). Spans are the one timing primitive: sweep cell
+  phases and :class:`RunReport` timing are span durations.
 * :mod:`repro.obs.prom` — the run ledger rendered as Prometheus text
   exposition (``repro-obs metrics``).
 * :mod:`repro.obs.log` — run-id-scoped structured logging
@@ -85,7 +85,7 @@ from .metrics import (
     WarmupWindow,
 )
 from .probes import Probe, ProbeSet
-from .profile import PhaseTimer, SpanStats, TimingPredictor, run_cprofile
+from .profile import run_cprofile
 from .prom import render_metrics
 from .report import SCHEMA, RunReport, format_report
 from .resources import ResourceSample, read_resources
@@ -102,7 +102,6 @@ __all__ = [
     "LEDGER_SCHEMA",
     "LedgerEntry",
     "Offender",
-    "PhaseTimer",
     "Probe",
     "ProbeSet",
     "RegressionFinding",
@@ -115,12 +114,10 @@ __all__ = [
     "Span",
     "SpanCollector",
     "SpanRecorder",
-    "SpanStats",
     "StreakHistogramProbe",
     "SweepMonitor",
     "SweepStatus",
     "TableStatsProbe",
-    "TimingPredictor",
     "TopOffendersProbe",
     "WarmupCurveProbe",
     "WarmupWindow",

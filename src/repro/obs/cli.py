@@ -131,10 +131,6 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
         help="cap the number of branch events written (default: unlimited)",
     )
     parser.add_argument(
-        "--profile-phases", action="store_true",
-        help="time every predict/update call (adds overhead; results unchanged)",
-    )
-    parser.add_argument(
         "--cprofile", action="store_true",
         help="capture a cProfile table of the simulate phase",
     )
@@ -214,7 +210,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             context_switches=context,
             interval_instructions=args.interval or None,
             top_k=args.top,
-            profile_phases=args.profile_phases,
             with_cprofile=args.cprofile,
             events_path=args.events,
             events_sample_every=args.events_sample,

@@ -1,28 +1,12 @@
-"""Profiling layer: per-phase wall-clock spans and cProfile capture.
+"""cProfile capture, for when span totals show *where* time goes but
+not *why*.
 
-Two granularities:
-
-* **Phase spans** — :class:`PhaseTimer` accumulates named
-  ``time.perf_counter`` spans (``trace_load``, ``build``, ``simulate``,
-  and, with :class:`TimingPredictor`, per-call ``predict`` / ``update``
-  splits). Span totals land in the :class:`~repro.obs.report.RunReport`
-  timing section and mirror the per-cell phase breakdown the parallel
-  runner records in :class:`~repro.sim.results.RunTelemetry`.
-* **cProfile** — :func:`run_cprofile` wraps any callable and returns the
-  top of the cumulative-time profile as text, for when span totals show
-  *where* time goes but not *why*.
-
-``perf_counter`` here is telemetry, never an input to a result — the
-same allowance the determinism lint grants the run-telemetry layer
-(see :mod:`repro.check.determinism`).
-
-:class:`TimingPredictor` deliberately does **not** derive from
-``BranchPredictor``: it is a duck-typed proxy (the engine only calls
-``predict`` / ``update`` / ``on_context_switch`` / ``name``), and its
-``predict`` necessarily mutates timer state — something the purity lint
-rightly forbids for real predictors. Per-call timing costs real
-overhead (two clock reads per branch); it is an opt-in diagnostic, not
-a default.
+Phase time itself is measured by spans (:mod:`repro.obs.spans`); the
+:class:`~repro.obs.report.RunReport` timing section is their totals.
+:func:`run_cprofile` wraps any callable and returns the top of its
+cumulative-time profile as text — per-function call counts and times,
+``predict`` / ``update`` included, without timing code on the per-record
+path.
 """
 
 from __future__ import annotations
@@ -30,108 +14,11 @@ from __future__ import annotations
 import cProfile
 import io
 import pstats
-import time
-from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, Mapping, Tuple, TypeVar
+from typing import Callable, Tuple, TypeVar
 
-__all__ = ["PhaseTimer", "SpanStats", "TimingPredictor", "run_cprofile"]
+__all__ = ["run_cprofile"]
 
 T = TypeVar("T")
-
-
-@dataclass
-class SpanStats:
-    """Accumulated wall time for one named phase."""
-
-    seconds: float = 0.0
-    calls: int = 0
-
-    def add(self, seconds: float, calls: int = 1) -> None:
-        self.seconds += seconds
-        self.calls += calls
-
-    def to_dict(self) -> Dict[str, float]:
-        return {"seconds": self.seconds, "calls": self.calls}
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "SpanStats":
-        return cls(seconds=float(payload["seconds"]), calls=int(payload["calls"]))
-
-
-class PhaseTimer:
-    """Named ``perf_counter`` spans with zero setup cost.
-
-    Usage::
-
-        timer = PhaseTimer()
-        with timer.span("simulate"):
-            result = simulate(predictor, trace)
-        timer.as_dict()   # {"simulate": {"seconds": ..., "calls": 1}}
-    """
-
-    def __init__(self) -> None:
-        self.spans: Dict[str, SpanStats] = {}
-
-    def add(self, name: str, seconds: float, calls: int = 1) -> None:
-        span = self.spans.get(name)
-        if span is None:
-            span = SpanStats()
-            self.spans[name] = span
-        span.add(seconds, calls)
-
-    @contextmanager
-    def span(self, name: str) -> Iterator[None]:
-        started = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.add(name, time.perf_counter() - started)
-
-    def seconds(self, name: str) -> float:
-        span = self.spans.get(name)
-        return span.seconds if span is not None else 0.0
-
-    def as_dict(self) -> Dict[str, Dict[str, float]]:
-        """Span totals, phase names sorted for stable serialisation."""
-        return {name: self.spans[name].to_dict() for name in sorted(self.spans)}
-
-
-class TimingPredictor:
-    """Duck-typed predictor proxy timing every predict/update call.
-
-    Transparent for simulation semantics: all four engine-facing calls
-    delegate to the wrapped predictor unchanged, so results are
-    bit-identical; only wall time is observed.
-    """
-
-    def __init__(self, inner, timer: PhaseTimer) -> None:
-        self.inner = inner
-        self.timer = timer
-        self.name = inner.name
-
-    def predict(self, pc: int, target: int = 0) -> bool:
-        started = time.perf_counter()
-        prediction = self.inner.predict(pc, target)
-        self.timer.add("predict", time.perf_counter() - started)
-        return prediction
-
-    def update(self, pc: int, taken: bool, target: int = 0) -> None:
-        started = time.perf_counter()
-        self.inner.update(pc, taken, target)
-        self.timer.add("update", time.perf_counter() - started)
-
-    def on_context_switch(self) -> None:
-        self.inner.on_context_switch()
-
-    def reset(self) -> None:
-        self.inner.reset()
-
-    def __getattr__(self, attr: str) -> Any:
-        # Transparent to attribute probes: table lookups such as
-        # TableStatsProbe's ``predictor.pht`` must reach the real
-        # predictor through the proxy.
-        return getattr(self.inner, attr)
 
 
 def run_cprofile(

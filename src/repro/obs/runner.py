@@ -3,8 +3,8 @@
 :func:`observe` is the orchestration behind ``python -m repro.obs``: it
 builds a registered predictor, generates (or accepts) a workload trace,
 assembles the standard metric probes into a
-:class:`~repro.obs.probes.ProbeSet`, runs the simulation with per-phase
-timing spans, and returns a fully-populated
+:class:`~repro.obs.probes.ProbeSet`, runs the simulation with each
+phase timed as a span, and returns a fully-populated
 :class:`~repro.obs.report.RunReport`.
 
 It is also the library entry point — notebooks and experiment scripts
@@ -31,8 +31,9 @@ from .metrics import (
     WarmupCurveProbe,
 )
 from .probes import Probe, ProbeSet
-from .profile import PhaseTimer, TimingPredictor, run_cprofile
+from .profile import run_cprofile
 from .report import RunReport
+from .spans import SpanRecorder, span_totals
 
 __all__ = ["normalize_scheme", "observe"]
 
@@ -71,7 +72,6 @@ def observe(
     top_k: int = 10,
     warmup_window_branches: int = 256,
     warmup_max_windows: int = 32,
-    profile_phases: bool = False,
     with_cprofile: bool = False,
     events_path: Optional[Union[str, Path]] = None,
     events_sample_every: int = 1,
@@ -101,9 +101,6 @@ def observe(
         top_k: offender-table size.
         warmup_window_branches / warmup_max_windows: warm-up curve
             resolution.
-        profile_phases: additionally time every ``predict``/``update``
-            call through a :class:`~repro.obs.profile.TimingPredictor`
-            (adds real overhead; the simulation *result* is unchanged).
         with_cprofile: capture a cProfile table of the simulate phase.
         events_path: when given, stream a JSONL event trace there.
         events_sample_every / events_branch_limit: branch-event thinning
@@ -122,15 +119,19 @@ def observe(
     Returns:
         The populated :class:`RunReport`. ``report.result`` is
         bit-identical to an unobserved ``simulate`` of the same inputs.
+        Its ``timing`` holds the totals of the ``trace_load`` /
+        ``build`` / ``simulate`` / ``characterize`` spans, timed on a
+        recorder of this call's own (never enabled, so the engine adds
+        no spans to it).
     """
-    timer = PhaseTimer()
+    recorder = SpanRecorder()
     scheme_name = normalize_scheme(scheme)
 
     if trace is None:
         if workload is None:
             raise ValueError("either a workload name or a trace is required")
         bench = get_workload(workload)
-        with timer.span("trace_load"):
+        with recorder.span("trace_load", cat="phase"):
             test_trace = bench.generate("testing", scale=scale)
             if training_trace is None and train is not False and bench.has_training:
                 training_trace = bench.generate("training", scale=scale)
@@ -139,7 +140,7 @@ def observe(
         test_trace = trace
         workload_name = workload or trace.meta.name
 
-    with timer.span("build"):
+    with recorder.span("build", cat="phase"):
         predictor = make_predictor(scheme_name, training_trace)
 
     intervals = (
@@ -170,20 +171,18 @@ def observe(
     for member in extra_probes:
         probe_set.add(member)
 
-    target = TimingPredictor(predictor, timer) if profile_phases else predictor
-
     profile_text: Optional[str] = None
     if with_cprofile:
-        with timer.span("simulate"):
+        with recorder.span("simulate", cat="phase"):
             result, profile_text = run_cprofile(
                 lambda: simulate(
-                    target, test_trace, context_switches=context_switches, probe=probe_set
+                    predictor, test_trace, context_switches=context_switches, probe=probe_set
                 )
             )
     else:
-        with timer.span("simulate"):
+        with recorder.span("simulate", cat="phase"):
             result = simulate(
-                target, test_trace, context_switches=context_switches, probe=probe_set
+                predictor, test_trace, context_switches=context_switches, probe=probe_set
             )
 
     extra: dict = {}
@@ -191,7 +190,7 @@ def observe(
         from ..analysis.predictability import DEFAULT_MAX_K
         from ..analysis.predictability import characterize as run_characterize
 
-        with timer.span("characterize"):
+        with recorder.span("characterize", cat="phase"):
             char_report = run_characterize(
                 test_trace,
                 max_k=(
@@ -217,7 +216,10 @@ def observe(
         warmup=warmup.curve(),
         warmup_segments=warmup.segments,
         tables=tables.snapshot,
-        timing=timer.as_dict(),
+        timing={
+            name: {"seconds": total["seconds"], "calls": total["count"]}
+            for name, total in sorted(span_totals(recorder.spans).items())
+        },
         cprofile=profile_text,
         events_path=str(events.path) if events is not None else None,
         extra=extra,

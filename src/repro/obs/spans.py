@@ -1,13 +1,14 @@
 """Hierarchical span tracing across processes (sweep -> cell -> phase).
 
-Phase *totals* (PR 3's :class:`~repro.obs.profile.PhaseTimer`, the
-per-cell breakdowns in :class:`~repro.sim.results.RunTelemetry`) say how
-much time a phase cost; they cannot say *when* it ran, on *which
-worker*, or what it overlapped with. This module records that missing
-dimension as **spans** — named, nested intervals on the shared
-monotonic timeline — and exports them in the Chrome trace-event JSON
-format, so a whole parallel sweep loads directly into Perfetto
-(https://ui.perfetto.dev) with one track per worker process.
+Spans — named, nested intervals on the shared monotonic timeline — are
+the one way this repository measures phase time. The per-cell phase
+breakdowns in :class:`~repro.sim.results.RunTelemetry` and the timing
+section of a :class:`~repro.obs.report.RunReport` are span durations;
+on top of *how much* time a phase cost, a recorded span also says
+*when* it ran, on *which worker*, and what it overlapped with. Spans
+export in the Chrome trace-event JSON format, so a whole parallel
+sweep loads directly into Perfetto (https://ui.perfetto.dev) with one
+track per worker process.
 
 The pieces:
 
@@ -19,17 +20,16 @@ The pieces:
   ``CLOCK_MONOTONIC``, which forked children share, so parent and
   worker spans are directly comparable on the platforms the parallel
   runner forks on (and merely mutually ordered elsewhere).
-* :class:`SpanRecorder` — the per-process recorder: a stack for
-  nesting (``span`` context manager or explicit ``push``/``pop``) plus
-  :meth:`~SpanRecorder.record` for retroactive spans built from
-  timestamps measured elsewhere (the parallel runner reuses its
-  existing phase clock reads, so span totals equal the telemetry phase
-  times *exactly*).
+* :class:`SpanRecorder` — a recorder: a stack for nesting (``span``
+  context manager or explicit ``push``/``pop``). A recorder nobody
+  enabled still measures whoever holds it: the parallel runner times
+  an untraced sweep's cells on a private one and reads the telemetry
+  off the closed spans.
 * ``enable`` / ``disable`` / ``get_recorder`` — the process-wide
   current recorder. Emission sites (the engine, the kernels' stream
-  loop, the parallel runner) fetch it once per run; when no recorder
-  is enabled they skip all span work, the same zero-overhead-when-off
-  discipline as the PR 3 probes (pinned in
+  loop, :func:`repro.trace.stream.open_trace_source`) fetch it once per
+  run; when no recorder is enabled they skip all span work, the same
+  zero-overhead-when-off discipline as the probes (pinned in
   ``benchmarks/test_bench_spans.py``).
 * :class:`SpanCollector` — the parent-side aggregator for sweeps:
   workers drain their recorder at cell end and ship the spans through
@@ -45,8 +45,8 @@ The pieces:
 * :func:`build_span_tree` / :func:`validate_span_tree` /
   :func:`span_totals` / :func:`cell_phase_totals` — tree assembly and
   integrity checks (parent resolution, containment, monotone clocks)
-  and the per-cell per-phase aggregation the acceptance tests compare
-  against :class:`~repro.sim.results.CellTelemetry`.
+  and the per-cell per-phase aggregation, equal to
+  :attr:`~repro.sim.results.CellTelemetry.phases` by construction.
 
 All clocks here are ``time.perf_counter`` — telemetry only, never an
 input to a simulation result (the determinism lint's standing
@@ -212,27 +212,24 @@ class _OpenSpan:
 
 
 class SpanRecorder:
-    """Per-process span recorder with a nesting stack.
+    """Span recorder with a nesting stack.
 
-    Single-threaded by contract, like every runner in this repo: one
-    recorder per process, driven from that process's main thread. The
-    clock is injectable (any zero-arg float-seconds callable) so tests
+    Single-threaded by contract, like every runner in this repo: at
+    most one recorder per process is enabled (see :func:`enable`), and
+    a recorder is driven from that process's main thread. The clock is
+    injectable (any zero-arg float-seconds callable) so tests
     are deterministic; the default is the monotonic
     ``time.perf_counter``, whose timeline forked workers share.
 
-    Three recording styles compose freely:
+    Two recording styles compose freely:
 
     * ``with recorder.span("simulate", cat="phase"):`` — measure a
       block, nested under whatever is currently open;
     * ``recorder.push(...)`` / ``recorder.pop(...)`` — the same without
-      re-indenting existing code (the engine's loops use this);
-    * ``recorder.record(name, start=a, end=b)`` — a retroactive span
-      from clock readings taken elsewhere, so existing telemetry
-      measurements can double as spans without a second clock read.
+      re-indenting existing code (the engine's loops use this); the
+      closing call returns the completed :class:`Span`.
 
-    ``push``/``record`` accept explicit ``start``/``end`` **seconds**
-    on the ``perf_counter`` timeline (the unit the surrounding code
-    already measures in); stored spans use microseconds (the Chrome
+    The clock reads seconds; stored spans use microseconds (the Chrome
     unit).
     """
 
@@ -260,26 +257,19 @@ class SpanRecorder:
         self._next_id += 1
         return span
 
-    def push(self, name: str, cat: str = "", start: Optional[float] = None,
-             **args: Any) -> int:
-        """Open a nested span; returns its ``span_id``.
-
-        Args:
-            start: explicit start in *seconds* on the recorder's clock
-                timeline (``None`` reads the clock now).
-        """
-        ts = (self._clock() if start is None else start) * 1e6
-        span = self._open(name, cat, ts, args)
+    def push(self, name: str, cat: str = "", **args: Any) -> int:
+        """Open a nested span now; returns its ``span_id``."""
+        span = self._open(name, cat, self._clock() * 1e6, args)
         self._stack.append(span)
         return span.span_id
 
-    def pop(self, end: Optional[float] = None, **extra_args: Any) -> Span:
-        """Close the innermost open span (optionally at an explicit
-        ``end`` in seconds), merging ``extra_args`` into its args."""
+    def pop(self, **extra_args: Any) -> Span:
+        """Close the innermost open span now, merging ``extra_args``
+        into its args."""
         if not self._stack:
             raise RuntimeError("pop() with no open span")
         open_span = self._stack.pop()
-        end_ts = (self._clock() if end is None else end) * 1e6
+        end_ts = self._clock() * 1e6
         open_span.args.update(extra_args)
         span = Span(
             name=open_span.name,
@@ -295,8 +285,7 @@ class SpanRecorder:
         self._spans.append(span)
         return span
 
-    def pop_if_open(self, span_id: int, end: Optional[float] = None,
-                    **extra_args: Any) -> Optional[Span]:
+    def pop_if_open(self, span_id: int, **extra_args: Any) -> Optional[Span]:
         """Close ``span_id`` iff it is the innermost open span.
 
         A no-op (returning ``None``) otherwise — this is the cleanup
@@ -305,15 +294,14 @@ class SpanRecorder:
         someone else's span.
         """
         if self._stack and self._stack[-1].span_id == span_id:
-            return self.pop(end=end, **extra_args)
+            return self.pop(**extra_args)
         return None
 
-    def pop_through(self, span_id: int, end: Optional[float] = None,
-                    **extra_args: Any) -> Optional[Span]:
+    def pop_through(self, span_id: int, **extra_args: Any) -> Optional[Span]:
         """Close open spans up to and including ``span_id``.
 
-        Children abandoned open by an exception path close with the
-        same end time; ``extra_args`` land on the target span only.
+        Children abandoned open by an exception path close first;
+        ``extra_args`` land on the target span only.
         A no-op (returning ``None``) when ``span_id`` is not open —
         telemetry cleanup must never raise over a propagating error.
         """
@@ -321,9 +309,27 @@ class SpanRecorder:
             return None
         while True:
             is_target = self._stack[-1].span_id == span_id
-            span = self.pop(end=end, **(extra_args if is_target else {}))
+            span = self.pop(**(extra_args if is_target else {}))
             if is_target:
                 return span
+
+    def discard(self, span_id: int) -> None:
+        """Drop the open span ``span_id`` unrecorded, together with
+        every span opened inside it, closed or still open.
+
+        For a span that turned out to mark no event: the parallel
+        runner opens a cell span around each result-cache lookup and
+        drops it when the lookup misses. A no-op when ``span_id`` is not
+        open.
+        """
+        if all(open_span.span_id != span_id for open_span in self._stack):
+            return
+        while self._stack.pop().span_id != span_id:
+            pass
+        # Ids grow with every push, so the spans completed inside the
+        # dropped one are exactly the trailing ones with larger ids.
+        while self._spans and self._spans[-1].span_id > span_id:
+            self._spans.pop()
 
     @contextmanager
     def span(self, name: str, cat: str = "", **args: Any) -> Iterator[None]:
@@ -333,32 +339,6 @@ class SpanRecorder:
             yield
         finally:
             self.pop_through(span_id)
-
-    def record(self, name: str, cat: str = "", *, start: float, end: float,
-               **args: Any) -> Span:
-        """Record a completed span from clock readings taken elsewhere.
-
-        ``start``/``end`` are *seconds* on the recorder's clock
-        timeline; the span nests under the currently-open span (if
-        any). This is how the parallel runner turns its existing phase
-        measurements into spans without re-reading the clock — which is
-        what makes span totals agree with the telemetry phase times
-        exactly, not just approximately.
-        """
-        open_span = self._open(name, cat, start * 1e6, args)
-        span = Span(
-            name=open_span.name,
-            cat=open_span.cat,
-            ts=open_span.ts,
-            dur=max(end * 1e6 - open_span.ts, 0.0),
-            pid=self.pid,
-            tid=self.tid,
-            span_id=open_span.span_id,
-            parent_id=open_span.parent_id,
-            args=open_span.args,
-        )
-        self._spans.append(span)
-        return span
 
     # -- reading -------------------------------------------------------
 
@@ -587,10 +567,9 @@ def cell_phase_totals(
     A *cell* span is any span named ``"cell"`` carrying ``scheme`` and
     ``benchmark`` args (the parallel runner emits exactly one per
     evaluated cell); its phase children (``trace_load`` / ``build`` /
-    ``simulate`` / ``cache_lookup``) are summed per name. This is the
-    aggregation the acceptance tests compare against
-    :attr:`repro.sim.results.CellTelemetry.phases` — equality is exact
-    because both views are computed from the same clock readings.
+    ``simulate`` / ``cache_lookup``) are summed per name. The result
+    equals :attr:`repro.sim.results.CellTelemetry.phases` exactly: the
+    runner reads those phase times off the same spans.
     """
     _roots, children = build_span_tree(spans)
     totals: Dict[Tuple[str, str], Dict[str, float]] = {}

@@ -42,11 +42,11 @@ import pickle
 import queue as queue_module
 import shutil
 import tempfile
-import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..predictors.base import BranchPredictor, TrainingUnavailable
 from ..trace.cache import ResultCache
@@ -153,7 +153,7 @@ def result_cache_key(
 
 
 # ----------------------------------------------------------------------
-# Worker side
+# Cell evaluation (pool workers and the parent alike)
 # ----------------------------------------------------------------------
 
 #: Per-worker-process memo of spooled traces, so a worker deserializes
@@ -175,21 +175,121 @@ def _load_spooled(path: str) -> Trace:
     return trace
 
 
-def _worker_recorder():
-    """The worker's persistent span recorder (created and enabled once).
+@contextmanager
+def _phase(recorder, name: str, phases: Dict[str, float]) -> Iterator[None]:
+    """Time ``name`` as a ``"phase"`` span under the open cell span;
+    the closed span's duration becomes ``phases[name]``."""
+    span_id = recorder.push(name, cat="phase")
+    try:
+        yield
+    finally:
+        phases[name] = recorder.pop_through(span_id).seconds
 
-    Enabling it process-wide is what lets the engine's backend/block
-    spans nest under the cell's ``simulate`` phase span.
+
+def _evaluate_cell(
+    recorder,
+    label: str,
+    case_name: str,
+    builder,
+    test_trace: Union[Trace, str],
+    training_trace: Union[Trace, str, None],
+    context_switches: Optional[ContextSwitchConfig],
+    backend: str,
+) -> Tuple[Optional[SimulationResult], float, Dict[str, float], str, int]:
+    """Build and simulate one cell under a ``"cell"`` span of ``recorder``.
+
+    The one cell evaluation of a sweep, run in pool workers
+    (:func:`_run_cell`) and in the parent process alike. The traces are
+    in memory, or are the paths of a worker's spooled files, whose
+    loading is then the cell's first phase. Each phase — ``trace_load``,
+    ``build``, ``simulate`` — is a ``"phase"`` span under the cell span,
+    and the telemetry is read off those spans: ``phases`` maps each
+    phase to its span's duration and the wall time is the cell span's.
+    The engine's own spans nest under ``simulate`` when ``recorder`` is
+    the process's enabled recorder; a recorder nobody enabled times the
+    phases and nothing else.
+
+    Returns ``(result-or-None, wall_time, phases, backend,
+    peak_rss_bytes)``; a ``None`` result means the builder raised
+    ``TrainingUnavailable`` (``backend`` is then ``""``). The resource
+    reading lands on the closing cell span.
     """
+    from ..obs.resources import read_resources
+
+    cell_id = recorder.push("cell", cat="sweep", scheme=label, benchmark=case_name)
+    phases: Dict[str, float] = {}
+    if isinstance(test_trace, str):
+        with _phase(recorder, "trace_load", phases):
+            test_trace = _load_spooled(test_trace)
+            training_trace = _load_spooled(training_trace) if training_trace else None
+    result: Optional[SimulationResult] = None
+    used_backend = ""
+    with _phase(recorder, "build", phases):
+        try:
+            predictor = builder(training_trace)
+        except TrainingUnavailable:
+            predictor = None
+    if predictor is not None:
+        with _phase(recorder, "simulate", phases):
+            # Resolved through this module's global at call time, so a
+            # wrapper installed on it sees every cell.
+            result, used_backend = simulate_with_backend(
+                predictor,
+                test_trace,
+                context_switches=context_switches,
+                backend=backend,
+            )
+    sample = read_resources()
+    cell = recorder.pop_through(cell_id, backend=used_backend, **sample.as_args())
+    return result, cell.seconds, phases, used_backend, sample.peak_rss_bytes
+
+
+# ----------------------------------------------------------------------
+# Worker side
+# ----------------------------------------------------------------------
+
+
+def _cell_recorder(traced: bool):
+    """The recorder a worker's cell records on, and whether its spans
+    are the worker's to ship.
+
+    Untraced, a fresh private recorder nobody enabled: it times the
+    cell's phases and the engine emits nothing. Traced, the worker's
+    persistent per-process recorder, enabled process-wide so the
+    engine's spans nest under the cell's ``simulate`` phase. A recorder
+    whose pid differs is a fork-inherited copy of the parent's —
+    useless here, since its spans would never ship — so the worker
+    replaces it with its own. Only a recorder enabled by an in-process
+    caller (same pid, not ours) is used as-is, its spans left for that
+    caller.
+    """
+    from ..obs import spans as spans_mod
+
+    if not traced:
+        return spans_mod.SpanRecorder(), False
+    recorder = spans_mod.get_recorder()
+    if (
+        recorder is not None
+        and recorder is not _SPAN_STATE.get("recorder")
+        and recorder.pid == os.getpid()
+    ):
+        return recorder, False
     recorder = _SPAN_STATE.get("recorder")
     if recorder is None or recorder.pid != os.getpid():
-        from ..obs import spans as spans_mod
-
         recorder = spans_mod.SpanRecorder()
         # Deliberate per-worker-process state: never read by the parent.
         _SPAN_STATE["recorder"] = recorder  # check: allow(conc/global-write-in-worker)
-        spans_mod.enable(recorder)
-    return recorder
+    spans_mod.enable(recorder)
+    if recorder.depth:
+        # A previous cell in this worker died mid-span (pool workers
+        # outlive task exceptions). Abandon its partial trace — close
+        # and discard everything — so this cell's spans stay
+        # well-formed; that cell's spans are simply lost, the
+        # queue-loss-tolerance contract.
+        while recorder.depth:
+            recorder.pop()
+        recorder.drain()
+    return recorder, True
 
 
 def _pulse(
@@ -222,8 +322,6 @@ def _ship_spans(heartbeats, recorder) -> None:
     never torn. Best-effort like :func:`_pulse`: span telemetry must
     never fail a cell.
     """
-    if recorder is None:
-        return
     spans = recorder.drain()
     if heartbeats is None or not spans:
         return
@@ -233,29 +331,6 @@ def _ship_spans(heartbeats, recorder) -> None:
         heartbeats.put(("spans", recorder.pid, to_wire(spans)))
     except Exception:
         pass
-
-
-def _finish_cell(recorder, cell_id: int, end: float, backend: str,
-                 heartbeats, own_recorder: bool) -> int:
-    """Close a traced cell: resource reading, span shipping, cleanup.
-
-    Always reads the process's resource usage (peak worker RSS is
-    recorded per cell whether or not tracing is on — it is two /proc
-    reads against a cell that runs for seconds) and returns the peak
-    RSS in bytes. With an active recorder, the reading lands on the
-    closing ``"cell"`` span and — for the worker's own persistent
-    recorder — the completed spans are drained and shipped; a recorder
-    an in-process caller enabled keeps its spans for that caller to
-    collect.
-    """
-    from ..obs.resources import read_resources
-
-    sample = read_resources()
-    if recorder is not None:
-        recorder.pop_through(cell_id, end=end, backend=backend, **sample.as_args())
-        if own_recorder:
-            _ship_spans(heartbeats, recorder)
-    return sample.peak_rss_bytes
 
 
 def _run_cell(
@@ -272,101 +347,24 @@ def _run_cell(
     """Execute one cell from spooled traces (runs inside a worker).
 
     Returns ``(label, case_name, result-or-None, wall_time, phases,
-    backend, peak_rss_bytes)``; a ``None`` result means the builder
-    raised ``TrainingUnavailable``. ``phases`` breaks the wall time
-    into trace_load / build / simulate spans for the run telemetry
-    (and, downstream, ``repro.obs`` run reports); ``backend`` is the
-    engine backend that actually ran (``""`` when no simulation
-    happened); ``peak_rss_bytes`` is the worker's RSS high-water mark
-    as of cell completion. When ``heartbeats`` (a multiprocessing
-    queue) is given, the worker announces the cell's start and
-    completion on it for live ``--follow`` monitoring.
-
-    With ``traced=True`` the worker records a ``"cell"`` span with
-    ``trace_load`` / ``build`` / ``simulate`` phase children — built
-    from the *same* ``perf_counter`` readings as the returned
-    ``phases`` dict, so span durations equal the telemetry phase times
-    exactly — and ships them back on the heartbeat queue. The engine's
-    own spans (backend choice, per-block) nest under the ``simulate``
-    phase via the worker's process-wide recorder.
+    backend, peak_rss_bytes)`` as :func:`_evaluate_cell` measures them
+    (``phases``: ``trace_load`` / ``build`` / ``simulate``). When
+    ``heartbeats`` (a multiprocessing queue) is given, the worker
+    announces the cell's start and completion on it for live
+    ``--follow`` monitoring. With ``traced=True`` the worker records
+    the cell's spans on its own recorder (see :func:`_cell_recorder`)
+    and ships them back on the heartbeat queue.
     """
-    recorder = None
-    own_recorder = False
-    if traced:
-        from ..obs import spans as spans_mod
-
-        recorder = spans_mod.get_recorder()
-        if (
-            recorder is None
-            or recorder is _SPAN_STATE.get("recorder")
-            or recorder.pid != os.getpid()
-        ):
-            # Worker path: the persistent per-process recorder (span
-            # ids stay unique across every cell this worker draws). A
-            # recorder whose pid differs is a fork-inherited copy of
-            # the parent's — useless here, since its spans would never
-            # ship — so the worker replaces it with its own. Only a
-            # recorder enabled by an in-process caller (same pid, not
-            # ours) is used as-is, its spans left for that caller.
-            recorder = _worker_recorder()
-            own_recorder = True
-            if recorder.depth:
-                # A previous cell in this worker died mid-span (pool
-                # workers outlive task exceptions). Abandon its partial
-                # trace — close and discard everything — so this cell's
-                # spans stay well-formed; that cell's spans are simply
-                # lost, the queue-loss-tolerance contract.
-                while recorder.depth:
-                    recorder.pop()
-                recorder.drain()
-    started = time.perf_counter()
-    cell_id = (
-        recorder.push(
-            "cell", cat="sweep", start=started, scheme=label, benchmark=case_name
-        )
-        if recorder is not None
-        else 0
-    )
+    recorder, own_recorder = _cell_recorder(traced)
     _pulse(heartbeats, "start", label, case_name)
-    test_trace = _load_spooled(test_path)
-    training_trace = _load_spooled(training_path) if training_path else None
-    loaded = time.perf_counter()
-    phases = {"trace_load": loaded - started}
-    if recorder is not None:
-        recorder.record("trace_load", cat="phase", start=started, end=loaded)
-    try:
-        predictor = builder(training_trace)
-    except TrainingUnavailable:
-        built = time.perf_counter()
-        phases["build"] = built - loaded
-        if recorder is not None:
-            recorder.record("build", cat="phase", start=loaded, end=built)
-        wall = built - started
-        rss = _finish_cell(recorder, cell_id, built, "", heartbeats, own_recorder)
-        _pulse(heartbeats, "done", label, case_name, 0, wall, rss)
-        return label, case_name, None, wall, phases, "", rss
-    built = time.perf_counter()
-    phases["build"] = built - loaded
-    if recorder is not None:
-        recorder.record("build", cat="phase", start=loaded, end=built)
-    sim_id = (
-        recorder.push("simulate", cat="phase", start=built)
-        if recorder is not None
-        else 0
+    result, wall, phases, used_backend, rss = _evaluate_cell(
+        recorder, label, case_name, builder, test_path, training_path,
+        context_switches, backend,
     )
-    result, used_backend = simulate_with_backend(
-        predictor,
-        test_trace,
-        context_switches=context_switches,
-        backend=backend,
-    )
-    sim_end = time.perf_counter()
-    phases["simulate"] = sim_end - built
-    if recorder is not None:
-        recorder.pop_through(sim_id, end=sim_end)
-    wall = sim_end - started
-    rss = _finish_cell(recorder, cell_id, sim_end, used_backend, heartbeats, own_recorder)
-    _pulse(heartbeats, "done", label, case_name, result.conditional_branches, wall, rss)
+    if own_recorder:
+        _ship_spans(heartbeats, recorder)
+    branches = result.conditional_branches if result is not None else 0
+    _pulse(heartbeats, "done", label, case_name, branches, wall, rss)
     return label, case_name, result, wall, phases, used_backend, rss
 
 
@@ -434,15 +432,17 @@ def execute_matrix(
             a ``--follow`` renderer can refresh ETA/staleness even when
             no heartbeat arrived.
         progress_interval: polling period for ``tick`` draining.
-        tracer: optional :class:`repro.obs.spans.SpanCollector`. When
-            given, the sweep is span-traced: the parent records a
-            ``"sweep"`` root span with one ``"cell"`` child per cell
-            (phase children built from the same clock readings as the
-            telemetry, so span totals equal phase times exactly),
-            worker processes record their cells locally and ship the
-            completed spans back on the heartbeat queue, and everything
-            lands in the collector. A worker that crashes simply never
-            ships — its spans are lost, the sweep trace stays valid.
+        tracer: optional :class:`repro.obs.spans.SpanCollector`. The
+            sweep's telemetry is always read off spans — a ``"sweep"``
+            span with one ``"cell"`` span per cell and one ``"phase"``
+            span per cell phase. Untraced, they are recorded on a
+            private recorder and dropped. With a tracer they are
+            recorded on the process's enabled recorder (one is enabled
+            for the sweep's duration if none is), worker processes
+            record their cells locally and ship the completed spans
+            back on the heartbeat queue, and everything lands in the
+            collector. A worker that crashes simply never ships — its
+            spans are lost, the sweep trace stays valid.
 
     Returns:
         A :class:`ResultMatrix` with telemetry attached.
@@ -453,15 +453,15 @@ def execute_matrix(
     """
     if n_workers < 1:
         raise ValueError("n_workers must be >= 1")
-    parent_recorder = None
-    own_recorder = False
-    sweep_id = 0
-    if tracer is not None:
-        from ..obs import spans as spans_mod
+    from ..obs import spans as spans_mod
 
-        parent_recorder = spans_mod.get_recorder()
-        if parent_recorder is None:
-            parent_recorder = spans_mod.enable(spans_mod.SpanRecorder())
+    own_recorder = False
+    if tracer is None:
+        recorder = spans_mod.SpanRecorder()
+    else:
+        recorder = spans_mod.get_recorder()
+        if recorder is None:
+            recorder = spans_mod.enable(spans_mod.SpanRecorder())
             own_recorder = True
     emit: Optional[Callable[..., None]] = None
     if progress is not None:
@@ -496,63 +496,68 @@ def execute_matrix(
         cached=result_cache is not None,
         backend=backend,
     )
-    started = time.perf_counter()
-    if parent_recorder is not None:
-        sweep_id = parent_recorder.push(
-            "sweep",
-            cat="sweep",
-            start=started,
-            schemes=len(builders),
-            benchmarks=len(cases),
-            workers=n_workers,
-        )
     telemetry = RunTelemetry(n_workers=n_workers)
     matrix = ResultMatrix(
         benchmarks=[case.name for case in cases],
         categories={case.name: case.category for case in cases},
         telemetry=telemetry,
     )
+    sweep_id = recorder.push(
+        "sweep",
+        cat="sweep",
+        schemes=len(builders),
+        benchmarks=len(cases),
+        workers=n_workers,
+    )
+    try:
+        # Digest each case's traces once (only needed for cache keys).
+        digests: Dict[str, Tuple[str, Optional[str]]] = {}
+        if result_cache is not None:
+            for case in cases:
+                digests[case.name] = (
+                    trace_digest(case.test_trace),
+                    trace_digest(case.training_trace) if case.training_trace else None,
+                )
 
-    # Digest each case's traces once (only needed for cache keys).
-    digests: Dict[str, Tuple[str, Optional[str]]] = {}
-    if result_cache is not None:
+        # Phase 1: resolve what we can from the cache, in cell order.
+        # outcomes: (label, case.name) ->
+        #     (result, source, wall_time, phases, backend, rss_peak)
+        outcomes: Dict[
+            Tuple[str, str],
+            Tuple[Optional[SimulationResult], str, float, Dict[str, float], str, int],
+        ] = {}
+        # Case-major, so consecutive cells share a trace and the layout
+        # memo builds each of its first-level layouts once.
+        pending: List[Tuple[str, "BenchmarkCase", Optional[str]]] = []
         for case in cases:
-            digests[case.name] = (
-                trace_digest(case.test_trace),
-                trace_digest(case.training_trace) if case.training_trace else None,
-            )
-
-    # Phase 1: resolve what we can from the cache, in cell order.
-    # outcomes: (label, case.name) ->
-    #     (result, source, wall_time, phases, backend, rss_peak)
-    outcomes: Dict[
-        Tuple[str, str],
-        Tuple[Optional[SimulationResult], str, float, Dict[str, float], str, int],
-    ] = {}
-    # Case-major, so consecutive cells share a trace and the layout
-    # memo builds each of its first-level layouts once.
-    pending: List[Tuple[str, "BenchmarkCase", Optional[str]]] = []
-    for case in cases:
-        for label, builder in builders.items():
-            builder_key = getattr(builder, "cache_key", None)
-            if result_cache is None or builder_key is None:
-                if result_cache is not None:
-                    telemetry.uncacheable += 1
-                pending.append((label, case, None))
-                continue
-            test_digest, training_digest = digests[case.name]
-            key = result_cache_key(
-                test_digest,
-                builder_key,
-                context_switches,
-                training_digest if getattr(builder, "requires_training", True) else None,
-            )
-            lookup_started = time.perf_counter()
-            hit, payload = result_cache.load(key)
-            if hit:
-                result = SimulationResult.from_dict(payload) if payload is not None else None
-                lookup_end = time.perf_counter()
-                lookup_wall = lookup_end - lookup_started
+            for label, builder in builders.items():
+                builder_key = getattr(builder, "cache_key", None)
+                if result_cache is None or builder_key is None:
+                    if result_cache is not None:
+                        telemetry.uncacheable += 1
+                    pending.append((label, case, None))
+                    continue
+                test_digest, training_digest = digests[case.name]
+                key = result_cache_key(
+                    test_digest,
+                    builder_key,
+                    context_switches,
+                    training_digest if getattr(builder, "requires_training", True) else None,
+                )
+                cell_id = recorder.push(
+                    "cell", cat="sweep", scheme=label, benchmark=case.name, cached=True
+                )
+                phases: Dict[str, float] = {}
+                with _phase(recorder, "cache_lookup", phases):
+                    hit, payload = result_cache.load(key)
+                    result = SimulationResult.from_dict(payload) if payload is not None else None
+                if not hit:
+                    # Not a cell of its own: the cell is evaluated below.
+                    recorder.discard(cell_id)
+                    telemetry.cache_misses += 1
+                    pending.append((label, case, key))
+                    continue
+                wall = recorder.pop_through(cell_id).seconds
                 # backend="cache": cache hits never ran an engine, and
                 # backends are excluded from cache keys, so reporting
                 # any engine backend here would attribute the *cached*
@@ -561,234 +566,157 @@ def execute_matrix(
                 outcomes[(label, case.name)] = (
                     result,
                     "cache" if result is not None else "unavailable",
-                    lookup_wall,
-                    {"cache_lookup": lookup_wall},
+                    wall,
+                    phases,
                     "cache" if result is not None else "",
                     0,
                 )
-                if parent_recorder is not None:
-                    cell_id = parent_recorder.push(
-                        "cell",
-                        cat="sweep",
-                        start=lookup_started,
-                        scheme=label,
-                        benchmark=case.name,
-                        cached=True,
-                    )
-                    parent_recorder.record(
-                        "cache_lookup",
-                        cat="phase",
-                        start=lookup_started,
-                        end=lookup_end,
-                    )
-                    parent_recorder.pop_through(cell_id, end=lookup_end)
                 if emit is not None:
-                    emit(0, "cached", label, case.name, 0, lookup_wall)
-            else:
-                telemetry.cache_misses += 1
-                pending.append((label, case, key))
+                    emit(0, "cached", label, case.name, 0, wall)
 
-    # Phase 2: compute the remaining cells — in worker processes when
-    # asked and possible, in-process otherwise.
-    def _run_local(label: str, case, key: Optional[str]) -> None:
-        from ..obs.resources import read_resources
-
-        cell_started = time.perf_counter()
-        cell_id = (
-            parent_recorder.push(
-                "cell", cat="sweep", start=cell_started, scheme=label,
-                benchmark=case.name,
-            )
-            if parent_recorder is not None
-            else 0
-        )
-        if emit is not None:
-            emit(os.getpid(), "start", label, case.name)
-        try:
-            predictor = builder_by_label[label](case.training_trace)
-        except TrainingUnavailable:
-            predictor = None
-        built = time.perf_counter()
-        phases = {"build": built - cell_started}
-        if parent_recorder is not None:
-            parent_recorder.record("build", cat="phase", start=cell_started, end=built)
-        result: Optional[SimulationResult] = None
-        used_backend = ""
-        cell_end = built
-        if predictor is not None:
-            sim_id = (
-                parent_recorder.push("simulate", cat="phase", start=built)
-                if parent_recorder is not None
-                else 0
-            )
-            result, used_backend = simulate_with_backend(
-                predictor,
-                case.test_trace,
-                context_switches=context_switches,
-                backend=backend,
-            )
-            cell_end = time.perf_counter()
-            phases["simulate"] = cell_end - built
-            if parent_recorder is not None:
-                parent_recorder.pop_through(sim_id, end=cell_end)
-        wall = cell_end - cell_started
-        sample = read_resources()
-        if parent_recorder is not None:
-            parent_recorder.pop_through(
-                cell_id, end=cell_end, backend=used_backend, **sample.as_args()
-            )
-        outcomes[(label, case.name)] = (
-            result,
-            "simulated" if result is not None else "unavailable",
-            wall,
-            phases,
-            used_backend,
-            sample.peak_rss_bytes,
-        )
-        if key is not None and result_cache is not None:
-            result_cache.store(key, result.to_dict() if result is not None else None)
-        if emit is not None:
-            emit(
-                os.getpid(),
-                "done",
-                label,
-                case.name,
-                result.conditional_branches if result is not None else 0,
+        # Phase 2: compute the remaining cells — in worker processes
+        # when asked and possible, in-process otherwise.
+        def _settle(label: str, case_name: str, key: Optional[str],
+                    result: Optional[SimulationResult], wall: float,
+                    phases: Dict[str, float], used_backend: str, rss: int) -> None:
+            outcomes[(label, case_name)] = (
+                result,
+                "simulated" if result is not None else "unavailable",
                 wall,
-                sample.peak_rss_bytes,
+                phases,
+                used_backend,
+                rss,
             )
-        if tick is not None:
-            tick()
+            if key is not None and result_cache is not None:
+                result_cache.store(key, result.to_dict() if result is not None else None)
 
-    builder_by_label = dict(builders)
-    if n_workers == 1 or not pending:
-        for label, case, key in pending:
-            _run_local(label, case, key)
-    else:
-        remote = [cell for cell in pending if _is_picklable(builder_by_label[cell[0]])]
-        local = [cell for cell in pending if not _is_picklable(builder_by_label[cell[0]])]
-        spool = Path(tempfile.mkdtemp(prefix="repro-spool-"))
-        manager = None
-        heartbeat_queue = None
-        if (emit is not None or tracer is not None) and remote:
-            # A manager queue (not a raw mp.Queue) because the executor
-            # pickles task arguments; manager proxies survive that.
-            # Spans ride the same queue as heartbeats, so tracing alone
-            # also needs it.
-            import multiprocessing
-
-            manager = multiprocessing.Manager()
-            heartbeat_queue = manager.Queue()
-
-        def _drain_heartbeats() -> None:
-            if heartbeat_queue is None:
-                return
-            while True:
-                try:
-                    message = heartbeat_queue.get_nowait()
-                except queue_module.Empty:
-                    break
-                except Exception:
-                    break
-                if message and message[0] == "spans":
-                    # A worker's shipped span batch: ("spans", pid, wire).
-                    if tracer is not None:
-                        tracer.ingest_wire(message[2])
-                    continue
-                if emit is not None:
-                    pid, kind, hb_label, hb_case, branches, hb_wall, hb_rss = message
-                    emit(pid, kind, hb_label, hb_case, branches, hb_wall, hb_rss)
-
-        try:
-            trace_paths = _spool_traces({case.name: case for _, case, _ in remote}, spool)
-            with ProcessPoolExecutor(max_workers=n_workers) as pool:
-                futures = {}
-                for label, case, key in remote:
-                    test_path, training_path = trace_paths[case.name]
-                    future = pool.submit(
-                        _run_cell,
-                        label,
-                        case.name,
-                        builder_by_label[label],
-                        test_path,
-                        training_path,
-                        context_switches,
-                        backend,
-                        heartbeat_queue,
-                        tracer is not None,
-                    )
-                    futures[future] = key
-                # Overlap the unpicklable (parent-process) cells with
-                # the pool instead of serializing them afterwards.
-                for label, case, key in local:
-                    _run_local(label, case, key)
-                not_done = set(futures)
-                poll = (
-                    progress_interval
-                    if heartbeat_queue is not None or tick is not None
-                    else None
-                )
-                while not_done:
-                    done, not_done = wait(
-                        not_done, timeout=poll, return_when=FIRST_COMPLETED
-                    )
-                    _drain_heartbeats()
-                    if tick is not None:
-                        tick()
-                    for future in done:
-                        label, case_name, result, wall, phases, used_backend, rss = (
-                            future.result()
-                        )
-                        outcomes[(label, case_name)] = (
-                            result,
-                            "simulated" if result is not None else "unavailable",
-                            wall,
-                            phases,
-                            used_backend,
-                            rss,
-                        )
-                        key = futures[future]
-                        if key is not None and result_cache is not None:
-                            result_cache.store(
-                                key, result.to_dict() if result is not None else None
-                            )
-            _drain_heartbeats()
+        def _run_local(label: str, case, key: Optional[str]) -> None:
+            if emit is not None:
+                emit(os.getpid(), "start", label, case.name)
+            result, wall, phases, used_backend, rss = _evaluate_cell(
+                recorder, label, case.name, builder_by_label[label],
+                case.test_trace, case.training_trace, context_switches, backend,
+            )
+            _settle(label, case.name, key, result, wall, phases, used_backend, rss)
+            if emit is not None:
+                branches = result.conditional_branches if result is not None else 0
+                emit(os.getpid(), "done", label, case.name, branches, wall, rss)
             if tick is not None:
                 tick()
-        finally:
-            shutil.rmtree(spool, ignore_errors=True)
-            if manager is not None:
-                manager.shutdown()
 
-    # Phase 3: assemble in the canonical (scheme-major) order, so the
-    # matrix layout is independent of completion order.
-    for label in builders:
-        for case in cases:
-            result, source, wall, phases, used_backend, rss = outcomes[
-                (label, case.name)
-            ]
-            telemetry.record(
-                label,
-                case.name,
-                wall,
-                source,
-                phases=phases,
-                backend=used_backend,
-                rss_peak=rss,
-            )
-            if result is not None:
-                matrix.add(label, result)
-    finished = time.perf_counter()
-    telemetry.wall_time = finished - started
-    if parent_recorder is not None:
-        parent_recorder.pop_through(
-            sweep_id, end=finished, cells=telemetry.total_cells
-        )
-        tracer.ingest(parent_recorder.drain())
+        builder_by_label = dict(builders)
+        if n_workers == 1 or not pending:
+            for label, case, key in pending:
+                _run_local(label, case, key)
+        else:
+            remote = [cell for cell in pending if _is_picklable(builder_by_label[cell[0]])]
+            local = [cell for cell in pending if not _is_picklable(builder_by_label[cell[0]])]
+            spool = Path(tempfile.mkdtemp(prefix="repro-spool-"))
+            manager = None
+            heartbeat_queue = None
+            if (emit is not None or tracer is not None) and remote:
+                # A manager queue (not a raw mp.Queue) because the
+                # executor pickles task arguments; manager proxies
+                # survive that. Spans ride the same queue as heartbeats,
+                # so tracing alone also needs it.
+                import multiprocessing
+
+                manager = multiprocessing.Manager()
+                heartbeat_queue = manager.Queue()
+
+            def _drain_heartbeats() -> None:
+                if heartbeat_queue is None:
+                    return
+                while True:
+                    try:
+                        message = heartbeat_queue.get_nowait()
+                    except queue_module.Empty:
+                        break
+                    except Exception:
+                        break
+                    if message and message[0] == "spans":
+                        # A worker's shipped span batch: ("spans", pid, wire).
+                        if tracer is not None:
+                            tracer.ingest_wire(message[2])
+                        continue
+                    if emit is not None:
+                        pid, kind, hb_label, hb_case, branches, hb_wall, hb_rss = message
+                        emit(pid, kind, hb_label, hb_case, branches, hb_wall, hb_rss)
+
+            try:
+                trace_paths = _spool_traces({case.name: case for _, case, _ in remote}, spool)
+                with ProcessPoolExecutor(max_workers=n_workers) as pool:
+                    futures = {}
+                    for label, case, key in remote:
+                        test_path, training_path = trace_paths[case.name]
+                        future = pool.submit(
+                            _run_cell,
+                            label,
+                            case.name,
+                            builder_by_label[label],
+                            test_path,
+                            training_path,
+                            context_switches,
+                            backend,
+                            heartbeat_queue,
+                            tracer is not None,
+                        )
+                        futures[future] = key
+                    # Overlap the unpicklable (parent-process) cells with
+                    # the pool instead of serializing them afterwards.
+                    for label, case, key in local:
+                        _run_local(label, case, key)
+                    not_done = set(futures)
+                    poll = (
+                        progress_interval
+                        if heartbeat_queue is not None or tick is not None
+                        else None
+                    )
+                    while not_done:
+                        done, not_done = wait(
+                            not_done, timeout=poll, return_when=FIRST_COMPLETED
+                        )
+                        _drain_heartbeats()
+                        if tick is not None:
+                            tick()
+                        for future in done:
+                            label, case_name, *measured = future.result()
+                            _settle(label, case_name, futures[future], *measured)
+                _drain_heartbeats()
+                if tick is not None:
+                    tick()
+            finally:
+                shutil.rmtree(spool, ignore_errors=True)
+                if manager is not None:
+                    manager.shutdown()
+
+        # Phase 3: assemble in the canonical (scheme-major) order, so the
+        # matrix layout is independent of completion order.
+        for label in builders:
+            for case in cases:
+                result, source, wall, phases, used_backend, rss = outcomes[
+                    (label, case.name)
+                ]
+                telemetry.record(
+                    label,
+                    case.name,
+                    wall,
+                    source,
+                    phases=phases,
+                    backend=used_backend,
+                    rss_peak=rss,
+                )
+                if result is not None:
+                    matrix.add(label, result)
+    finally:
+        # Also on failure: a sweep that raised must not leave its span
+        # open, nor its own recorder enabled for the rest of the process.
+        sweep = recorder.pop_through(sweep_id, cells=telemetry.total_cells)
+        if tracer is not None:
+            tracer.ingest(recorder.drain())
         if own_recorder:
-            from ..obs.spans import disable as _spans_disable
-
-            _spans_disable()
+            spans_mod.disable()
+    telemetry.wall_time = sweep.seconds
     logger.event(
         "matrix_done",
         cells=telemetry.total_cells,

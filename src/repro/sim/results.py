@@ -157,14 +157,16 @@ class CellTelemetry:
         scheme: scheme label (row of the matrix).
         benchmark: benchmark name (column of the matrix).
         wall_time: seconds spent producing this cell (simulation time in
-            the worker, or lookup time for a cache hit).
+            the worker, or lookup time for a cache hit): the duration of
+            the cell's ``"cell"`` span (:mod:`repro.obs.spans`).
         source: ``"simulated"`` (ran :func:`~repro.sim.engine.simulate`),
             ``"cache"`` (served from the on-disk result cache), or
             ``"unavailable"`` (builder raised ``TrainingUnavailable`` —
             the cell stays blank, as in the paper's Figure 11).
         phases: per-phase breakdown of ``wall_time`` in seconds, keyed
             by phase name (``"trace_load"``, ``"build"``, ``"simulate"``,
-            ``"cache_lookup"``). Empty for records produced before the
+            ``"cache_lookup"``): the durations of the cell span's phase
+            children. Empty for records produced before the
             phase spans existed (e.g. deserialised old telemetry). The
             ``"simulate"`` span always carries that name regardless of
             engine backend, so throughput comparisons across backends

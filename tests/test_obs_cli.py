@@ -91,15 +91,14 @@ class TestObsCLI:
             [
                 "--scheme", "gag-8",
                 "--trace", str(trace_file),
-                "--profile-phases",
                 "--cprofile",
                 "--format", "json",
             ]
         )
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["timing"]["predict"]["calls"] == 2000
-        assert payload["timing"]["update"]["calls"] == 2000
+        assert sorted(payload["timing"]) == ["build", "simulate"]
+        assert payload["timing"]["simulate"]["calls"] == 1
         assert "function calls" in payload["cprofile"]
 
     def test_interval_zero_disables_series(self, trace_file, capsys):

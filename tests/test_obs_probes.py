@@ -21,7 +21,6 @@ from repro.obs import (
     TopOffendersProbe,
     WarmupCurveProbe,
 )
-from repro.obs.profile import PhaseTimer, TimingPredictor
 from repro.sim.engine import ContextSwitchConfig, simulate
 from repro.trace.events import TraceBuilder
 from repro.trace.synthetic import loop_trace, markov_trace
@@ -79,17 +78,6 @@ class TestEquivalence:
         bare = simulate(GAgPredictor(6, A2), trace)
         probed = simulate(GAgPredictor(6, A2), trace, probe=StreakHistogramProbe())
         assert probed == bare
-
-    def test_timing_predictor_is_bit_identical(self):
-        trace = _mixed_trace(branches=800)
-        bare = simulate(make_pag(8), trace, context_switches=ContextSwitchConfig(2000))
-        timed = simulate(
-            TimingPredictor(make_pag(8), PhaseTimer()),
-            trace,
-            context_switches=ContextSwitchConfig(2000),
-            probe=_full_probe_set(),
-        )
-        assert timed == bare
 
     def test_track_per_site_matches_offender_probe(self):
         trace = _mixed_trace(branches=600)

@@ -6,10 +6,7 @@ import pytest
 
 from repro.obs import (
     SCHEMA,
-    PhaseTimer,
     RunReport,
-    SpanStats,
-    TimingPredictor,
     format_report,
     observe,
     run_cprofile,
@@ -105,6 +102,19 @@ class TestRunReport:
         assert report.tables  # GAg exposes its pht
         assert {"build", "simulate"} <= set(report.timing)
 
+    def test_timing_is_the_phase_span_totals(self):
+        from repro.obs.spans import recording
+
+        with recording() as enabled:
+            report = observe("gag-6", trace=loop_trace(iterations=50, trip_count=4))
+        assert sorted(report.timing) == ["build", "simulate"]
+        for total in report.timing.values():
+            assert set(total) == {"seconds", "calls"}
+            assert total["calls"] == 1
+            assert total["seconds"] > 0
+        # The engine's spans go to the enabled recorder, not the report.
+        assert "interpret" in {span.name for span in enabled.spans}
+
 
 class TestFormatReport:
     def test_sections_present(self, report):
@@ -124,40 +134,7 @@ class TestFormatReport:
             write_report(report, tmp_path / "r.x", fmt="yaml")
 
 
-class TestPhaseTimer:
-    def test_span_accumulates(self):
-        timer = PhaseTimer()
-        with timer.span("work"):
-            pass
-        with timer.span("work"):
-            pass
-        assert timer.spans["work"].calls == 2
-        assert timer.seconds("work") >= 0.0
-        assert timer.seconds("absent") == 0.0
-        assert list(timer.as_dict()) == ["work"]
-
-    def test_span_stats_round_trip(self):
-        stats = SpanStats(seconds=1.5, calls=3)
-        assert SpanStats.from_dict(stats.to_dict()) == stats
-
-
-class TestTimingPredictor:
-    def test_delegates_and_times(self):
-        from repro.core.twolevel import make_pag
-
-        timer = PhaseTimer()
-        inner = make_pag(6)
-        proxy = TimingPredictor(inner, timer)
-        assert proxy.name == inner.name
-        prediction = proxy.predict(0x40, 0)
-        proxy.update(0x40, True, 0)
-        assert prediction in (True, False)
-        assert timer.spans["predict"].calls == 1
-        assert timer.spans["update"].calls == 1
-        # Attribute probes see through the proxy to the real tables.
-        assert proxy.pht is inner.pht
-        assert proxy.bht is inner.bht
-
+class TestRunCprofile:
     def test_run_cprofile_returns_value_and_table(self):
         value, text = run_cprofile(lambda: sum(range(1000)))
         assert value == sum(range(1000))

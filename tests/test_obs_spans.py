@@ -2,8 +2,8 @@
 
 The guarantees under test:
 
-* recorder semantics: nesting, retroactive recording from external
-  clock readings, lenient id-anchored popping, reserved args;
+* recorder semantics: nesting against an injectable clock, lenient
+  id-anchored popping, discarding, reserved args;
 * tree integrity: parent/child nesting and containment, monotone
   timestamps across the fork boundary, duplicate detection;
 * loss tolerance: a missing (crashed-worker) batch orphans spans into
@@ -67,6 +67,14 @@ def _recorder(**kwargs):
     return SpanRecorder(**kwargs)
 
 
+def _span_at(recorder, clock, name, start, end, cat="", **args):
+    """Record ``name`` over ``[start, end]`` seconds of a ``step=0`` clock."""
+    clock.now = start
+    recorder.push(name, cat=cat, **args)
+    clock.now = end
+    return recorder.pop()
+
+
 def _sweep_fixture(n_workers=1, tracer=None):
     cases = [
         BenchmarkCase("loopA", "int", synthetic.loop_trace(300, 7, name="loopA")),
@@ -92,19 +100,23 @@ class TestSpanRecorder:
         assert not validate_span_tree(spans)
 
     def test_explicit_start_end_seconds_are_exact(self):
-        recorder = _recorder()
-        span_id = recorder.push("cell", start=10.0)
-        recorder.pop_through(span_id, end=10.5)
+        clock = FakeClock(start=10.0, step=0.0)
+        recorder = _recorder(clock=clock)
+        span_id = recorder.push("cell")
+        clock.now = 10.5
+        recorder.pop_through(span_id)
         (span,) = recorder.spans
         assert span.ts == 10.0 * 1e6
         assert span.dur == pytest.approx(0.5 * 1e6)
         assert span.seconds == pytest.approx(0.5)
 
     def test_record_retroactive_nests_under_open_span(self):
-        recorder = _recorder()
-        cell = recorder.push("cell", start=1.0)
-        phase = recorder.record("trace_load", cat="phase", start=1.0, end=1.25)
-        recorder.pop_through(cell, end=2.0)
+        clock = FakeClock(start=1.0, step=0.0)
+        recorder = _recorder(clock=clock)
+        cell = recorder.push("cell")
+        phase = _span_at(recorder, clock, "trace_load", 1.0, 1.25, cat="phase")
+        clock.now = 2.0
+        recorder.pop_through(cell)
         assert phase.parent_id == cell
         assert phase.seconds == pytest.approx(0.25)
         assert not validate_span_tree(recorder.spans)
@@ -143,7 +155,7 @@ class TestSpanRecorder:
         with pytest.raises(ValueError, match="reserved"):
             recorder.push("bad", span_id=7)
         with pytest.raises(ValueError, match="reserved"):
-            recorder.record("bad", start=0.0, end=1.0, parent_id=3)
+            recorder.push("bad", parent_id=3)
 
     def test_pop_empty_stack_raises(self):
         with pytest.raises(RuntimeError):
@@ -161,11 +173,27 @@ class TestSpanRecorder:
     def test_drain_clears_completed_keeps_open(self):
         recorder = _recorder()
         recorder.push("open")
-        recorder.record("done", start=0.0, end=1.0)
+        recorder.push("done")
+        recorder.pop()
         drained = recorder.drain()
         assert [s.name for s in drained] == ["done"]
         assert recorder.spans == []
         assert recorder.depth == 1
+
+    def test_discard_drops_the_span_and_its_subtree(self):
+        recorder = _recorder()
+        recorder.push("kept")
+        recorder.pop()
+        outer = recorder.push("outer")
+        dropped = recorder.push("dropped")
+        recorder.push("closed-inside")
+        recorder.pop()
+        recorder.push("open-inside")
+        recorder.discard(dropped)
+        assert recorder.depth == 1  # only "outer" is still open
+        recorder.discard(dropped)  # no longer open: a no-op
+        recorder.pop_through(outer)
+        assert [span.name for span in recorder.spans] == ["kept", "outer"]
 
     def test_ids_monotone_across_cells(self):
         recorder = _recorder()
@@ -205,16 +233,18 @@ class TestEngineBlockSpans:
 
 class TestWireProtocol:
     def test_round_trip(self):
-        recorder = _recorder()
+        clock = FakeClock(start=100.0, step=0.0)
+        recorder = _recorder(clock=clock)
         with recorder.span("cell", cat="sweep", scheme="GAg"):
-            recorder.record("build", cat="phase", start=100.0, end=100.1)
+            _span_at(recorder, clock, "build", 100.0, 100.1, cat="phase")
         spans = recorder.spans
         assert from_wire(to_wire(spans)) == spans
 
     def test_collector_drops_malformed_batch_whole(self):
         collector = SpanCollector()
         good = _recorder()
-        good.record("ok", start=0.0, end=1.0)
+        good.push("ok")
+        good.pop()
         collector.ingest_wire(to_wire(good.spans))
         collector.ingest_wire([("torn",)])  # malformed: dropped whole
         assert len(collector) == 1
@@ -254,9 +284,11 @@ class TestTreeIntegrity:
     def test_queue_loss_tolerance_partial_sweep(self):
         # Parent sweep span + one worker's cell batch; the other
         # worker "crashed" and never shipped. The trace stays valid.
-        parent = _recorder(pid=1)
-        sweep = parent.push("sweep", start=0.0)
-        parent.pop_through(sweep, end=10.0)
+        parent_clock = FakeClock(start=0.0, step=0.0)
+        parent = _recorder(pid=1, clock=parent_clock)
+        sweep = parent.push("sweep")
+        parent_clock.now = 10.0
+        parent.pop_through(sweep)
         worker = _recorder(pid=2, clock=FakeClock(start=1.0))
         with worker.span("cell", scheme="GAg", benchmark="a"):
             pass
@@ -269,9 +301,10 @@ class TestTreeIntegrity:
 
 class TestAggregation:
     def test_span_totals_and_summary(self):
-        recorder = _recorder()
-        recorder.record("block", start=0.0, end=0.5)
-        recorder.record("block", start=1.0, end=1.25)
+        clock = FakeClock(start=0.0, step=0.0)
+        recorder = _recorder(clock=clock)
+        _span_at(recorder, clock, "block", 0.0, 0.5)
+        _span_at(recorder, clock, "block", 1.0, 1.25)
         totals = span_totals(recorder.spans)
         assert totals["block"]["count"] == 2
         assert totals["block"]["seconds"] == pytest.approx(0.75)
@@ -280,13 +313,15 @@ class TestAggregation:
         assert summary["by_name"] == totals
 
     def test_cell_phase_totals_and_summaries(self):
-        recorder = _recorder()
-        cell = recorder.push("cell", start=0.0, scheme="GAg", benchmark="a")
-        recorder.record("trace_load", cat="phase", start=0.0, end=0.2)
-        sim = recorder.push("simulate", cat="phase", start=0.2)
-        recorder.record("block", cat="engine", start=0.2, end=0.9)
-        recorder.pop_through(sim, end=1.0)
-        recorder.pop_through(cell, end=1.0)
+        clock = FakeClock(start=0.0, step=0.0)
+        recorder = _recorder(clock=clock)
+        cell = recorder.push("cell", scheme="GAg", benchmark="a")
+        _span_at(recorder, clock, "trace_load", 0.0, 0.2, cat="phase")
+        sim = recorder.push("simulate", cat="phase")
+        _span_at(recorder, clock, "block", 0.2, 0.9, cat="engine")
+        clock.now = 1.0
+        recorder.pop_through(sim)
+        recorder.pop_through(cell)
         phases = cell_phase_totals(recorder.spans)
         assert phases[("GAg", "a")]["trace_load"] == pytest.approx(0.2)
         assert phases[("GAg", "a")]["simulate"] == pytest.approx(0.8)
@@ -297,10 +332,11 @@ class TestAggregation:
 
 class TestChromeTrace:
     def _spans(self):
-        recorder = _recorder()
+        clock = FakeClock(start=100.0, step=0.0)
+        recorder = _recorder(clock=clock)
         with recorder.span("cell", cat="sweep", scheme="GAg", benchmark="a"):
-            recorder.record("build", cat="phase", start=100.0, end=100.25,
-                            rss_bytes=1_000_000)
+            _span_at(recorder, clock, "build", 100.0, 100.25, cat="phase",
+                     rss_bytes=1_000_000)
         return recorder.spans
 
     def test_round_trip_exact(self):
@@ -345,10 +381,8 @@ class TestSweepIntegration:
         assert set(totals) == set(cells)
         for key, phases in totals.items():
             for phase, seconds in phases.items():
-                reference = cells[key].phases[phase]
-                # the acceptance bound is 1%; equality is exact by
-                # construction (same clock readings), modulo float µs
-                assert seconds == pytest.approx(reference, rel=0.01, abs=1e-5)
+                # exact: the telemetry phase times are these spans' durations
+                assert seconds == cells[key].phases[phase]
 
     def test_serial_traced_sweep(self):
         collector = SpanCollector()
@@ -374,6 +408,23 @@ class TestSweepIntegration:
         for span in collector.spans:
             assert span.ts >= sweep.ts - 0.5
             assert span.end <= sweep.end + 0.5
+
+    def test_failed_traced_sweep_releases_the_recorder(self):
+        def broken(training_trace):
+            raise RuntimeError("builder failed")
+
+        cases = [BenchmarkCase("loopA", "int", synthetic.loop_trace(50, 7, name="loopA"))]
+        try:
+            with pytest.raises(RuntimeError, match="builder failed"):
+                run_matrix({"bad": broken}, cases, n_workers=1, tracer=SpanCollector())
+            assert get_recorder() is None  # the sweep's own recorder
+            recorder = enable(SpanRecorder())
+            with pytest.raises(RuntimeError, match="builder failed"):
+                run_matrix({"bad": broken}, cases, n_workers=1, tracer=SpanCollector())
+            assert get_recorder() is recorder  # the caller's, left enabled
+            assert recorder.depth == 0
+        finally:
+            disable()
 
     def test_untraced_sweep_records_no_spans(self):
         matrix = _sweep_fixture(n_workers=1, tracer=None)

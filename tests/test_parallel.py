@@ -272,3 +272,59 @@ class TestRunnerValidation:
     def test_zero_workers_rejected(self):
         with pytest.raises(ValueError):
             run_matrix(_builders(), [_case("a")], n_workers=0)
+
+
+def _unavailable(training_trace):
+    raise TrainingUnavailable("no training trace")
+
+
+class TestTelemetryShape:
+    """The phase breakdown of every kind of cell, serial and parallel,
+    traced and untraced, cold and warm."""
+
+    @staticmethod
+    def _builders():
+        return {
+            "GAg-6": spec("gag-6"),  # worker when n_workers > 1
+            "GSg-6": spec("gsg-6"),  # worker, TrainingUnavailable
+            "local": lambda training: spec("gag-6")(training),  # always local
+            "local-unavailable": lambda training: _unavailable(training),
+        }
+
+    @staticmethod
+    def _expected(label, n_workers, warm):
+        if warm and label in ("GAg-6", "GSg-6"):
+            return {"cache_lookup"}
+        keys = {"build"}
+        if n_workers > 1 and label in ("GAg-6", "GSg-6"):
+            keys.add("trace_load")
+        if label in ("GAg-6", "local"):
+            keys.add("simulate")
+        return keys
+
+    @pytest.mark.parametrize("traced", [False, True])
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_phase_keys_and_sums(self, tmp_path, n_workers, traced):
+        from repro.obs.spans import SpanCollector, get_recorder
+
+        cache = ResultCache(tmp_path)
+        for warm in (False, True):
+            tracer = SpanCollector() if traced else None
+            matrix = run_matrix(
+                self._builders(), [_case("a")], n_workers=n_workers,
+                result_cache=cache, tracer=tracer,
+            )
+            assert get_recorder() is None
+            telemetry = matrix.telemetry
+            assert telemetry.total_cells == 4
+            totals = {}
+            for cell in telemetry.cells:
+                assert set(cell.phases) == self._expected(cell.scheme, n_workers, warm), (
+                    cell.scheme, warm,
+                )
+                assert sum(cell.phases.values()) <= cell.wall_time + 1e-6
+                for phase, seconds in cell.phases.items():
+                    totals[phase] = totals.get(phase, 0.0) + seconds
+            assert telemetry.phase_seconds == totals
+            # a cached "unavailable" cell counts as unavailable, not a hit
+            assert telemetry.cache_hits == (1 if warm else 0)
