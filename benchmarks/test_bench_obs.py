@@ -71,15 +71,19 @@ def _reference_simulate(predictor, trace, context_switches=None):
     )
 
 
-def _best_of(fn, rounds=BEST_OF):
-    best = float("inf")
-    value = None
-    for _ in range(rounds):
-        started = time.perf_counter()
-        value = fn()
-        elapsed = time.perf_counter() - started
-        best = min(best, elapsed)
-    return best, value
+def _paired_best_of(first, second, rounds=BEST_OF):
+    """Best-of-``rounds`` times and last values of ``first`` and
+    ``second``, timed in interleaved rounds that alternate which side
+    runs first, so a drift in the host's speed reaches both sides."""
+    fns = (first, second)
+    best = [float("inf"), float("inf")]
+    values = [None, None]
+    for round_ in range(rounds):
+        for side in (0, 1) if round_ % 2 == 0 else (1, 0):
+            started = time.perf_counter()
+            values[side] = fns[side]()
+            best[side] = min(best[side], time.perf_counter() - started)
+    return best[0], values[0], best[1], values[1]
 
 
 @pytest.fixture(scope="module")
@@ -91,11 +95,9 @@ def overhead_trace():
 
 
 def test_bench_probe_off_overhead_under_5pct(benchmark, overhead_trace):
-    reference_best, reference_result = _best_of(
-        lambda: _reference_simulate(make_pag(12), overhead_trace)
-    )
-    probe_off_best, probe_off_result = _best_of(
-        lambda: simulate(make_pag(12), overhead_trace, probe=None)
+    reference_best, reference_result, probe_off_best, probe_off_result = _paired_best_of(
+        lambda: _reference_simulate(make_pag(12), overhead_trace),
+        lambda: simulate(make_pag(12), overhead_trace, probe=None),
     )
     assert probe_off_result == reference_result
     ratio = probe_off_best / reference_best
@@ -125,11 +127,8 @@ def test_bench_full_probe_set_equivalent_and_measured(benchmark, overhead_trace)
             ]
         )
 
-    bare_best, bare = _best_of(
+    bare_best, bare, probed_best, probed = _paired_best_of(
         lambda: simulate(make_pag(12), overhead_trace, context_switches=config),
-        rounds=3,
-    )
-    probed_best, probed = _best_of(
         lambda: simulate(
             make_pag(12), overhead_trace, context_switches=config, probe=probes()
         ),

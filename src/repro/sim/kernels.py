@@ -98,16 +98,35 @@ on history length or automaton. So every whole-trace call (``run.final``
 and no carry) takes its :class:`_Layout` from ``_LAYOUT_MEMO``, whether
 it comes from ``simulate``, ``run_case`` or
 :func:`repro.sim.parallel.execute_matrix` (which runs its cells
-case-major, so each trace arrives once). The memo belongs to the
-trace's cached ``TraceArrays``: it holds a weak reference to that
-object and its layouts keyed by ``(num_sets, associativity)`` (``None``
-for the ideal BHT) and ``(interval, switch_on_traps)``. It holds one
-trace's layouts at most: a call on another trace replaces them, and the
-reference's callback drops them once the trace's arrays are collected.
-Memoized arrays are read-only, so a kernel that writes into a shared
-layout fails loudly. Streamed and carried calls never touch it, and
-static training builds its layouts outside it, so training a predictor
-never evicts the layouts of the trace under test.
+case-major, so each trace arrives once). The memo has two tiers:
+
+* **Full layouts of the current trace.** The memo belongs to the
+  trace's cached ``TraceArrays``: it holds a weak reference to that
+  object and its layouts keyed by ``(num_sets, associativity)``
+  (``None`` for the ideal BHT) and ``(interval, switch_on_traps)``. It
+  holds one trace's layouts at most: a call on another trace replaces
+  them, and the reference's callback drops them once the trace's
+  arrays are collected. They serve the repeated cells of one trace.
+* **Residency words of every live trace.** A set-associative layout
+  costs an LRU replay (:func:`_lru_metadata`), and every experiment of
+  a sweep walks the same traces in turn, evicting the previous one's
+  full layouts. So the first replay of a trace at a geometry and
+  context-switch model also packs each conditional record's residency
+  into one word, ``slot << 2 | miss << 1 | evict`` in trace order
+  (:func:`_residency_words`), kept on the ``TraceArrays``'
+  ``residency`` dict under the same key. A later miss at that key
+  rebuilds the layout with one stable slot sort (:func:`_words_layout`)
+  instead of replaying. The words are ``uint16`` up to ``2**14`` BHT
+  entries, so they cost 2 B x conditional records x set-associative
+  keys, and they die with the trace's arrays. Ideal and direct-mapped
+  layouts keep no words: building one is a single sort.
+
+Memoized arrays and words are read-only, so a kernel that writes into a
+shared layout fails loudly. Streamed and carried calls never touch
+either tier, and static training builds its layouts outside them, so
+training a predictor never evicts the layouts of the trace under test.
+With tracing on, :func:`_pa_layout` records one ``layout`` span per
+call whose ``source`` names the tier that served it.
 
 Carried state
 -------------
@@ -897,15 +916,44 @@ class _Layout:
 def _pa_layout(run: _Run, bht, carry: Optional[_Keyed]) -> _Layout:
     """The slot layout, resuming ``carry``'s entries (keyed by slot,
     with the occupant pc and the flush stamp of its last access); a
-    whole-trace call is served from :data:`_LAYOUT_MEMO`."""
+    whole-trace call is served from :data:`_LAYOUT_MEMO`.
+
+    With tracing on, each call is one ``layout`` span whose ``source``
+    says where the layout came from: ``memo`` (a memoized full layout),
+    ``words`` (rebuilt from the trace's residency words), ``replay``
+    (:func:`_lru_metadata` ran) or ``build`` (an ideal or direct-mapped
+    layout was sorted).
+    """
+    # Deferred import, as in simulate_vectorized_stream: None unless
+    # tracing is on.
+    from ..obs.spans import get_recorder as _get_span_recorder
+
+    recorder = _get_span_recorder()
+    if recorder is None:
+        return _layout_and_source(run, bht, carry)[0]
+    span_id = recorder.push("layout", cat="kernel")
+    source = None
+    try:
+        layout, source = _layout_and_source(run, bht, carry)
+    finally:
+        recorder.pop_through(span_id, source=source)
+    return layout
+
+
+def _layout_and_source(run: _Run, bht, carry: Optional[_Keyed]):
+    """:func:`_pa_layout`'s layout and its span ``source``."""
     if carry is None and run.final:
         return _LAYOUT_MEMO.layout(run, bht)
-    return _build_layout(run, bht, carry)
+    return _build_layout(run, bht, carry), "replay" if _set_associative(bht) else "build"
+
+
+def _set_associative(bht) -> bool:
+    return isinstance(bht, CacheBHT) and bht.associativity > 1
 
 
 def _build_layout(run: _Run, bht, carry: Optional[_Keyed]) -> _Layout:
-    """:func:`_pa_layout` without the memo."""
-    if isinstance(bht, CacheBHT) and bht.associativity > 1:
+    """:func:`_pa_layout` without the memo or the residency words."""
+    if _set_associative(bht):
         return _assoc_layout(run, bht, carry)
     ideal = isinstance(bht, IdealBHT)
     if ideal:
@@ -1218,6 +1266,32 @@ def _assoc_layout(run: _Run, bht: CacheBHT, carry: Optional[_Keyed]) -> _Layout:
                    heads, hkey, cont, False)
 
 
+def _residency_words(run: _Run, bht: CacheBHT) -> np.ndarray:
+    """Replay the whole trace's set-associative BHT and pack each
+    conditional record's residency, in trace order, into one read-only
+    word ``slot << 2 | miss << 1 | evict`` (``slot`` = set x
+    associativity + way). ``uint16`` holds every slot of a BHT with at
+    most ``2**14`` entries, ``uint32`` of one below ``2**30``, which a
+    :class:`CacheBHT` (one object per entry) never reaches."""
+    order1, miss_r, evict_r, slot_r = _lru_metadata(run, bht, None)
+    dtype = np.uint16 if bht.num_sets * bht.associativity <= 1 << 14 else np.uint32
+    words = np.empty(run.n_c, dtype=dtype)
+    words[order1] = slot_r.astype(dtype) << 2 | miss_r.astype(dtype) << 1 | evict_r
+    words.flags.writeable = False
+    return words
+
+
+def _words_layout(run: _Run, words: np.ndarray) -> _Layout:
+    """The whole-trace :class:`_Layout` of :func:`_assoc_layout`, rebuilt
+    from residency words by one stable slot sort, which keeps time order
+    within each slot."""
+    order = _stable_argsort(words >> 2)
+    words_s = words[order]
+    return _Layout(order, run.out_u8[order], (words_s & 2) != 0,
+                   _change_marks(words_s >> 2), (words_s & 1) != 0,
+                   None, None, None, False)
+
+
 class _LayoutMemo:
     """Whole-trace layouts of the most recently simulated trace.
 
@@ -1227,6 +1301,11 @@ class _LayoutMemo:
     another arrays object replaces the pair, and the reference's
     callback clears it once the arrays are collected, so at most one
     trace's layouts are alive and none outlives its trace.
+
+    A set-associative layout the memo misses is rebuilt from the
+    residency words on the arrays' ``residency`` dict, under the same
+    key, and only a trace's first miss at a key replays the LRU to fill
+    them. The words outlive the memo's pair: they die with the arrays.
 
     No lock: each call works on its own local reference to the pair,
     and every step on it is one atomic operation, so concurrent calls
@@ -1246,7 +1325,9 @@ class _LayoutMemo:
         if current is not None and current[0] is ref:
             self.current = None
 
-    def layout(self, run: _Run, bht) -> _Layout:
+    def layout(self, run: _Run, bht):
+        """``(layout, source)``: the whole-trace layout and its
+        :func:`_pa_layout` span source."""
         current = self.current
         if current is None or current[0]() is not run.arrays:
             ref = weakref.ref(run.arrays, self._release)
@@ -1258,14 +1339,28 @@ class _LayoutMemo:
         else:
             key = (bht.num_sets, bht.associativity, run.cs)
         layout = layouts.get(key)
-        if layout is None:
-            layout = _build_layout(run, bht, None)
-            for name in _Layout.__slots__:
-                value = getattr(layout, name)
-                if isinstance(value, np.ndarray):
-                    value.setflags(write=False)
-            layout = layouts.setdefault(key, layout)
-        return layout
+        if layout is not None:
+            return layout, "memo"
+        layout, source = _whole_layout(run, bht, key)
+        for name in _Layout.__slots__:
+            value = getattr(layout, name)
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+        return layouts.setdefault(key, layout), source
+
+
+def _whole_layout(run: _Run, bht, key: tuple):
+    """A memo miss: ``(layout, source)`` for the whole-trace layout at
+    ``key``, set-associative ones rebuilt from residency words."""
+    if not _set_associative(bht):
+        return _build_layout(run, bht, None), "build"
+    residency = run.arrays.residency
+    words = residency.get(key)
+    source = "words"
+    if words is None:
+        words = residency.setdefault(key, _residency_words(run, bht))
+        source = "replay"
+    return _words_layout(run, words), source
 
 
 #: This process's layout memo (see "The first-level layout memo" above).

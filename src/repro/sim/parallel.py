@@ -24,7 +24,11 @@ exploits that:
   (cases in figure order, then schemes in label order), so the
   one-trace first-level layout memo of :mod:`repro.sim.kernels`, in the
   parent and in every pool worker, computes each trace's BHT layout
-  once per first level instead of once per cell.
+  once per first level instead of once per cell. Behind it, each live
+  trace keeps its set-associative residency words (2 B per conditional
+  record per geometry and context-switch model), so the next matrix
+  over the same trace rebuilds those layouts with one sort instead of
+  replaying the LRU.
 
 Determinism guarantee: for fixed builders, cases and configuration, the
 returned :class:`~repro.sim.results.ResultMatrix` is bit-identical for

@@ -299,10 +299,17 @@ class TraceArrays:
     caches the instance on the trace. :meth:`from_columns` builds the
     same structure straight from raw columns (lists or ndarrays), which
     is how streamed trace blocks avoid materializing a :class:`Trace`.
+
+    ``residency`` holds the vectorized kernels' set-associative BHT
+    residency words for this trace, keyed by ``(num_sets,
+    associativity, context-switch model)``: one read-only unsigned word
+    per conditional record, filled by :mod:`repro.sim.kernels` on a
+    trace's first whole-trace replay at that geometry, so they live
+    exactly as long as these arrays.
     """
 
     __slots__ = ("pc", "taken", "cls", "target", "instret", "trap",
-                 "cond_mask", "_sites", "_site_ids", "__weakref__")
+                 "cond_mask", "_sites", "_site_ids", "residency", "__weakref__")
 
     def __init__(self, trace: Optional[Trace] = None, *, columns=None) -> None:
         if (trace is None) == (columns is None):
@@ -321,6 +328,7 @@ class TraceArrays:
             getattr(self, name).flags.writeable = False
         self._sites = None
         self._site_ids = None
+        self.residency = {}
 
     @classmethod
     def from_columns(cls, pc, taken, branch_cls, target, instret, trap) -> "TraceArrays":

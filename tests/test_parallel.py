@@ -128,7 +128,10 @@ class TestDeterminism:
 
 class TestLayoutMemo:
     """Cells run case-major under the layout memo, so every scheme at one
-    set-associative geometry shares each trace's LRU replay."""
+    set-associative geometry shares each trace's LRU replay. The memo
+    keeps one trace's full layouts, but each live trace keeps its
+    residency words, so a later matrix over the same traces, even after
+    another trace evicted their layouts, replays no LRU again."""
 
     SCHEMES = ("pag-4-512x4", "pag-8-512x4", "pag-6-lt-512x4", "pap-4-512x4",
                "pap-6-512x4", "btb-a2")
@@ -150,6 +153,13 @@ class TestLayoutMemo:
         assert run_matrix(builders, cases, n_workers=2, backend="python") == serial
         assert switched == run_matrix(builders, cases, n_workers=2, backend="python",
                                       context_switches=ContextSwitchConfig(interval=100))
+        # Another trace takes the memo; the suite's traces keep their words.
+        run_matrix(builders, [_case("d", trip=5)], n_workers=1)
+        assert len(calls) == 7
+        assert run_matrix(builders, cases, n_workers=1) == serial
+        assert run_matrix(builders, cases, n_workers=1,
+                          context_switches=ContextSwitchConfig(interval=100)) == switched
+        assert len(calls) == 7
 
 
 class TestResultCaching:

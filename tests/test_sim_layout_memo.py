@@ -13,6 +13,16 @@ most one trace's layouts alive, their release when the trace is
 collected, streamed and carried calls to bypass it, and concurrent calls
 to stay correct.
 
+Behind the memo, each live trace keeps one residency word per
+conditional record for every set-associative first level it was replayed
+at. These tests also require the words to decode to
+:func:`~repro.sim.kernels._lru_metadata`'s output and the layout rebuilt
+from them to equal a fresh build (hypothesis, with BHTs on both sides of
+the ``uint16`` bound), one LRU replay per trace, geometry and
+context-switch model across matrices, read-only words released with the
+trace, streamed and carried calls that neither read nor fill them, and a
+traced sweep's ``layout`` spans to name where each layout came from.
+
 The example budget comes from the hypothesis profile named by
 ``HYPOTHESIS_PROFILE`` (see ``conftest.py``).
 """
@@ -21,6 +31,8 @@ import gc
 import multiprocessing
 import os
 import sys
+import weakref
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -31,6 +43,7 @@ from hypothesis import strategies as st
 from repro.core.automata import A2
 from repro.core.history import CacheBHT, IdealBHT
 from repro.core.twolevel import make_pag, make_pap
+from repro.obs.spans import recording
 from repro.predictors.btb import BTBPredictor
 from repro.predictors.registry import make_predictor
 from repro.sim import ContextSwitchConfig, kernels, simulate
@@ -92,10 +105,11 @@ def _bht(sets, ways):
 
 
 def _count_builds(monkeypatch):
-    """Record every fresh (unmemoized) layout build."""
+    """Record the BHT of every memo miss (a fresh layout, built or
+    rebuilt from residency words)."""
     calls = []
-    original = kernels._build_layout
-    monkeypatch.setattr(kernels, "_build_layout",
+    original = kernels._whole_layout
+    monkeypatch.setattr(kernels, "_whole_layout",
                         lambda *args: calls.append(args[1]) or original(*args))
     return calls
 
@@ -266,6 +280,153 @@ def test_carried_and_non_final_calls_bypass_the_memo():
     resumed = kernels._pa_layout(kernels._Run(trace, None, False, 0), bht, carry)
     assert MEMO.current is None
     assert resumed.order.flags.writeable
+
+
+# ----------------------------------------------------------------------
+# Residency words
+# ----------------------------------------------------------------------
+
+@st.composite
+def word_cases(draw):
+    """A trace over pcs up to ``2**16`` and a set-associative geometry:
+    1-64 sets, or 4096 / 8192 sets (at and past the ``uint16`` word's
+    ``2**14`` entries), x 2-8 ways, with or without context switches."""
+    n = draw(st.integers(1, 400))
+    pool = draw(st.lists(st.integers(0, 1 << 16), min_size=1, max_size=80, unique=True))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    trace = _random_trace(np.random.default_rng(seed), n, pool)
+    sets = draw(st.one_of(st.integers(1, 64), st.sampled_from((4096, 8192))))
+    ways = draw(st.integers(2, 8))
+    cs = draw(st.sampled_from((None, SWITCHES, ContextSwitchConfig(7, False))))
+    return trace, sets, ways, cs
+
+
+@PROFILE
+@given(case=word_cases())
+def test_layout_rebuilt_from_words_equals_fresh_build(case):
+    trace, sets, ways, cs = case
+    bht = CacheBHT(sets * ways, ways)
+    run = kernels._Run(trace, cs, False, 0)
+    if run.n_c == 0:
+        return
+    first, source = MEMO.layout(run, bht)
+    assert source == "replay"
+    words = trace.as_arrays().residency[(sets, ways, run.cs)]
+    assert words.dtype == (np.uint16 if sets * ways <= 1 << 14 else np.uint32)
+    order1, miss, evict, slot = kernels._lru_metadata(run, bht, None)
+    assert np.array_equal(words[order1] >> 2, slot)
+    assert np.array_equal((words[order1] >> 1) & 1, miss)
+    assert np.array_equal(words[order1] & 1, evict)
+    MEMO.clear()
+    rebuilt, source = MEMO.layout(kernels._Run(trace, cs, False, 0), bht)
+    assert source == "words"
+    fresh = kernels._build_layout(run, bht, None)
+    _layouts_equal(first, fresh)
+    _layouts_equal(rebuilt, fresh)
+
+
+def _count_replays(monkeypatch):
+    """Record ``(arrays id, num_sets, associativity, cs)`` per LRU replay."""
+    calls = []
+    original = kernels._lru_metadata
+    monkeypatch.setattr(
+        kernels, "_lru_metadata",
+        lambda run, bht, carry: calls.append(
+            (id(run.arrays), bht.num_sets, bht.associativity, run.cs))
+        or original(run, bht, carry))
+    return calls
+
+
+WORD_SCHEMES = ("pag-6-64x4", "pap-4-64x4", "btb-a2", "pag-4-32x2", "pag-6-ideal",
+                "pap-4-64x1")
+
+
+def test_matrices_replay_each_lru_once_per_trace(monkeypatch):
+    """Two matrices over the same cases, with another trace simulated
+    between them, replay each (trace, geometry, cs) once."""
+    cases = [BenchmarkCase(f"w{seed}", "int", _trace(seed, n=1500), None)
+             for seed in (30, 31)]
+    builders = {name: spec(name) for name in WORD_SCHEMES}
+    calls = _count_replays(monkeypatch)
+    first = run_matrix(builders, cases)
+    switched = run_matrix(builders, cases, context_switches=SWITCHES)
+    other = _trace(32)
+    simulate(make_pag(6, A2, 64, 4), other, backend="vectorized")
+    assert MEMO.current[0]() is other.as_arrays()
+    assert run_matrix(builders, cases) == first
+    assert run_matrix(builders, cases, context_switches=SWITCHES) == switched
+    assert first == run_matrix(builders, cases, backend="python")
+    # Three set-associative geometries (btb-a2 is 512x4) x two cs models
+    # x two cases, plus the other trace's one.
+    assert len(calls) == len(set(calls)) == 3 * 2 * 2 + 1
+
+
+def test_words_are_read_only_and_released_with_the_trace():
+    trace = _trace(33)
+    for cs in (None, SWITCHES):
+        simulate(make_pap(4, A2, 64, 4), trace, context_switches=cs, backend="vectorized")
+    residency = trace.as_arrays().residency
+    assert set(residency) == {(16, 4, None), (16, 4, (40, True))}
+    refs = []
+    for words in residency.values():
+        assert words.dtype == np.uint16
+        with pytest.raises(ValueError, match="read-only"):
+            words[0] = words[0]
+        refs.append(weakref.ref(words))
+    del words, residency, trace
+    gc.collect()
+    assert MEMO.current is None
+    assert [ref() for ref in refs] == [None, None]
+
+
+def test_streamed_and_carried_calls_neither_read_nor_fill_the_words(monkeypatch):
+    trace = _trace(34, n=5000)
+    bht = CacheBHT(64, 4)
+    key = (16, 4, (40, True))
+    expected = simulate(make_pap(4, A2, 64, 4), trace, context_switches=SWITCHES,
+                        backend="python")
+    touched = []
+    for name in ("_residency_words", "_words_layout"):
+        original = getattr(kernels, name)
+        monkeypatch.setattr(kernels, name,
+                            lambda *args, _f=original, _n=name: touched.append(_n) or _f(*args))
+    streamed = simulate(make_pap(4, A2, 64, 4), trace, context_switches=SWITCHES,
+                        backend="vectorized", block_size=997)
+    assert streamed == expected
+    open_block = kernels._Run(trace, SWITCHES, False, 0, final=False)
+    carry = kernels._slot_carry(open_block, kernels._pa_layout(open_block, bht, None), None)
+    kernels._pa_layout(kernels._Run(trace, SWITCHES, False, 0), bht, carry)
+    assert touched == []
+    assert trace.as_arrays().residency == {}
+    # With the words present, the same calls still leave them unread.
+    assert simulate(make_pap(4, A2, 64, 4), trace, context_switches=SWITCHES,
+                    backend="vectorized") == expected
+    assert touched == ["_residency_words", "_words_layout"]
+    words = trace.as_arrays().residency[key]
+    MEMO.clear()
+    del touched[:]
+    assert simulate(make_pap(4, A2, 64, 4), trace, context_switches=SWITCHES,
+                    backend="vectorized", block_size=997) == expected
+    kernels._pa_layout(kernels._Run(trace, SWITCHES, False, 0), bht, carry)
+    assert touched == []
+    assert trace.as_arrays().residency == {key: words}
+
+
+def test_a_traced_pair_of_sweeps_replays_each_key_once():
+    """One ``layout`` span per call; the second sweep rebuilds each
+    set-associative layout from words and replays nothing."""
+    cases = [BenchmarkCase(f"s{seed}", "int", _trace(seed, n=1500), None)
+             for seed in (35, 36)]
+    builders = {name: spec(name) for name in WORD_SCHEMES}
+    with recording() as recorder:
+        first = run_matrix(builders, cases)
+        second = run_matrix(builders, cases)
+    assert second == first
+    sources = Counter(span.args["source"] for span in recorder.spans
+                      if span.name == "layout")
+    # Per sweep and case: three set-associative geometries, two others.
+    assert sources == {"replay": 3 * 2, "words": 3 * 2, "build": 2 * 2 * 2,
+                       "memo": 2 * 2 * (len(WORD_SCHEMES) - 5)}
 
 
 def _cases():
