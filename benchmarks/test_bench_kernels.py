@@ -64,6 +64,14 @@ def million_trace():
     return trace
 
 
+def _cold(trace):
+    """Drop the kernels' memo and ``trace``'s residency words, so the
+    next whole-trace pass builds every layout and input itself (and
+    replays each set-associative LRU)."""
+    kernels._LAYOUT_MEMO.clear()
+    trace.as_arrays().residency.clear()
+
+
 @pytest.mark.parametrize("label", list(SCHEMES), ids=list(SCHEMES))
 def test_bench_kernel_speedup(benchmark, million_trace, label):
     _pin_speedup(benchmark, million_trace, label, SCHEMES[label], MIN_SPEEDUP)
@@ -79,13 +87,13 @@ def _pin_speedup(benchmark, million_trace, label, name, floor):
     reference = simulate(make_predictor(name), million_trace, backend="python")
     python_s = time.perf_counter() - started
 
-    # Every timed run starts from an empty first-level layout memo, so
-    # it pays for its own layout (the LRU replay, for the 4-way pins)
-    # instead of reading the previous run's.
+    # Every timed run starts cold (``_cold``), so it pays for its own
+    # layout (the LRU replay, for the 4-way pins) and its own
+    # scheme-independent inputs instead of reading the previous run's.
     vectorized_s = []
     fast = None
     for _ in range(3):
-        kernels._LAYOUT_MEMO.clear()
+        _cold(million_trace)
         t0 = time.perf_counter()
         fast = simulate_vectorized(make_predictor(name), million_trace)
         vectorized_s.append(time.perf_counter() - t0)
@@ -104,7 +112,7 @@ def _pin_speedup(benchmark, million_trace, label, name, floor):
     # The ledger records the vectorized wall time as the measurement.
     benchmark.pedantic(
         lambda: simulate_vectorized(make_predictor(name), million_trace),
-        setup=kernels._LAYOUT_MEMO.clear,
+        setup=lambda: _cold(million_trace),
         rounds=1,
         iterations=1,
     )

@@ -26,6 +26,7 @@ rather than shifted in.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Iterator, List, Optional, Tuple
 
 
@@ -214,15 +215,21 @@ class CacheBHT:
         self.num_sets = num_entries // associativity
         self._init_value = init_value
         self._tick = 0
-        self._sets: List[List[BHTEntry]] = [
+        self.stats = BHTStats()
+        self.evicted_slots: List[int] = []
+
+    @cached_property
+    def _sets(self) -> List[List[BHTEntry]]:
+        """Each set's ways, built on first use: the vectorized kernels
+        read only the geometry, so a predictor they replay never builds
+        them."""
+        return [
             [
-                BHTEntry(slot=set_index * associativity + way)
-                for way in range(associativity)
+                BHTEntry(slot=set_index * self.associativity + way)
+                for way in range(self.associativity)
             ]
             for set_index in range(self.num_sets)
         ]
-        self.stats = BHTStats()
-        self.evicted_slots: List[int] = []
 
     def _locate(self, pc: int) -> Tuple[List[BHTEntry], int]:
         set_index = pc % self.num_sets

@@ -40,7 +40,9 @@ def _training_run(trace: Trace):
 
     An in-memory trace lends its cached :meth:`Trace.as_arrays`, so
     training GSg, PSg and the profile on one trace converts it once;
-    any other source is read as one uncached block.
+    any other source is read as one uncached block. The run stays out of
+    the kernels' per-trace memo, so training never evicts or fills the
+    memo of the trace under test.
     """
     from ..sim.kernels import _Run
 
@@ -92,8 +94,8 @@ def train_per_address_presets(trace: Trace, history_bits: int) -> Dict[int, bool
     (:func:`repro.sim.kernels._build_layout` with an :class:`IdealBHT`,
     then :func:`repro.sim.kernels._pa_patterns`). All branches feed one
     global tally, exactly as all PSg history registers index one global
-    preset table. The layout bypasses the kernels' layout memo, so
-    training never evicts the layouts of the trace under test.
+    preset table. The layout bypasses the kernels' memo, as the run
+    does.
     """
     from ..sim.kernels import _build_layout, _pa_patterns
 
@@ -101,7 +103,7 @@ def train_per_address_presets(trace: Trace, history_bits: int) -> Dict[int, bool
     if run is None:
         return {}
     layout = _build_layout(run, IdealBHT(), None)
-    patterns = _pa_patterns(layout, history_bits, None)
+    patterns = _pa_patterns(run, layout, history_bits, None)
     return _majority(patterns, layout.out_s.view(bool))
 
 

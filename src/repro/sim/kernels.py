@@ -88,25 +88,34 @@ scored record (executions) and of the scored indices (mispredictions).
 The miss analyses of :mod:`repro.analysis` read the same generator's
 indices through :func:`repro.sim.engine._replay_mispredictions`.
 
-The first-level layout memo
----------------------------
+The per-trace memo: first-level layouts and kernel inputs
+---------------------------------------------------------
 
 A BHT's residency — which records miss or evict, and which slot each
 lives in — depends only on the trace, the first level (ideal,
 direct-mapped or set-associative) and the context-switch model, never
-on history length or automaton. So every whole-trace call (``run.final``
-and no carry) takes its :class:`_Layout` from ``_LAYOUT_MEMO``, whether
-it comes from ``simulate``, ``run_case`` or
+on history length or automaton, and neither does most of what a
+kernel prepares before its scan. So every whole-trace call
+(``run.final`` and no carry) takes them from ``_LAYOUT_MEMO``,
+whether it comes from ``simulate``, ``run_case`` or
 :func:`repro.sim.parallel.execute_matrix` (which runs its cells
 case-major, so each trace arrives once). The memo has two tiers:
 
-* **Full layouts of the current trace.** The memo belongs to the
+* **Layouts and inputs of the current trace.** The memo belongs to the
   trace's cached ``TraceArrays``: it holds a weak reference to that
-  object and its layouts keyed by ``(num_sets, associativity)``
-  (``None`` for the ideal BHT) and ``(interval, switch_on_traps)``. It
-  holds one trace's layouts at most: a call on another trace replaces
-  them, and the reference's callback drops them once the trace's
-  arrays are collected. They serve the repeated cells of one trace.
+  object and its :class:`_TraceMemo`. That holds the full layouts,
+  keyed by ``(num_sets, associativity)`` (``None`` for the ideal BHT)
+  and ``(interval, switch_on_traps)``, and the scheme-independent
+  inputs: the :class:`_Run` columns (outcomes, pcs, flush segments,
+  switch count) and the global register's restart distances per
+  context-switch model, one ``_MAX_HISTORY_BITS``-wide outcome window
+  in trace order and one per memoized layout (a window serves every
+  history length: :func:`_fill_extended` reads only its low ``k``
+  bits), and the per-site execution tally per warmup. The memo holds
+  one trace's at most: a call on another trace replaces them, the
+  reference's callback drops them once the trace's arrays are
+  collected, and ``_LAYOUT_MEMO.clear()`` drops them too. They serve
+  the repeated cells of one trace.
 * **Residency words of every live trace.** A set-associative layout
   costs an LRU replay (:func:`_lru_metadata`), and every experiment of
   a sweep walks the same traces in turn, evicting the previous one's
@@ -122,11 +131,14 @@ case-major, so each trace arrives once). The memo has two tiers:
   layouts keep no words: building one is a single sort.
 
 Memoized arrays and words are read-only, so a kernel that writes into a
-shared layout fails loudly. Streamed and carried calls never touch
-either tier, and static training builds its layouts outside them, so
-training a predictor never evicts the layouts of the trace under test.
-With tracing on, :func:`_pa_layout` records one ``layout`` span per
-call whose ``source`` names the tier that served it.
+shared input fails loudly, and the shared per-site tally is copied into
+each result. Streamed and carried calls never touch either tier, and
+static training builds its run and layouts outside them, so training a
+predictor never evicts the memo of the trace under test. With tracing
+on, each whole-trace :class:`_Run` records one ``inputs`` span whose
+``source`` is ``memo`` or ``build``, :func:`_pa_layout` one ``layout``
+span per call whose ``source`` names the tier that served it, and
+:func:`_scan_keys` one ``scan`` span per call.
 
 Carried state
 -------------
@@ -550,13 +562,27 @@ def _outcome_window(out_u8: np.ndarray, k: int) -> np.ndarray:
         width <<= 1
 
 
+def _since_restart(seg: np.ndarray) -> np.ndarray:
+    """Records since the last change of ``seg`` (a global register's
+    restart), per record."""
+    return np.arange(seg.shape[0], dtype=np.int32) - _start_indices(_change_marks(seg))
+
+
 def _fill_extended(window: np.ndarray, since: np.ndarray, fill: np.ndarray, k: int) -> np.ndarray:
     """History-register contents: ``min(since, k)`` window bits with the
-    ``fill`` bit extended through the remaining upper positions."""
+    ``fill`` bit (a scalar, or one per record) extended through the
+    remaining upper positions. Only the low ``k`` bits of ``window`` are
+    read, so a wider window serves, and ``since`` may be capped anywhere
+    at or above ``k``. Registers restart rarely, so the records less
+    than ``k`` past a restart are patched after one full-width mask."""
     mask = np.int32((1 << k) - 1)
-    depth = np.minimum(since, np.int32(k))
-    low_mask = (np.int32(1) << depth) - np.int32(1)
-    return (window & low_mask) | (fill * (mask ^ low_mask))
+    patterns = window & mask
+    short = np.flatnonzero(since < k)
+    if short.size:
+        low_mask = (np.int32(1) << since[short].astype(np.int32)) - np.int32(1)
+        short_fill = fill[short] if np.ndim(fill) else fill
+        patterns[short] = (window[short] & low_mask) | (short_fill * (mask ^ low_mask))
+    return patterns
 
 
 # ----------------------------------------------------------------------
@@ -576,59 +602,72 @@ class _Run:
     first conditional record, which orders LRU recency across blocks).
     ``cs`` is the context-switch model as ``(interval, switch_on_traps)``,
     or None.
+
+    A whole-trace run built with ``memo`` (the kernel block loop's
+    whole-trace calls) takes its columns from the trace's
+    :class:`_TraceMemo` and keeps it as ``memo``; every other run builds
+    its own, and ``memo`` is None.
     """
 
     __slots__ = ("arrays", "n_c", "out_bool", "out_u8", "seg_c", "switches",
                  "aggregate", "warmup", "track_per_site", "_pc_c",
-                 "fires_end", "last_epoch", "t0", "final", "cs")
+                 "fires_end", "last_epoch", "t0", "final", "cs", "memo")
 
     def __init__(self, trace: Trace, context_switches: Optional[ContextSwitchConfig],
                  track_per_site: bool, warmup_branches: int, *,
                  prev_epoch: Optional[int] = None, fires_base: int = 0,
-                 t0: int = 0, final: bool = True) -> None:
+                 t0: int = 0, final: bool = True, memo: bool = False) -> None:
         arrays = trace.as_arrays()
         self.arrays = arrays
-        cond = arrays.cond_mask
-        self.out_bool = arrays.taken[cond]
-        self.out_u8 = self.out_bool.view(np.uint8)
-        self.n_c = int(self.out_bool.shape[0])
         self.warmup = max(int(warmup_branches), 0)
         self.track_per_site = bool(track_per_site)
         self.aggregate = self.warmup == 0 and not self.track_per_site
-        self._pc_c = None
         self.t0 = int(t0)
         self.final = bool(final)
         self.cs = None if context_switches is None else (
             context_switches.interval, context_switches.switch_on_traps)
-        fires_base = int(fires_base)
-        if context_switches is None or len(arrays) == 0:
-            self.switches = 0
-            self.seg_c = np.full(self.n_c, fires_base, dtype=np.int64)
-            self.fires_end = fires_base
-            self.last_epoch = 0 if prev_epoch is None else int(prev_epoch)
-            return
-        instret = arrays.instret
-        if np.any(instret[1:] < instret[:-1]):
-            raise KernelUnavailable(
-                "instret decreases within the trace; the vectorized "
-                "context-switch model requires a non-decreasing clock"
-            )
-        boundary = np.empty(len(arrays), dtype=np.bool_)
-        epoch = instret // context_switches.interval
-        boundary[0] = epoch[0] > (0 if prev_epoch is None else prev_epoch)
-        boundary[1:] = epoch[1:] > epoch[:-1]
-        fires = boundary | arrays.trap if context_switches.switch_on_traps else boundary
-        self.switches = int(np.count_nonzero(fires))
-        fires_cum = np.cumsum(fires)
-        self.seg_c = fires_base + fires_cum[cond]
-        self.fires_end = fires_base + int(fires_cum[-1])
-        self.last_epoch = int(epoch[-1])
+        self._pc_c = None
+        self.memo = None
+        if memo and final and t0 == 0 and prev_epoch is None and fires_base == 0:
+            self.memo = _LAYOUT_MEMO.entry(arrays)
+            columns = _traced("inputs", self.memo.run_columns, arrays, context_switches, self.cs)
+            self._pc_c = columns[-1]
+        else:
+            columns = _run_columns(arrays, context_switches, prev_epoch, int(fires_base))
+        self.out_bool, self.seg_c, self.switches, self.fires_end, self.last_epoch = columns[:5]
+        self.out_u8 = self.out_bool.view(np.uint8)
+        self.n_c = int(self.out_bool.shape[0])
 
     @property
     def pc_c(self) -> np.ndarray:
         if self._pc_c is None:
             self._pc_c = self.arrays.pc[self.arrays.cond_mask]
         return self._pc_c
+
+
+def _run_columns(arrays, context_switches: Optional[ContextSwitchConfig],
+                 prev_epoch: Optional[int], fires_base: int) -> tuple:
+    """A :class:`_Run`'s ``(out_bool, seg_c, switches, fires_end,
+    last_epoch)``. Without context switches ``seg_c`` is one read-only
+    zero-stride value."""
+    out_bool = arrays.taken[arrays.cond_mask]
+    if context_switches is None or len(arrays) == 0:
+        seg_c = np.broadcast_to(np.int64(fires_base), out_bool.shape)
+        return out_bool, seg_c, 0, fires_base, 0 if prev_epoch is None else int(prev_epoch)
+    instret = arrays.instret
+    if np.any(instret[1:] < instret[:-1]):
+        raise KernelUnavailable(
+            "instret decreases within the trace; the vectorized "
+            "context-switch model requires a non-decreasing clock"
+        )
+    boundary = np.empty(len(arrays), dtype=np.bool_)
+    epoch = instret // context_switches.interval
+    boundary[0] = epoch[0] > (0 if prev_epoch is None else prev_epoch)
+    boundary[1:] = epoch[1:] > epoch[:-1]
+    fires = boundary | arrays.trap if context_switches.switch_on_traps else boundary
+    fires_cum = np.cumsum(fires)
+    return (out_bool, fires_base + fires_cum[arrays.cond_mask], int(np.count_nonzero(fires)),
+            fires_base + int(fires_cum[-1]), int(epoch[-1]))
 
 
 class _Keyed:
@@ -759,10 +798,17 @@ def _scan_keys(run: _Run, ops: _AutomatonOps, keys: np.ndarray, store: Optional[
                out: Optional[np.ndarray] = None, base: Optional[np.ndarray] = None):
     """Group records by pattern-table index and scan them. ``keys`` and
     ``out`` may be in a ``base`` order (``base[i]`` = trace index of
-    element ``i``); ties break by trace index (see :func:`_group_sort`)."""
+    element ``i``); ties break by trace index (see :func:`_group_sort`).
+    With tracing on, each call is one ``scan`` span."""
+    return _traced("scan", _sort_and_scan, run, ops, keys, store, out, base)
+
+
+def _sort_and_scan(run: _Run, ops: _AutomatonOps, keys: np.ndarray, store: Optional[_Keyed],
+                   out: Optional[np.ndarray], base: Optional[np.ndarray]):
+    """:func:`_scan_keys`'s ``((result, store), None)``."""
     order, grp_new, key_s, out_s = _group_sort(
         keys, run.out_u8 if out is None else out, base, need_order=not run.aggregate)
-    return _scan_store(run, ops, key_s, out_s, grp_new, order, store)
+    return _scan_store(run, ops, key_s, out_s, grp_new, order, store), None
 
 
 # ----------------------------------------------------------------------
@@ -779,9 +825,12 @@ def _global_history(run: _Run, k: int, reset: int, carry: Optional[tuple]):
     count is the stamp.
     """
     seg = run.seg_c
-    new_seg = _change_marks(seg)
-    since = np.arange(run.n_c, dtype=np.int32) - _start_indices(new_seg)
-    window = _outcome_window(run.out_u8, k)
+    if run.memo is None:
+        since = _since_restart(seg)
+        window = _outcome_window(run.out_u8, k)
+    else:
+        since = run.memo.since_restart(run)
+        window = run.memo.window(None, run.out_u8)
     ghr = _fill_extended(window, since, np.int32(reset & 1), k)
     if carry is not None and carry[0] == int(seg[0]) and carry[1] != reset:
         heads = np.zeros(1, dtype=np.int64)
@@ -883,8 +932,9 @@ class _Layout:
     still-valid occupant. ``blk_new`` marks each slot's first record in
     the block; ``cont`` says, per such head, whether it hits an entry
     carried in from the previous block. ``m`` counts records since the
-    last episode start or head, and ``first_out`` is the outcome of that
-    start.
+    last episode start or head, capped at 255 (``uint8``: its readers
+    compare it with a history length), and ``first_out`` is the outcome
+    of that start.
 
     ``heads``, ``lasts`` (each slot's first and last record), ``hkey``
     (each head's slot) and ``cont`` are None when the block neither
@@ -909,8 +959,9 @@ class _Layout:
         self.ideal = ideal
         ep_start = _start_indices(ep_new if heads is None else ep_new | blk_new)
         self.first_out = out_s[ep_start]
-        self.m = np.arange(n, dtype=np.int32)
-        self.m -= ep_start
+        m = np.arange(n, dtype=np.int32)
+        m -= ep_start
+        self.m = np.minimum(m, 255).astype(np.uint8)
 
 
 def _pa_layout(run: _Run, bht, carry: Optional[_Keyed]) -> _Layout:
@@ -924,20 +975,28 @@ def _pa_layout(run: _Run, bht, carry: Optional[_Keyed]) -> _Layout:
     (:func:`_lru_metadata` ran) or ``build`` (an ideal or direct-mapped
     layout was sorted).
     """
+    return _traced("layout", _layout_and_source, run, bht, carry)
+
+
+def _traced(name: str, build, *args):
+    """The value of ``build(*args)``, which returns ``(value, source)``.
+    With tracing on, the call is one ``name`` span (cat ``kernel``) with
+    ``source`` as its arg unless that is None; with tracing off nothing
+    is recorded."""
     # Deferred import, as in simulate_vectorized_stream: None unless
     # tracing is on.
     from ..obs.spans import get_recorder as _get_span_recorder
 
     recorder = _get_span_recorder()
     if recorder is None:
-        return _layout_and_source(run, bht, carry)[0]
-    span_id = recorder.push("layout", cat="kernel")
+        return build(*args)[0]
+    span_id = recorder.push(name, cat="kernel")
     source = None
     try:
-        layout, source = _layout_and_source(run, bht, carry)
+        value, source = build(*args)
     finally:
-        recorder.pop_through(span_id, source=source)
-    return layout
+        recorder.pop_through(span_id, **({} if source is None else {"source": source}))
+    return value
 
 
 def _layout_and_source(run: _Run, bht, carry: Optional[_Keyed]):
@@ -1292,15 +1351,78 @@ def _words_layout(run: _Run, words: np.ndarray) -> _Layout:
                    None, None, None, False)
 
 
-class _LayoutMemo:
-    """Whole-trace layouts of the most recently simulated trace.
+def _read_only(*values) -> None:
+    for value in values:
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
 
-    ``current`` is ``(ref, layouts)``: a weak reference to the trace's
-    cached ``TraceArrays`` and its layouts keyed by ``(num_sets,
-    associativity, cs)`` (``None, None`` for the ideal BHT). A call on
+
+class _TraceMemo:
+    """One trace's whole-trace layouts and scheme-independent kernel
+    inputs, all read-only:
+
+    * ``layouts``: :class:`_Layout` by ``(num_sets, associativity, cs)``
+      (``None, None`` for the ideal BHT);
+    * ``columns``: a :class:`_Run`'s ``(out_bool, seg_c, switches,
+      fires_end, last_epoch, pc_c)`` by ``cs``;
+    * ``since``: records since the global register's last restart,
+      capped at ``_MAX_HISTORY_BITS`` (``uint8``), by ``cs``;
+    * ``windows``: ``_MAX_HISTORY_BITS``-wide outcome windows, by the
+      layout whose ``out_s`` they window (``None`` for trace order).
+      :func:`_fill_extended` reads only the low ``k`` bits, so one
+      window serves every history length;
+    * ``seen``: the per-site execution tally by warmup.
+    """
+
+    __slots__ = ("layouts", "columns", "since", "windows", "seen")
+
+    def __init__(self) -> None:
+        self.layouts: Dict[tuple, _Layout] = {}
+        self.columns: Dict[Optional[tuple], tuple] = {}
+        self.since: Dict[Optional[tuple], np.ndarray] = {}
+        self.windows: Dict[Optional[_Layout], np.ndarray] = {}
+        self.seen: Dict[int, Dict[int, int]] = {}
+
+    def run_columns(self, arrays, context_switches: Optional[ContextSwitchConfig],
+                    cs: Optional[tuple]):
+        """``(columns, source)``: the whole-trace run's columns under
+        ``cs`` and the ``inputs`` span source."""
+        columns = self.columns.get(cs)
+        if columns is not None:
+            return columns, "memo"
+        columns = _run_columns(arrays, context_switches, None, 0) + (
+            arrays.pc[arrays.cond_mask],)
+        _read_only(*columns)
+        return self.columns.setdefault(cs, columns), "build"
+
+    def since_restart(self, run: _Run) -> np.ndarray:
+        since = self.since.get(run.cs)
+        if since is None:
+            since = np.minimum(_since_restart(run.seg_c), _MAX_HISTORY_BITS).astype(np.uint8)
+            _read_only(since)
+            since = self.since.setdefault(run.cs, since)
+        return since
+
+    def window(self, layout: Optional[_Layout], out_u8: np.ndarray) -> np.ndarray:
+        """The full-width outcome window of ``out_u8``, which is
+        ``layout.out_s`` (or the run's trace-order outcomes for None)."""
+        window = self.windows.get(layout)
+        if window is None:
+            window = _outcome_window(out_u8, _MAX_HISTORY_BITS)
+            _read_only(window)
+            window = self.windows.setdefault(layout, window)
+        return window
+
+
+class _LayoutMemo:
+    """The :class:`_TraceMemo` of the most recently simulated trace.
+
+    ``current`` is ``(ref, memo)``: a weak reference to the trace's
+    cached ``TraceArrays`` and its :class:`_TraceMemo`. A call on
     another arrays object replaces the pair, and the reference's
     callback clears it once the arrays are collected, so at most one
-    trace's layouts are alive and none outlives its trace.
+    trace's memo is alive and none outlives its trace (or the
+    whole-trace run holding it).
 
     A set-associative layout the memo misses is rebuilt from the
     residency words on the arrays' ``residency`` dict, under the same
@@ -1309,7 +1431,7 @@ class _LayoutMemo:
 
     No lock: each call works on its own local reference to the pair,
     and every step on it is one atomic operation, so concurrent calls
-    can at worst build a layout twice or drop the other's pair.
+    can at worst build a value twice or drop the other's pair.
     """
 
     __slots__ = ("current",)
@@ -1325,15 +1447,19 @@ class _LayoutMemo:
         if current is not None and current[0] is ref:
             self.current = None
 
+    def entry(self, arrays) -> _TraceMemo:
+        """The memo of ``arrays``' trace, replacing any other trace's."""
+        current = self.current
+        if current is None or current[0]() is not arrays:
+            pair = (weakref.ref(arrays, self._release), _TraceMemo())
+            # Deliberate per-process memo, bounded to one trace.
+            current = self.current = pair  # check: allow(conc/global-write-in-worker)
+        return current[1]
+
     def layout(self, run: _Run, bht):
         """``(layout, source)``: the whole-trace layout and its
         :func:`_pa_layout` span source."""
-        current = self.current
-        if current is None or current[0]() is not run.arrays:
-            ref = weakref.ref(run.arrays, self._release)
-            # Deliberate per-process memo, bounded to one trace.
-            current = self.current = (ref, {})  # check: allow(conc/global-write-in-worker)
-        layouts = current[1]
+        layouts = self.entry(run.arrays).layouts
         if isinstance(bht, IdealBHT):
             key = (None, None, run.cs)
         else:
@@ -1342,10 +1468,7 @@ class _LayoutMemo:
         if layout is not None:
             return layout, "memo"
         layout, source = _whole_layout(run, bht, key)
-        for name in _Layout.__slots__:
-            value = getattr(layout, name)
-            if isinstance(value, np.ndarray):
-                value.setflags(write=False)
+        _read_only(*(getattr(layout, name) for name in _Layout.__slots__))
         return layouts.setdefault(key, layout), source
 
 
@@ -1363,7 +1486,7 @@ def _whole_layout(run: _Run, bht, key: tuple):
     return _words_layout(run, words), source
 
 
-#: This process's layout memo (see "The first-level layout memo" above).
+#: This process's memo (see "The per-trace memo" above).
 _LAYOUT_MEMO = _LayoutMemo()
 
 
@@ -1380,7 +1503,7 @@ def _slot_carry(run: _Run, layout: _Layout, carry: Optional[_Keyed], **cols) -> 
     return slots
 
 
-def _pa_patterns(layout: _Layout, k: int, carry: Optional[_Keyed]) -> np.ndarray:
+def _pa_patterns(run: _Run, layout: _Layout, k: int, carry: Optional[_Keyed]) -> np.ndarray:
     """Per-address history-register contents before each record.
 
     The register fills with the episode's first outcome on the first
@@ -1388,10 +1511,14 @@ def _pa_patterns(layout: _Layout, k: int, carry: Optional[_Keyed]) -> np.ndarray
     holds the last ``min(m, k)`` episode outcomes extended with the
     first outcome; before occurrence 0 the predictors read the all-ones
     pattern a miss would be allocated with. A head continuing a carried
-    entry resumes its carried register instead.
+    entry resumes its carried register instead. A whole-trace run reads
+    the window of its memoized layout from the trace's memo.
     """
     mask = (1 << k) - 1
-    window = _outcome_window(layout.out_s, k)
+    if run.memo is None:
+        window = _outcome_window(layout.out_s, k)
+    else:
+        window = run.memo.window(layout, layout.out_s)
     patterns = _fill_extended(window, layout.m, layout.first_out, k)
     patterns[layout.m == 0] = mask
     if carry is not None:
@@ -1420,7 +1547,7 @@ def _kernel_pag(predictor: PAgPredictor):
     def kernel(run: _Run, carry):
         slots, store = carry or (None, None)
         layout = _pa_layout(run, bht, slots)
-        patterns_s = _pa_patterns(layout, k, slots)
+        patterns_s = _pa_patterns(run, layout, k, slots)
         result, store = _scan_keys(run, ops, patterns_s, store, out=layout.out_s,
                                    base=layout.order)
         if run.final:
@@ -1438,7 +1565,7 @@ def _kernel_psg(predictor: PSgPredictor):
 
     def kernel(run: _Run, slots):
         layout = _pa_layout(run, bht, slots)
-        patterns_s = _pa_patterns(layout, k, slots)
+        patterns_s = _pa_patterns(run, layout, k, slots)
         wrong = layout.order[bits[patterns_s] != layout.out_s.view(np.bool_)]
         if run.final:
             return wrong, None
@@ -1457,7 +1584,7 @@ def _kernel_pap(predictor: PApPredictor):
     def kernel(run: _Run, carry):
         slots, store, next_table = carry or (None, None, 0)
         layout = _pa_layout(run, bht, slots)
-        patterns_s = _pa_patterns(layout, k, slots)
+        patterns_s = _pa_patterns(run, layout, k, slots)
         # Each slot's records open with a table: with the ideal BHT
         # every (segment, branch) episode opens a brand-new slot whose
         # table materialises in the initial state; otherwise a slot's
@@ -1813,7 +1940,8 @@ def _kernel_blocks(predictor, blocks, context_switches: Optional[ContextSwitchCo
         if len(block) == 0:
             continue
         run = _Run(block, context_switches, track_per_site, max(warmup - cond_seen, 0),
-                   prev_epoch=prev_epoch, fires_base=fires, t0=cond_seen, final=final)
+                   prev_epoch=prev_epoch, fires_base=fires, t0=cond_seen, final=final,
+                   memo=final)
         if context_switches is not None:
             first_instret = int(run.arrays.instret[0])
             if last_instret is not None and first_instret < last_instret:
@@ -1863,10 +1991,8 @@ def _fold(predictor, blocks, meta, context_switches: Optional[ContextSwitchConfi
             block_correct, block_seen, block_wrong = _score_predictions(run, outcome)
             correct += block_correct
             if track:
-                for pc, count in block_seen.items():
-                    per_seen[pc] = per_seen.get(pc, 0) + count
-                for pc, count in block_wrong.items():
-                    per_wrong[pc] = per_wrong.get(pc, 0) + count
+                _add_counts(per_seen, block_seen)
+                _add_counts(per_wrong, block_wrong)
     return SimulationResult(
         predictor_name=predictor.name,
         trace_name=meta.name,
@@ -1880,22 +2006,42 @@ def _fold(predictor, blocks, meta, context_switches: Optional[ContextSwitchConfi
     )
 
 
+def _add_counts(total: Dict[int, int], part: Dict[int, int]) -> None:
+    """Add ``part``'s per-site counts into ``total`` (never aliasing it)."""
+    if not total:
+        total.update(part)
+        return
+    for pc, count in part.items():
+        total[pc] = total.get(pc, 0) + count
+
+
 def _score_predictions(run: _Run, wrong: np.ndarray):
     """Score a block from its mispredicted records' indices, honouring
     warmup and (optionally) collecting the per-site dictionaries: every
     scored record counts toward its site's executions, every scored
-    index toward its site's mispredictions."""
+    index toward its site's mispredictions. A whole-trace run shares the
+    executions dictionary through the trace's memo, so callers must not
+    mutate it."""
     if run.warmup:
         wrong = wrong[wrong >= run.warmup]
     correct = max(run.n_c - run.warmup, 0) - int(wrong.shape[0])
     if not run.track_per_site:
         return correct, None, None
     sites, ids = run.arrays.conditional_site_ids()
-    seen = np.bincount(ids[run.warmup:], minlength=sites.shape[0])
+    per_seen = None if run.memo is None else run.memo.seen.get(run.warmup)
+    if per_seen is None:
+        seen = np.bincount(ids[run.warmup:], minlength=sites.shape[0])
+        per_seen = _site_counts(sites, seen)
+        if run.memo is not None:
+            per_seen = run.memo.seen.setdefault(run.warmup, per_seen)
     wrong = np.bincount(ids[wrong], minlength=sites.shape[0])
-    per_seen = {int(sites[i]): int(seen[i]) for i in np.flatnonzero(seen)}
-    per_wrong = {int(sites[i]): int(wrong[i]) for i in np.flatnonzero(wrong)}
-    return correct, per_seen, per_wrong
+    return correct, per_seen, _site_counts(sites, wrong)
+
+
+def _site_counts(sites: np.ndarray, counts: np.ndarray) -> Dict[int, int]:
+    """pc -> count for every site with a nonzero count."""
+    hit = np.flatnonzero(counts)
+    return dict(zip(sites[hit].tolist(), counts[hit].tolist()))
 
 
 def simulate_vectorized(

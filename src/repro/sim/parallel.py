@@ -22,9 +22,10 @@ exploits that:
   hit/miss counts) attached to the returned matrix.
 * **Case-major execution** — pending cells run one benchmark at a time
   (cases in figure order, then schemes in label order), so the
-  one-trace first-level layout memo of :mod:`repro.sim.kernels`, in the
-  parent and in every pool worker, computes each trace's BHT layout
-  once per first level instead of once per cell. Behind it, each live
+  one-trace memo of :mod:`repro.sim.kernels`, in the parent and in
+  every pool worker, computes each trace's BHT layout once per first
+  level, and its scheme-independent kernel inputs once per
+  context-switch model, instead of once per cell. Behind it, each live
   trace keeps its set-associative residency words (2 B per conditional
   record per geometry and context-switch model), so the next matrix
   over the same trace rebuilds those layouts with one sort instead of
@@ -530,8 +531,8 @@ def execute_matrix(
             Tuple[str, str],
             Tuple[Optional[SimulationResult], str, float, Dict[str, float], str, int],
         ] = {}
-        # Case-major, so consecutive cells share a trace and the layout
-        # memo builds each of its first-level layouts once.
+        # Case-major, so consecutive cells share a trace and the kernels'
+        # memo builds each of its first-level layouts and inputs once.
         pending: List[Tuple[str, "BenchmarkCase", Optional[str]]] = []
         for case in cases:
             for label, builder in builders.items():

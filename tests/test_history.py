@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.automata import A2
 from repro.core.history import (
     CacheBHT,
     IdealBHT,
@@ -11,6 +12,9 @@ from repro.core.history import (
     history_update,
     make_bht,
 )
+from repro.core.twolevel import make_pag
+from repro.sim import simulate
+from repro.trace import synthetic
 
 
 class TestHistoryRegisterOps:
@@ -194,6 +198,20 @@ class TestCacheBHT:
             for pc in range(8):
                 bht.access(pc)
         assert bht.stats.hit_rate > 0.98
+
+    def test_ways_are_built_on_first_use(self):
+        """The vectorized kernels read only the geometry, so a predictor
+        they replay never builds its ways; the interpreted engine builds
+        them at its first access."""
+        trace = synthetic.loop_trace(iterations=50, trip_count=3)
+        replayed = make_pag(6, A2, 64, 4)
+        interpreted = make_pag(6, A2, 64, 4)
+        assert "_sets" not in vars(replayed.bht)
+        assert (simulate(replayed, trace, backend="vectorized")
+                == simulate(interpreted, trace, backend="python"))
+        assert "_sets" not in vars(replayed.bht)
+        assert [len(ways) for ways in vars(interpreted.bht)["_sets"]] == [4] * 16
+        assert replayed.bht.entries_snapshot() == CacheBHT(64, 4).entries_snapshot()
 
 
 class TestMakeBHT:

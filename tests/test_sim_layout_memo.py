@@ -231,14 +231,14 @@ def test_holds_one_traces_layouts_at_most():
              backend="vectorized")
     simulate(make_pag(6, A2, None), first, backend="vectorized")
     simulate(make_pag(6, A2, 64, 1), first, backend="vectorized")
-    ref, layouts = MEMO.current
+    ref, memo = MEMO.current
     assert ref() is first.as_arrays()
-    assert set(layouts) == {(64, 4, None), (32, 4, None), (64, 4, (40, True)),
-                            (None, None, None), (64, 1, None)}
+    assert set(memo.layouts) == {(64, 4, None), (32, 4, None), (64, 4, (40, True)),
+                                 (None, None, None), (64, 1, None)}
     simulate(make_pag(6, A2, 64 * 4, 4), second, backend="vectorized")
-    ref, layouts = MEMO.current
+    ref, memo = MEMO.current
     assert ref() is second.as_arrays()
-    assert list(layouts) == [(64, 4, None)]
+    assert list(memo.layouts) == [(64, 4, None)]
 
 
 def test_released_when_the_trace_is_collected():
@@ -496,11 +496,11 @@ class TestMemoScope:
     def test_concurrent_matrices_in_threads(self):
         """More threads than cores with a short switch interval: matrices
         and direct calls over different traces share one memo, and none
-        may see another trace's layouts."""
+        may see another trace's layouts or inputs."""
         cases = [BenchmarkCase(f"t{seed}", "int", _trace(seed, n=2000), None)
                  for seed in range(10, 16)]
         builders = {name: spec(name) for name in ("pag-6-64x4", "pap-4-64x4", "btb-a2",
-                                                  "pag-6-ideal", "pap-4-64x1")}
+                                                  "pag-6-ideal", "pap-4-64x1", "gag-8")}
         expected = [run_matrix(builders, [case], backend="python") for case in cases]
 
         def churn(seed):
