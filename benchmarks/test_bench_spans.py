@@ -8,8 +8,9 @@ layer pins its own overhead (see ``test_bench_obs.py``):
   the pre-observability reference loop;
 * traced sweep: a full 9-scheme sweep with a collector attached
   produces a Perfetto-loadable Chrome trace whose per-cell span totals
-  agree with the ``CellTelemetry`` phase times: both are the same span
-  durations, and ``tests/test_obs_spans.py`` asserts their exact equality.
+  this bench checks against the ``CellTelemetry`` phase times within 1%
+  (float microsecond rounding aside, they are the same span durations;
+  ``tests/test_obs_spans.py`` asserts their exact equality).
 """
 
 import json

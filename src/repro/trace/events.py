@@ -12,9 +12,10 @@ retired when it resolved (``instret`` — needed for the paper's
 500 000-instruction context-switch model), and whether a trap was raised
 at this point (the paper's other context-switch trigger).
 
-Traces are stored column-wise in a :class:`Trace` for compactness and
-fast iteration; :class:`TraceBuilder` is the append-only construction
-interface used by all producers.
+Traces are stored column-wise in a :class:`Trace`, once, as NumPy
+arrays (27 bytes per record, see :class:`TraceArrays`); plain Python
+lists are built only for per-record loops. :class:`TraceBuilder` is the
+append-only construction interface used by all producers.
 """
 
 from __future__ import annotations
@@ -39,6 +40,8 @@ class BranchClass(enum.IntEnum):
     def short_name(self) -> str:
         return _SHORT_NAMES[self]
 
+
+_CONDITIONAL = BranchClass.CONDITIONAL
 
 _SHORT_NAMES = {
     BranchClass.CONDITIONAL: "cond",
@@ -105,17 +108,22 @@ class TraceMeta:
 class Trace:
     """An immutable, column-wise store of branch records.
 
-    Columns are plain Python lists of primitives: iterating tuples of
-    primitives through ``zip`` is several times faster than iterating a
-    list of objects, which matters because the prediction engine visits
-    every record once per simulated predictor configuration. The
-    constructor copies the columns it is given; a trace built by a
-    :class:`TraceBuilder` takes the builder's freshly decoded lists
-    as they are, together with their :class:`TraceArrays`.
+    A trace stores its records once, as the read-only NumPy columns of
+    its :class:`TraceArrays` (27 bytes per record): the vectorized
+    kernels, the statistics passes, the writers and the content digest
+    all read them. Per-record Python loops (the interpreted engine, the
+    fetch and pipeline models, the bounds) iterate tuples of native
+    ints and bools through ``zip``, several times faster than indexing
+    arrays, so the first list access (:attr:`columns`,
+    :meth:`iter_tuples`, iteration, indexing) builds six plain lists
+    with ``tolist()`` and caches them on the trace, about 145 bytes per
+    record more on 64-bit CPython. The constructor converts (and so
+    copies) the columns it is given. A trace with a value that does not
+    fit its array's dtype (a pc at or above ``2**63``, say) stores plain
+    lists instead, and :meth:`as_arrays` raises for it.
     """
 
-    __slots__ = ("meta", "_pc", "_taken", "_cls", "_target", "_instret", "_trap", "_arrays",
-                 "_digest")
+    __slots__ = ("meta", "_arrays", "_lists", "_digest")
 
     def __init__(
         self,
@@ -127,27 +135,43 @@ class Trace:
         instret: Sequence[int],
         trap: Sequence[bool],
     ) -> None:
-        lengths = {len(pc), len(taken), len(cls), len(target), len(instret), len(trap)}
+        columns = (pc, taken, cls, target, instret, trap)
+        lengths = {len(column) for column in columns}
         if len(lengths) != 1:
             raise ValueError(f"column lengths differ: {sorted(lengths)}")
-        self._adopt(meta, [list(column) for column in (pc, taken, cls, target, instret, trap)])
+        try:
+            self._adopt(meta, TraceArrays(columns, copy=True), None)
+        except (OverflowError, TypeError, ValueError):
+            self._adopt(meta, None, tuple(list(column) for column in columns))
 
     @classmethod
-    def _from_lists(cls, meta: TraceMeta, columns, arrays: Optional["TraceArrays"]) -> "Trace":
-        """A trace that owns ``columns`` (six equal-length lists) as given."""
+    def _from_arrays(cls, meta: TraceMeta, arrays: "TraceArrays") -> "Trace":
+        """A trace that stores ``arrays`` as they are."""
         trace = cls.__new__(cls)
-        trace._adopt(meta, columns, arrays)
+        trace._adopt(meta, arrays, None)
         return trace
 
-    def _adopt(self, meta: TraceMeta, columns, arrays: Optional["TraceArrays"] = None) -> None:
+    @classmethod
+    def _from_lists(cls, meta: TraceMeta, columns) -> "Trace":
+        """A trace that stores ``columns`` (six equal-length lists) as
+        they are, with no arrays until :meth:`as_arrays` asks."""
+        trace = cls.__new__(cls)
+        trace._adopt(meta, None, tuple(columns))
+        return trace
+
+    def _adopt(self, meta: TraceMeta, arrays: Optional["TraceArrays"], lists) -> None:
         self.meta = meta
-        self._pc, self._taken, self._cls, self._target, self._instret, self._trap = columns
         self._arrays = arrays
+        # The six list columns: the stored form when `arrays` is None,
+        # otherwise a cache built on the first list access.
+        self._lists = lists
         # sha256 hex digest, cached by repro.trace.stream.content_digest.
         self._digest: Optional[str] = None
 
     def __len__(self) -> int:
-        return len(self._pc)
+        if self._arrays is not None:
+            return len(self._arrays)
+        return len(self._lists[0])
 
     def __iter__(self) -> Iterator[BranchRecord]:
         for pc, taken, cls, target, instret, trap in self.iter_tuples():
@@ -161,44 +185,50 @@ class Trace:
             )
 
     def __getitem__(self, index: int) -> BranchRecord:
+        pc, taken, cls, target, instret, trap = self.columns
         return BranchRecord(
-            pc=self._pc[index],
-            taken=self._taken[index],
-            branch_class=BranchClass(self._cls[index]),
-            target=self._target[index],
-            instret=self._instret[index],
-            trap=self._trap[index],
+            pc=pc[index],
+            taken=taken[index],
+            branch_class=BranchClass(cls[index]),
+            target=target[index],
+            instret=instret[index],
+            trap=trap[index],
         )
 
     def iter_tuples(self) -> Iterator[Tuple[int, bool, int, int, int, bool]]:
         """Yield ``(pc, taken, cls, target, instret, trap)`` tuples.
 
-        This is the hot path used by the simulation engine.
+        This is the hot path of the interpreted engine; it iterates the
+        cached list columns (see :attr:`columns`).
         """
-        return zip(self._pc, self._taken, self._cls, self._target, self._instret, self._trap)
+        return zip(*self.columns)
 
     @property
     def columns(self) -> Tuple[List[int], List[bool], List[int], List[int], List[int], List[bool]]:
-        """The raw columns (pc, taken, cls, target, instret, trap)."""
-        return (self._pc, self._taken, self._cls, self._target, self._instret, self._trap)
+        """The columns (pc, taken, cls, target, instret, trap) as plain
+        Python lists of ``int`` and ``bool``.
+
+        Built from the arrays with ``tolist()`` on first access and
+        cached on the trace, so only per-record loops pay for them.
+        """
+        if self._lists is None:
+            self._lists = tuple(column.tolist() for column in self._arrays.columns)
+        return self._lists
 
     def as_arrays(self) -> "TraceArrays":
-        """Columnar NumPy view of the trace, built once and cached.
+        """The trace's read-only :class:`TraceArrays`.
 
         The vectorized simulation backend (:mod:`repro.sim.kernels`)
         consumes traces through this API, and every simulation of the
-        trace shares the one cached instance. The returned arrays are
-        read-only. A trace built by a :class:`TraceBuilder` already
-        holds them (the builder decodes its log straight into arrays).
-        Any other trace converts its lists on the first call, which
-        costs ~100 ms for a million-record trace.
+        trace shares the one instance. A trace that stores lists
+        converts them here, and raises when they do not fit.
 
         Raises:
             OverflowError: when a column holds a value outside the
                 array's dtype (e.g. a pc at or above ``2**63``).
         """
         if self._arrays is None:
-            self._arrays = TraceArrays(self)
+            self._arrays = TraceArrays(self._lists)
         return self._arrays
 
     # ------------------------------------------------------------------
@@ -207,80 +237,71 @@ class Trace:
     @property
     def num_records(self) -> int:
         """Record count (``TraceSource`` protocol; always known here)."""
-        return len(self._pc)
+        return len(self)
 
     def iter_blocks(self, block_size: Optional[int] = None) -> Iterator["TraceBlock"]:
         """Yield the trace as :class:`TraceBlock` windows.
 
-        ``block_size=None`` yields the whole trace as a single block
-        (sharing the already-cached arrays, so the vectorized engine
-        pays no conversion twice). An empty trace yields no blocks.
-        This makes an in-memory :class:`Trace` a valid
-        :class:`repro.trace.stream.TraceSource`.
+        Blocks hold slices of the trace's arrays (of its lists when it
+        stores lists). ``block_size=None`` yields the whole trace as a
+        single block that shares the trace's :class:`TraceArrays`, so
+        the vectorized engine pays no conversion twice. An empty trace
+        yields no blocks. This makes an in-memory :class:`Trace` a
+        valid :class:`repro.trace.stream.TraceSource`.
         """
-        n = len(self._pc)
+        n = len(self)
         if block_size is not None and block_size < 1:
             raise ValueError("block_size must be >= 1")
         if n == 0:
             return
+        arrays = self._arrays
+        columns = self._lists if arrays is None else arrays.columns
         if block_size is None or block_size >= n:
-            block = TraceBlock(
-                self.meta, 0,
-                self._pc, self._taken, self._cls,
-                self._target, self._instret, self._trap,
-            )
-            if self._arrays is not None:
-                block._arrays = self._arrays
+            block = TraceBlock(self.meta, 0, *columns)
+            block._arrays = arrays
             yield block
             return
         for start in range(0, n, block_size):
             stop = min(start + block_size, n)
-            yield TraceBlock(
-                self.meta, start,
-                self._pc[start:stop], self._taken[start:stop],
-                self._cls[start:stop], self._target[start:stop],
-                self._instret[start:stop], self._trap[start:stop],
-            )
+            yield TraceBlock(self.meta, start, *(column[start:stop] for column in columns))
 
     # ------------------------------------------------------------------
     # Derived views
     # ------------------------------------------------------------------
     def conditional_only(self) -> "Trace":
         """A new trace containing only conditional-branch records."""
-        keep = [i for i, c in enumerate(self._cls) if c == BranchClass.CONDITIONAL]
-        return self.select(keep)
+        if self._arrays is None:
+            return self.select([i for i, c in enumerate(self._lists[2]) if c == _CONDITIONAL])
+        return self.select(np.flatnonzero(self._arrays.cond_mask))
 
     def select(self, indices: Sequence[int]) -> "Trace":
-        """A new trace containing only the records at ``indices``."""
-        return Trace(
-            meta=self.meta,
-            pc=[self._pc[i] for i in indices],
-            taken=[self._taken[i] for i in indices],
-            cls=[self._cls[i] for i in indices],
-            target=[self._target[i] for i in indices],
-            instret=[self._instret[i] for i in indices],
-            trap=[self._trap[i] for i in indices],
-        )
+        """A new trace containing only the records at ``indices``,
+        gathered from the arrays."""
+        if self._arrays is None:
+            return Trace(self.meta, *([column[i] for i in indices] for column in self._lists))
+        rows = np.asarray(indices, dtype=np.intp)
+        return Trace._from_arrays(
+            self.meta, TraceArrays(tuple(column[rows] for column in self._arrays.columns)))
 
     def head(self, n: int) -> "Trace":
-        """A new trace containing the first ``n`` records."""
-        return Trace(
-            meta=self.meta,
-            pc=self._pc[:n],
-            taken=self._taken[:n],
-            cls=self._cls[:n],
-            target=self._target[:n],
-            instret=self._instret[:n],
-            trap=self._trap[:n],
-        )
+        """A new trace containing the first ``n`` records. Its arrays are
+        views of this trace's (read-only) arrays."""
+        if self._arrays is None:
+            return Trace(self.meta, *(column[:n] for column in self._lists))
+        return Trace._from_arrays(
+            self.meta, TraceArrays(tuple(column[:n] for column in self._arrays.columns)))
 
     def static_branch_sites(self) -> List[int]:
         """Sorted distinct PCs of *conditional* branches in the trace."""
-        sites = {pc for pc, c in zip(self._pc, self._cls) if c == BranchClass.CONDITIONAL}
-        return sorted(sites)
+        if self._arrays is None:
+            pc, _taken, cls = self._lists[:3]
+            return sorted({p for p, c in zip(pc, cls) if c == _CONDITIONAL})
+        return np.unique(self._arrays.pc[self._arrays.cond_mask]).tolist()
 
     def num_conditional(self) -> int:
-        return sum(1 for c in self._cls if c == BranchClass.CONDITIONAL)
+        if self._arrays is None:
+            return sum(1 for c in self._lists[2] if c == _CONDITIONAL)
+        return int(np.count_nonzero(self._arrays.cond_mask))
 
     def __repr__(self) -> str:
         return (
@@ -290,15 +311,15 @@ class Trace:
 
 
 class TraceArrays:
-    """Read-only columnar NumPy export of a :class:`Trace`.
+    """Read-only columnar NumPy form of a trace's records.
 
-    One array per trace column, plus the derived products every
-    vectorized consumer needs: the conditional-record mask and (lazily)
-    the dense site-id relabelling of conditional PCs. Construction is
-    the only expensive step, which is why :meth:`Trace.as_arrays`
-    caches the instance on the trace. :meth:`from_columns` builds the
-    same structure straight from raw columns (lists or ndarrays), which
-    is how streamed trace blocks avoid materializing a :class:`Trace`.
+    One array per record column (``int64`` pc, target and instret,
+    ``uint8`` class, ``bool`` taken and trap: 27 bytes per record), plus
+    the derived products every vectorized consumer needs: the
+    conditional-record mask and (lazily) the dense site-id relabelling
+    of conditional PCs. This is the form in which a :class:`Trace`
+    stores its records, and streamed trace blocks build one from their
+    columns without materializing a :class:`Trace`.
 
     ``residency`` holds the vectorized kernels' set-associative BHT
     residency words for this trace, keyed by ``(num_sets,
@@ -311,33 +332,35 @@ class TraceArrays:
     __slots__ = ("pc", "taken", "cls", "target", "instret", "trap",
                  "cond_mask", "_sites", "_site_ids", "residency", "__weakref__")
 
-    def __init__(self, trace: Optional[Trace] = None, *, columns=None) -> None:
-        if (trace is None) == (columns is None):
-            raise ValueError("pass exactly one of a Trace or a columns tuple")
-        if trace is not None:
-            columns = trace.columns
+    def __init__(self, columns, *, copy: bool = False) -> None:
+        """Convert ``columns``, the six record columns ``(pc, taken,
+        cls, target, instret, trap)`` as lists or arrays.
+
+        Arrays already carrying their canonical dtype are adopted
+        without copying and frozen in place, unless ``copy`` is set.
+
+        Raises:
+            OverflowError: when a value does not fit its dtype.
+        """
+        convert = np.array if copy else np.asarray
         pc, taken, cls, target, instret, trap = columns
-        self.pc = np.asarray(pc, dtype=np.int64)
-        self.taken = np.asarray(taken, dtype=np.bool_)
-        self.cls = np.asarray(cls, dtype=np.uint8)
-        self.target = np.asarray(target, dtype=np.int64)
-        self.instret = np.asarray(instret, dtype=np.int64)
-        self.trap = np.asarray(trap, dtype=np.bool_)
+        self.pc = convert(pc, dtype=np.int64)
+        self.taken = convert(taken, dtype=np.bool_)
+        self.cls = convert(cls, dtype=np.uint8)
+        self.target = convert(target, dtype=np.int64)
+        self.instret = convert(instret, dtype=np.int64)
+        self.trap = convert(trap, dtype=np.bool_)
         self.cond_mask = self.cls == int(BranchClass.CONDITIONAL)
-        for name in ("pc", "taken", "cls", "target", "instret", "trap", "cond_mask"):
-            getattr(self, name).flags.writeable = False
+        for column in (*self.columns, self.cond_mask):
+            column.flags.writeable = False
         self._sites = None
         self._site_ids = None
         self.residency = {}
 
-    @classmethod
-    def from_columns(cls, pc, taken, branch_cls, target, instret, trap) -> "TraceArrays":
-        """Build directly from raw columns (lists or NumPy arrays).
-
-        Arrays already carrying the canonical dtypes are adopted
-        without copying and frozen in place.
-        """
-        return cls(columns=(pc, taken, branch_cls, target, instret, trap))
+    @property
+    def columns(self):
+        """The six record arrays ``(pc, taken, cls, target, instret, trap)``."""
+        return (self.pc, self.taken, self.cls, self.target, self.instret, self.trap)
 
     def __len__(self) -> int:
         return int(self.pc.shape[0])
@@ -363,10 +386,10 @@ class TraceBlock:
     records as a sequence of blocks whose memory footprint is bounded
     by the block size, never by the trace length. A block carries the
     owning trace's :class:`TraceMeta`, the absolute index of its first
-    record (``start``), and the six record columns — either plain
-    Python lists (interpreted engine) or NumPy arrays (streamed
-    containers and synthetic array generators); both kinds serve both
-    consumers.
+    record (``start``), and the six record columns — NumPy arrays
+    (slices of an in-memory trace's arrays, streamed containers,
+    synthetic array generators) or, for a trace that stores lists,
+    plain Python lists; both kinds serve both consumers.
     """
 
     __slots__ = ("meta", "start", "_columns", "_arrays")
@@ -398,13 +421,13 @@ class TraceBlock:
     def as_arrays(self) -> TraceArrays:
         """Columnar NumPy view of the block, built once and cached."""
         if self._arrays is None:
-            self._arrays = TraceArrays.from_columns(*self._columns)
+            self._arrays = TraceArrays(self._columns)
         return self._arrays
 
     def to_trace(self) -> Trace:
-        """Materialize the block as a standalone :class:`Trace`."""
-        cols = [c.tolist() if hasattr(c, "tolist") else c for c in self._columns]
-        return Trace(self.meta, *cols)
+        """Materialize the block as a standalone :class:`Trace` (which
+        copies its columns)."""
+        return Trace(self.meta, *self._columns)
 
     def __repr__(self) -> str:
         return f"TraceBlock(start={self.start}, records={len(self)})"
@@ -418,7 +441,6 @@ _CODE_BITS = 32
 _CODE_MASK = (1 << _CODE_BITS) - 1
 _TRAP_WORD = 1 << _CODE_BITS | 1
 _INT64_MAX = (1 << 63) - 1
-_CONDITIONAL = BranchClass.CONDITIONAL
 
 
 class TraceBuilder:
@@ -433,10 +455,9 @@ class TraceBuilder:
     and a slot table of the distinct ``(pc, class, target)`` triples the
     words point into. :meth:`build` decodes the whole log with NumPy:
     ``instret`` is a cumulative sum, and pc, class and target are
-    gathers from the slot table, so records of one slot share one int
-    object per column. The decoded arrays become the trace's cached
-    :meth:`Trace.as_arrays`, unless a value does not fit their dtypes;
-    the list columns are exact either way.
+    gathers from the slot table. The decoded arrays are what the trace
+    stores; only when a value does not fit their dtypes does the trace
+    store exact Python lists instead (gathered as objects).
     """
 
     def __init__(self, name: str = "anonymous", dataset: str = "", source: str = "unknown") -> None:
@@ -567,17 +588,6 @@ class TraceBuilder:
         taken = (record_codes & 1).astype(np.bool_)
         trap = np.diff(traps_so_far, prepend=0) > 0
         instret = clock[records]
-        pc, cls, target = (np.array(column, dtype=object)[slots].tolist()
-                           for column in self._slot_columns)
-        slot_pc, slot_cls, slot_target = self._slot_columns
-        try:
-            arrays = TraceArrays.from_columns(
-                np.array(slot_pc, dtype=np.int64)[slots], taken,
-                np.array(slot_cls, dtype=np.uint8)[slots],
-                np.array(slot_target, dtype=np.int64)[slots], instret.astype(np.int64), trap,
-            )
-        except (OverflowError, TypeError, ValueError):
-            arrays = None  # as_arrays() converts the lists, and raises, on demand
         if total_instructions is None:
             total_instructions = int(clock[-1]) if log else 0
         meta = TraceMeta(
@@ -586,5 +596,19 @@ class TraceBuilder:
             source=self._source,
             total_instructions=total_instructions,
         )
-        columns = (pc, taken.tolist(), cls, target, instret.tolist(), trap.tolist())
-        return Trace._from_lists(meta, columns, arrays)
+        slot_pc, slot_cls, slot_target = self._slot_columns
+        try:
+            arrays = TraceArrays((
+                np.array(slot_pc, dtype=np.int64)[slots], taken,
+                np.array(slot_cls, dtype=np.uint8)[slots],
+                np.array(slot_target, dtype=np.int64)[slots],
+                instret.astype(np.int64, copy=False), trap,
+            ))
+        except (OverflowError, TypeError, ValueError):
+            # A value outside the dtypes: the trace stores exact lists, and
+            # as_arrays() raises on demand.
+            pc, cls, target = (np.array(column, dtype=object)[slots].tolist()
+                               for column in self._slot_columns)
+            columns = (pc, taken.tolist(), cls, target, instret.tolist(), trap.tolist())
+            return Trace._from_lists(meta, columns)
+        return Trace._from_arrays(meta, arrays)

@@ -6,9 +6,9 @@ Two interchangeable formats:
   examples and documentation. Unknown ``# key=value`` metadata lines
   round-trip through :attr:`TraceMeta.extra` instead of being dropped.
 * **Binary** (``.btb``) — packed little-endian records with a small
-  header, roughly 26 bytes/record, used by the trace cache. Reading
-  and writing use a NumPy structured-dtype fast path when NumPy is
-  available and fall back to ``struct`` otherwise.
+  header, 26 bytes/record, used by the trace cache. Reading and
+  writing go through a NumPy structured dtype straight between the
+  bytes and a trace's arrays; no Python list is built either way.
 
 Both formats round-trip exactly (checked by property-based tests).
 Field values that cannot be represented by the binary format (e.g. a
@@ -25,14 +25,11 @@ import os
 import struct
 import warnings
 from pathlib import Path
-from typing import BinaryIO, Iterable, List, Optional, TextIO, Union
+from typing import BinaryIO, Iterable, Optional, TextIO, Union
 
-from .events import BranchClass, BranchRecord, Trace, TraceMeta
+import numpy as np
 
-try:  # NumPy accelerates binary (de)serialization but is optional here.
-    import numpy as _np
-except ImportError:  # pragma: no cover - the container ships numpy
-    _np = None
+from .events import BranchClass, BranchRecord, Trace, TraceArrays, TraceMeta
 
 _MAGIC = b"BTRC"
 _VERSION = 1
@@ -69,18 +66,28 @@ def write_text(trace: Trace, stream: TextIO) -> None:
     ``pc taken cls target instret trap``. Unknown metadata keys carried
     in :attr:`TraceMeta.extra` are re-emitted after the known ones.
     """
-    meta = trace.meta
+    _write_text(trace.meta, len(trace), trace.iter_blocks(_TEXT_BLOCK), stream)
+
+
+#: Records per block when a trace's arrays are written as text.
+_TEXT_BLOCK = 1 << 16
+
+
+def _write_text(meta: TraceMeta, count: int, blocks: Iterable, stream: TextIO) -> None:
+    """The text format of ``count`` records given as :class:`TraceBlock`
+    ``blocks``; each block converts only its own columns to lists."""
     stream.write(f"# name={meta.name}\n")
     stream.write(f"# dataset={meta.dataset}\n")
     stream.write(f"# source={meta.source}\n")
     stream.write(f"# total_instructions={meta.total_instructions}\n")
-    stream.write(f"# records={len(trace)}\n")
+    stream.write(f"# records={count}\n")
     for key, value in meta.extra:
         stream.write(f"# {key}={value}\n")
-    for pc, taken, cls, target, instret, trap in trace.iter_tuples():
-        stream.write(
-            f"{pc} {int(taken)} {BranchClass(cls).short_name} {target} {instret} {int(trap)}\n"
-        )
+    for block in blocks:
+        for pc, taken, cls, target, instret, trap in block.iter_tuples():
+            stream.write(
+                f"{pc} {int(taken)} {BranchClass(cls).short_name} {target} {instret} {int(trap)}\n"
+            )
 
 
 def read_text(stream: TextIO, missing_meta: str = "warn") -> Trace:
@@ -181,10 +188,44 @@ def read_text(stream: TextIO, missing_meta: str = "warn") -> Trace:
 
 def _record_dtype():
     """The NumPy structured dtype matching ``_RECORD`` byte-for-byte."""
-    return _np.dtype([
+    return np.dtype([
         ("pc", "<i8"), ("flags", "u1"), ("cls", "u1"),
         ("target", "<i8"), ("instret", "<i8"),
     ])
+
+
+def _pack_columns(pc, taken, cls, target, instret, trap) -> bytes:
+    """Serialize one block of columns (lists or arrays) to packed
+    record bytes; an unrepresentable value raises
+    :class:`TraceFormatError`."""
+    records = np.empty(len(pc), dtype=_record_dtype())
+    try:
+        records["pc"] = np.asarray(pc, dtype=np.int64)
+        records["cls"] = np.asarray(cls, dtype=np.uint8)
+        records["target"] = np.asarray(target, dtype=np.int64)
+        records["instret"] = np.asarray(instret, dtype=np.int64)
+    except (OverflowError, ValueError) as exc:
+        raise TraceFormatError(f"trace column out of range: {exc}") from exc
+    flags = np.asarray(taken, dtype=np.uint8) * _FLAG_TAKEN
+    flags |= np.asarray(trap, dtype=np.uint8) * _FLAG_TRAP
+    records["flags"] = flags
+    return records.tobytes()
+
+
+def _unpack_records(buffer, count: int = -1, offset: int = 0) -> TraceArrays:
+    """Decode ``count`` packed records of ``buffer`` from byte
+    ``offset`` into fresh arrays that own their memory (never views
+    into ``buffer``, so it may be released at once)."""
+    records = np.frombuffer(buffer, dtype=_record_dtype(), count=count, offset=offset)
+    flags = records["flags"]
+    return TraceArrays((
+        records["pc"].astype(np.int64),
+        (flags & _FLAG_TAKEN) != 0,
+        records["cls"].astype(np.uint8),
+        records["target"].astype(np.int64),
+        records["instret"].astype(np.int64),
+        (flags & _FLAG_TRAP) != 0,
+    ))
 
 
 def _check_range(name: str, values: Iterable[int], lo: int, hi: int) -> None:
@@ -208,31 +249,18 @@ def _validate_columns(trace: Trace) -> None:
 def _records_payload(trace: Trace) -> bytes:
     """Serialize all records to bytes, validating ranges up front.
 
-    Nothing is written to any stream before this returns, so a
-    validation failure can never truncate an output file mid-record.
+    The one block of :meth:`Trace.iter_blocks` holds the trace's stored
+    columns, its arrays unless it stores lists. Only a list-storing
+    trace can fail to pack, and only then are its columns validated
+    one by one, to report the offending record. Nothing is written to
+    any stream before this returns, so a validation failure can never
+    truncate an output file mid-record.
     """
-    pc, taken, cls, target, instret, trap = trace.columns
-    if _np is not None:
-        records = _np.empty(len(trace), dtype=_record_dtype())
-        try:
-            records["pc"] = _np.asarray(pc, dtype=_np.int64)
-            records["cls"] = _np.asarray(cls, dtype=_np.uint8)
-            records["target"] = _np.asarray(target, dtype=_np.int64)
-            records["instret"] = _np.asarray(instret, dtype=_np.int64)
-        except OverflowError:
-            _validate_columns(trace)  # locate + report the offender
-            raise TraceFormatError("trace column out of range")  # pragma: no cover
-        flags = _np.asarray(taken, dtype=_np.uint8) * _FLAG_TAKEN
-        flags |= _np.asarray(trap, dtype=_np.uint8) * _FLAG_TRAP
-        records["flags"] = flags
-        return records.tobytes()
-    _validate_columns(trace)
-    pack = _RECORD.pack
-    chunks: List[bytes] = []
-    for r_pc, r_taken, r_cls, r_target, r_instret, r_trap in trace.iter_tuples():
-        r_flags = (_FLAG_TAKEN if r_taken else 0) | (_FLAG_TRAP if r_trap else 0)
-        chunks.append(pack(r_pc, r_flags, r_cls, r_target, r_instret))
-    return b"".join(chunks)
+    try:
+        return b"".join(_pack_columns(*block.columns) for block in trace.iter_blocks())
+    except TraceFormatError:
+        _validate_columns(trace)
+        raise
 
 
 def write_binary(trace: Trace, stream: BinaryIO) -> None:
@@ -274,31 +302,8 @@ def read_binary(stream: BinaryIO) -> Trace:
     source = _read_string(stream)
     (total_instructions,) = struct.unpack("<q", _read_exact(stream, 8))
     meta = TraceMeta(name, dataset, source, total_instructions)
-    size = _RECORD.size
-    payload = _read_exact(stream, size * count)
-    if _np is not None:
-        records = _np.frombuffer(payload, dtype=_record_dtype())
-        flags = records["flags"]
-        return Trace(
-            meta,
-            records["pc"].tolist(),
-            ((flags & _FLAG_TAKEN) != 0).tolist(),
-            records["cls"].tolist(),
-            records["target"].tolist(),
-            records["instret"].tolist(),
-            ((flags & _FLAG_TRAP) != 0).tolist(),
-        )
-    pc, taken, cls, target, instret, trap = [], [], [], [], [], []
-    unpack = _RECORD.unpack
-    for offset in range(0, size * count, size):
-        r_pc, flags, r_cls, r_target, r_instret = unpack(payload[offset : offset + size])
-        pc.append(r_pc)
-        taken.append(bool(flags & _FLAG_TAKEN))
-        cls.append(r_cls)
-        target.append(r_target)
-        instret.append(r_instret)
-        trap.append(bool(flags & _FLAG_TRAP))
-    return Trace(meta, pc, taken, cls, target, instret, trap)
+    payload = _read_exact(stream, _RECORD.size * count)
+    return Trace._from_arrays(meta, _unpack_records(payload))
 
 
 def _write_string(stream: BinaryIO, value: str) -> None:

@@ -40,7 +40,9 @@ import struct
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, Protocol, Sequence, Tuple, Union, runtime_checkable
 
-from .events import BranchClass, BranchRecord, Trace, TraceBlock, TraceMeta
+import numpy as np
+
+from .events import BranchRecord, Trace, TraceBlock, TraceMeta
 from .io import (
     _FLAG_TAKEN,
     _FLAG_TRAP,
@@ -50,13 +52,11 @@ from .io import (
     _VERSION,
     PathLike,
     TraceFormatError,
+    _pack_columns,
+    _unpack_records,
+    _write_text,
     load_trace,
 )
-
-try:  # NumPy accelerates block packing/unpacking but is optional here.
-    import numpy as _np
-except ImportError:  # pragma: no cover - the container ships numpy
-    _np = None
 
 __all__ = [
     "DEFAULT_BLOCK_SIZE",
@@ -153,77 +153,8 @@ def iter_source_tuples(
 
 
 # ----------------------------------------------------------------------
-# Record packing shared by the writer, the digest and save_source
+# Helpers shared by the writer, the reader, the digest and save_source
 # ----------------------------------------------------------------------
-
-def _pack_columns(pc, taken, cls, target, instret, trap) -> bytes:
-    """Serialize one block of columns to packed record bytes.
-
-    Accepts lists or NumPy arrays; validates ranges and reports a
-    :class:`TraceFormatError` (never a bare ``struct`` error).
-    """
-    n = len(pc)
-    if _np is not None:
-        records = _np.empty(n, dtype=_record_dtype())
-        try:
-            records["pc"] = _np.asarray(pc, dtype=_np.int64)
-            records["cls"] = _np.asarray(cls, dtype=_np.uint8)
-            records["target"] = _np.asarray(target, dtype=_np.int64)
-            records["instret"] = _np.asarray(instret, dtype=_np.int64)
-        except (OverflowError, ValueError) as exc:
-            raise TraceFormatError(f"trace column out of range: {exc}") from exc
-        flags = _np.asarray(taken, dtype=_np.uint8) * _FLAG_TAKEN
-        flags |= _np.asarray(trap, dtype=_np.uint8) * _FLAG_TRAP
-        records["flags"] = flags
-        return records.tobytes()
-    pack = _RECORD.pack
-    chunks = []
-    for i in range(n):
-        flag = (_FLAG_TAKEN if taken[i] else 0) | (_FLAG_TRAP if trap[i] else 0)
-        try:
-            chunks.append(pack(int(pc[i]), flag, int(cls[i]), int(target[i]), int(instret[i])))
-        except struct.error as exc:
-            raise TraceFormatError(f"record {i} out of range: {exc}") from exc
-    return b"".join(chunks)
-
-
-def _record_dtype():
-    """NumPy structured dtype matching the packed record byte-for-byte."""
-    return _np.dtype([
-        ("pc", "<i8"), ("flags", "u1"), ("cls", "u1"),
-        ("target", "<i8"), ("instret", "<i8"),
-    ])
-
-
-def _unpack_block(meta: TraceMeta, start: int, payload) -> TraceBlock:
-    """Decode packed record bytes into a :class:`TraceBlock`.
-
-    The returned columns are fresh arrays (or lists) owning their
-    memory — never views into ``payload`` — so callers may release the
-    underlying buffer immediately.
-    """
-    if _np is not None:
-        records = _np.frombuffer(payload, dtype=_record_dtype())
-        flags = records["flags"]
-        return TraceBlock(
-            meta, start,
-            records["pc"].astype(_np.int64),
-            (flags & _FLAG_TAKEN) != 0,
-            records["cls"].astype(_np.uint8),
-            records["target"].astype(_np.int64),
-            records["instret"].astype(_np.int64),
-            (flags & _FLAG_TRAP) != 0,
-        )
-    pc, taken, cls, target, instret, trap = [], [], [], [], [], []
-    for r_pc, flags, r_cls, r_target, r_instret in _RECORD.iter_unpack(payload):
-        pc.append(r_pc)
-        taken.append(bool(flags & _FLAG_TAKEN))
-        cls.append(r_cls)
-        target.append(r_target)
-        instret.append(r_instret)
-        trap.append(bool(flags & _FLAG_TRAP))
-    return TraceBlock(meta, start, pc, taken, cls, target, instret, trap)
-
 
 def _pack_string(value: str) -> bytes:
     data = value.encode("utf-8")
@@ -341,7 +272,8 @@ class TraceWriter:
 
     def append_trace(self, trace: Trace) -> None:
         """Append every record of an in-memory :class:`Trace`."""
-        self.append_block(trace)
+        for block in trace.iter_blocks():
+            self.append_block(block)
 
     def _write(self, payload: bytes, n: int, last_instret: int) -> None:
         if self._closed:
@@ -509,24 +441,15 @@ class StreamedTrace:
         for start in range(0, self._count, bs):
             m = min(bs, self._count - start)
             offset = self._data_offset + start * _RECORD_SIZE
-            if _np is not None:
-                # Decode straight out of the map; every column below is
-                # a fresh owning array, so the pages can be released.
-                records = _np.frombuffer(mm, dtype=_record_dtype(), count=m, offset=offset)
-                flags = records["flags"]
-                block = TraceBlock(
-                    self.meta, start,
-                    records["pc"].astype(_np.int64),
-                    (flags & _FLAG_TAKEN) != 0,
-                    records["cls"].astype(_np.uint8),
-                    records["target"].astype(_np.int64),
-                    records["instret"].astype(_np.int64),
-                    (flags & _FLAG_TRAP) != 0,
-                )
-            else:
-                block = _unpack_block(self.meta, start, mm[offset: offset + m * _RECORD_SIZE])
-            yield block
-            released = self._release(released, offset + m * _RECORD_SIZE)
+            # Decode straight out of the map; the block's arrays own
+            # their memory, so the pages can be released.
+            arrays = _unpack_records(mm, m, offset)
+            block = TraceBlock(self.meta, start, *arrays.columns)
+            block._arrays = arrays
+            try:
+                yield block
+            finally:  # also when the consumer stops early (head)
+                released = self._release(released, offset + m * _RECORD_SIZE)
 
     def _release(self, released: int, upto: int) -> int:
         """Drop consumed, fully-read pages from resident memory."""
@@ -549,27 +472,18 @@ class StreamedTrace:
 
     def materialize(self) -> Trace:
         """Load the whole container into an in-memory :class:`Trace`."""
-        pc, taken, cls, target, instret, trap = [], [], [], [], [], []
-        for block in self.iter_blocks(DEFAULT_BLOCK_SIZE):
-            cols = [c.tolist() if hasattr(c, "tolist") else c for c in block.columns]
-            pc.extend(cols[0]); taken.extend(cols[1]); cls.extend(cols[2])
-            target.extend(cols[3]); instret.extend(cols[4]); trap.extend(cols[5])
-        return Trace(self.meta, pc, taken, cls, target, instret, trap)
+        return self.head(self._count)
 
     def head(self, n: int) -> Trace:
-        """The first ``n`` records as an in-memory :class:`Trace`."""
-        pc, taken, cls, target, instret, trap = [], [], [], [], [], []
-        remaining = min(int(n), self._count)
-        for block in self.iter_blocks(min(DEFAULT_BLOCK_SIZE, max(remaining, 1))):
-            if remaining <= 0:
-                break
-            cols = [c.tolist() if hasattr(c, "tolist") else c for c in block.columns]
-            take = min(remaining, len(cols[0]))
-            pc.extend(cols[0][:take]); taken.extend(cols[1][:take])
-            cls.extend(cols[2][:take]); target.extend(cols[3][:take])
-            instret.extend(cols[4][:take]); trap.extend(cols[5][:take])
-            remaining -= take
-        return Trace(self.meta, pc, taken, cls, target, instret, trap)
+        """The first ``n`` records as an in-memory :class:`Trace`, decoded
+        in one block straight into the trace's arrays."""
+        n = max(0, min(int(n), self._count))
+        if not n:
+            return Trace(self.meta, [], [], [], [], [], [])
+        blocks = self.iter_blocks(n)
+        block = next(blocks)
+        blocks.close()  # releases the pages the block was decoded from
+        return Trace._from_arrays(self.meta, block.as_arrays())
 
     def close(self) -> None:
         """Release the map and the file handle."""
@@ -694,10 +608,10 @@ def _splitmix64(x):
     hash whose output for index ``i`` is independent of block
     partitioning (the partition-independence the equivalence pins rely
     on)."""
-    z = (x + _np.uint64(0x9E3779B97F4A7C15))
-    z = (z ^ (z >> _np.uint64(30))) * _np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> _np.uint64(27))) * _np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> _np.uint64(31))
+    z = (x + np.uint64(0x9E3779B97F4A7C15))
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
 
 
 def bernoulli_outcomes(taken_probability: float, seed: int = 0):
@@ -705,17 +619,15 @@ def bernoulli_outcomes(taken_probability: float, seed: int = 0):
     directions, ``P(taken) = taken_probability``, derived from a
     SplitMix64 hash of (seed, index) so any sub-range of the stream is
     reproducible without generating its prefix."""
-    if _np is None:  # pragma: no cover - the container ships numpy
-        raise RuntimeError("bernoulli_outcomes requires NumPy")
     if not 0.0 <= taken_probability <= 1.0:
         raise ValueError("taken_probability must be within [0, 1]")
-    threshold = _np.uint64(int(taken_probability * float(1 << 53)))
+    threshold = np.uint64(int(taken_probability * float(1 << 53)))
 
     def outcomes(indices):
-        with _np.errstate(over="ignore"):
-            h = _splitmix64(indices.astype(_np.uint64)
-                            + _np.uint64(seed) * _np.uint64(0xD1B54A32D192ED03))
-        return (h >> _np.uint64(11)) < threshold
+        with np.errstate(over="ignore"):
+            h = _splitmix64(indices.astype(np.uint64)
+                            + np.uint64(seed) * np.uint64(0xD1B54A32D192ED03))
+        return (h >> np.uint64(11)) < threshold
 
     return outcomes
 
@@ -725,7 +637,7 @@ def pattern_outcomes(pattern: Sequence[bool]):
     ``pattern`` repeated indefinitely (``pattern[i % len]``)."""
     if not pattern:
         raise ValueError("pattern must be non-empty")
-    materialized = _np.asarray([bool(b) for b in pattern], dtype=_np.bool_)
+    materialized = np.asarray([bool(b) for b in pattern], dtype=np.bool_)
 
     def outcomes(indices):
         return materialized[indices % len(materialized)]
@@ -757,15 +669,13 @@ class IndexedSource:
             pcs: static site ids, assigned round-robin.
             work_per_branch: non-branch instructions per branch.
         """
-        if _np is None:  # pragma: no cover - the container ships numpy
-            raise RuntimeError("IndexedSource requires NumPy")
         if not pcs:
             raise ValueError("need at least one pc")
         if work_per_branch < 0:
             raise ValueError("work_per_branch must be >= 0")
         self._outcome_fn = outcome_fn
         self._num_records = num_records
-        self._pcs = _np.asarray(list(pcs), dtype=_np.int64)
+        self._pcs = np.asarray(list(pcs), dtype=np.int64)
         self._step = work_per_branch + 1
         total = 0 if num_records is None else num_records * self._step
         self.meta = TraceMeta(name=name, dataset=dataset, source="synthetic",
@@ -793,16 +703,16 @@ class IndexedSource:
         start = 0
         while total is None or start < total:
             m = bs if total is None else min(bs, total - start)
-            idx = _np.arange(start, start + m, dtype=_np.int64)
-            taken = _np.asarray(self._outcome_fn(idx), dtype=_np.bool_)
+            idx = np.arange(start, start + m, dtype=np.int64)
+            taken = np.asarray(self._outcome_fn(idx), dtype=np.bool_)
             yield TraceBlock(
                 self.meta, start,
                 self._pcs[idx % len(self._pcs)],
                 taken,
-                _np.zeros(m, dtype=_np.uint8),
-                _np.zeros(m, dtype=_np.int64),
+                np.zeros(m, dtype=np.uint8),
+                np.zeros(m, dtype=np.int64),
                 (idx + 1) * self._step,
-                _np.zeros(m, dtype=_np.bool_),
+                np.zeros(m, dtype=np.bool_),
             )
             start += m
 
@@ -845,7 +755,7 @@ def save_source(source: TraceSource, path: PathLike,
         # the data does not (found by res/replace-without-fsync).
         if path.suffix == ".btr":
             with tmp.open("w") as stream:
-                _write_text_streaming(source, stream, block_size)
+                _write_text(source.meta, total, source.iter_blocks(block_size), stream)
                 stream.flush()
                 os.fsync(stream.fileno())
         else:
@@ -862,23 +772,6 @@ def save_source(source: TraceSource, path: PathLike,
         except OSError:
             pass
         raise
-
-
-def _write_text_streaming(source: TraceSource, stream, block_size: Optional[int]) -> None:
-    meta = source.meta
-    stream.write(f"# name={meta.name}\n")
-    stream.write(f"# dataset={meta.dataset}\n")
-    stream.write(f"# source={meta.source}\n")
-    stream.write(f"# total_instructions={meta.total_instructions}\n")
-    stream.write(f"# records={source.num_records}\n")
-    for key, value in meta.extra:
-        stream.write(f"# {key}={value}\n")
-    for block in source.iter_blocks(block_size):
-        for pc, taken, cls, target, instret, trap in block.iter_tuples():
-            stream.write(
-                f"{pc} {int(taken)} {BranchClass(cls).short_name} "
-                f"{target} {instret} {int(trap)}\n"
-            )
 
 
 def _binary_prefix(meta: TraceMeta, count: int) -> bytes:

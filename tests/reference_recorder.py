@@ -4,6 +4,8 @@
 probe over it, kept verbatim as the oracle for
 ``tests/test_trace_builder.py`` and the speed pin in
 ``benchmarks/test_bench_workloads.py``, with the comparison both use.
+The reference builder's trace stores the six lists it recorded, as they
+are, so the comparison sees the recorded values and their types.
 """
 
 from typing import Dict, List, Optional, Set
@@ -80,15 +82,10 @@ class ReferenceBuilder:
             source=self._source,
             total_instructions=self._instret if total_instructions is None else total_instructions,
         )
-        return Trace(
-            meta=meta,
-            pc=self._pc,
-            taken=self._taken,
-            cls=self._cls,
-            target=self._target,
-            instret=self._instret_col,
-            trap=self._trap,
-        )
+        return Trace._from_lists(meta, (
+            list(self._pc), list(self._taken), list(self._cls),
+            list(self._target), list(self._instret_col), list(self._trap),
+        ))
 
 
 class ReferenceProbe:
@@ -152,27 +149,31 @@ class ReferenceProbe:
 
 
 def assert_same_trace(trace: Trace, expected: Trace, digest: bool = True) -> None:
-    """``trace`` equals ``expected`` column for column, element type for
-    element type, with equal metadata. When ``expected`` converts to
-    arrays, ``trace`` carries equal read-only arrays already; when it
-    does not, ``trace`` carries none and ``as_arrays`` raises."""
+    """``trace`` equals ``expected``, a reference recorder's trace, with
+    equal metadata. When the recorded values fit the canonical dtypes,
+    ``trace`` stores equal read-only arrays and has built no lists yet;
+    when they do not, it stores lists and ``as_arrays`` raises. Either
+    way the lists ``trace.columns`` gives equal the recorded ones column
+    for column, element type for element type."""
     assert trace.meta == expected.meta
     assert len(trace) == len(expected)
-    for column, want in zip(trace.columns, expected.columns):
-        assert column == want
-        assert list(map(type, column)) == list(map(type, want))
+    recorded = expected.columns
     try:
-        want_arrays = TraceArrays(expected)
+        want_arrays = TraceArrays(recorded)
     except OverflowError:
         assert trace._arrays is None
         with pytest.raises(OverflowError):
             trace.as_arrays()
-        return
-    arrays = trace._arrays
-    assert arrays is not None, "a builder trace within the dtypes carries its arrays"
-    for name in ("pc", "taken", "cls", "target", "instret", "trap", "cond_mask"):
-        got, want = getattr(arrays, name), getattr(want_arrays, name)
-        assert got.dtype == want.dtype and np.array_equal(got, want), name
-        assert not got.flags.writeable
-    if digest:
+    else:
+        arrays = trace._arrays
+        assert arrays is not None, "a builder trace within the dtypes stores its arrays"
+        assert trace._lists is None, "a builder trace builds its lists only on demand"
+        for name in ("pc", "taken", "cls", "target", "instret", "trap", "cond_mask"):
+            got, want = getattr(arrays, name), getattr(want_arrays, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+            assert not got.flags.writeable
+    for column, want in zip(trace.columns, recorded):
+        assert column == want
+        assert list(map(type, column)) == list(map(type, want))
+    if digest and trace._arrays is not None:
         assert content_digest(trace) == content_digest(expected)

@@ -230,8 +230,6 @@ def test_profile_and_presets_match_reference(trace, history_bits):
 
 
 def test_training_converts_an_in_memory_trace_once(monkeypatch):
-    trace = Trace(TraceMeta(name="t"), [4, 8, 4], [True, False, True], [0, 0, 0],
-                  [0, 0, 0], [1, 2, 3], [False] * 3)
     built = []
     init = TraceArrays.__init__
 
@@ -240,16 +238,21 @@ def test_training_converts_an_in_memory_trace_once(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(TraceArrays, "__init__", counting_init)
+    # The trace converts its columns once, when it is built.
+    trace = Trace(TraceMeta(name="t"), [4, 8, 4], [True, False, True], [0, 0, 0],
+                  [0, 0, 0], [1, 2, 3], [False] * 3)
+    assert len(built) == 1 and trace._arrays is built[0]
+    stored = built.pop()
     # A streamed source is profiled block by block, never through the
-    # trace's cache.
+    # trace's arrays.
     profile_directions(_Blocked(trace, 2))
-    assert len(built) == 2 and trace._arrays is None
+    assert len(built) == 2 and trace._arrays is stored
     built.clear()
-    # The profile and both presets share one cached conversion.
+    # The profile and both presets read the stored arrays.
     profile_directions(trace)
     train_global_presets(trace, 4)
     train_per_address_presets(trace, 4)
-    assert len(built) == 1 and trace._arrays is built[0]
+    assert built == [] and trace._arrays is stored
 
 
 @PROFILE
