@@ -58,17 +58,14 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..core.history import history_mask
 from ..predictors.base import BranchPredictor
 from ..trace.events import BranchClass, Trace
 from ..trace.stream import TraceSource, iter_source_tuples
 from .breakdown import MispredictionBreakdown, _replay
 from .interference import bht_pressure, first_level_interference, second_level_interference
-
-try:  # NumPy powers the vectorized estimator; pure python always works.
-    import numpy as _np
-except ImportError:  # pragma: no cover - the container ships numpy
-    _np = None
 
 __all__ = [
     "CHAR_SCHEMA",
@@ -217,15 +214,15 @@ def _python_counts(
 
 def _compact_packed(chunks: List[Tuple[Any, Any]]) -> Tuple[Any, Any]:
     """Merge ``(keys, counts)`` chunks into one sorted unique pair."""
-    keys = _np.concatenate([chunk[0] for chunk in chunks])
-    counts = _np.concatenate([chunk[1] for chunk in chunks])
+    keys = np.concatenate([chunk[0] for chunk in chunks])
+    counts = np.concatenate([chunk[1] for chunk in chunks])
     if keys.size == 0:
         return keys, counts
-    order = _np.argsort(keys, kind="stable")
+    order = np.argsort(keys, kind="stable")
     keys = keys[order]
     counts = counts[order]
-    fresh = _np.concatenate(([True], keys[1:] != keys[:-1]))
-    return keys[fresh], _np.add.reduceat(counts, _np.flatnonzero(fresh))
+    fresh = np.concatenate(([True], keys[1:] != keys[:-1]))
+    return keys[fresh], np.add.reduceat(counts, np.flatnonzero(fresh))
 
 
 #: Compact the packed-key accumulator whenever it holds more than this
@@ -238,9 +235,6 @@ def _vectorized_counts(
     source: TraceSource, max_k: int, block_size: Optional[int]
 ) -> PredictabilityCounts:
     """NumPy estimator: shift-or history keys + packed-key reduction."""
-    if _np is None:  # pragma: no cover - the container ships numpy
-        raise RuntimeError("the vectorized backend requires NumPy")
-    np = _np
     mask = history_mask(max_k)
     shift = np.uint64(max_k + 1)
     one = np.uint64(1)
@@ -412,13 +406,13 @@ def characterization_counts(
         source: any :class:`~repro.trace.stream.TraceSource`.
         max_k: history depth K (1..20); memory is O(sites * 2**K).
         block_size: records per block (``None`` = source default).
-        backend: ``"python"``, ``"vectorized"`` or ``"auto"`` (pick
-            the vectorized path when NumPy is available). Both
-            backends return equal counts — pinned by the test suite.
+        backend: ``"python"``, ``"vectorized"`` or ``"auto"`` (the
+            vectorized path). Both backends return equal counts —
+            pinned by the test suite.
     """
     _validate_max_k(max_k)
     if backend == "auto":
-        backend = "vectorized" if _np is not None else "python"
+        backend = "vectorized"
     if backend == "python":
         return _python_counts(source, max_k, block_size)
     if backend == "vectorized":
@@ -737,7 +731,7 @@ def attribute_scheme(
         correct=breakdown.total_branches - breakdown.total_misses,
         breakdown=breakdown,
         site_correct={
-            int(tally.sites[i]): int(correct[i]) for i in _np.flatnonzero(correct).tolist()
+            int(tally.sites[i]): int(correct[i]) for i in np.flatnonzero(correct).tolist()
         },
         site_executions=dict(zip(tally.sites.tolist(), tally.executions.tolist())),
     )
@@ -1029,9 +1023,7 @@ def characterize(
     h2p = h2p or H2PCriteria()
     clustering = clustering or ClusteringConfig()
     counts = characterization_counts(source, max_k, block_size, backend)
-    resolved_backend = backend
-    if backend == "auto":
-        resolved_backend = "vectorized" if _np is not None else "python"
+    resolved_backend = "vectorized" if backend == "auto" else backend
 
     total = counts.conditional
     taken_total = sum(counts.taken[pc] for pc in sorted(counts.taken))

@@ -220,65 +220,55 @@ def simulate_with_backend(
             "backend='auto' or 'python', or drop the probe)"
         )
     if probe is None and backend != "python":
+        from .kernels import KernelUnavailable, simulate_vectorized, simulate_vectorized_stream
+
+        span_id = (
+            recorder.push("kernel", cat="engine", streaming=streaming)
+            if recorder is not None
+            else 0
+        )
         try:
-            # Deferred and guarded: the kernels need numpy, which is an
-            # optional dependency of the interpreted simulator.
-            from .kernels import (
-                KernelUnavailable,
-                simulate_vectorized,
-                simulate_vectorized_stream,
-            )
-        except ImportError:
+            if streaming:
+                result = simulate_vectorized_stream(
+                    predictor,
+                    trace,
+                    context_switches=context_switches,
+                    track_per_site=track_per_site,
+                    warmup_branches=warmup_branches,
+                    block_size=block_size,
+                )
+            else:
+                result = simulate_vectorized(
+                    predictor,
+                    trace,
+                    context_switches=context_switches,
+                    track_per_site=track_per_site,
+                    warmup_branches=warmup_branches,
+                )
+        except KernelUnavailable as exc:
+            if recorder is not None:
+                recorder.pop_through(span_id, fallback=True)
             if backend == "vectorized":
                 raise
-        else:
-            span_id = (
-                recorder.push("kernel", cat="engine", streaming=streaming)
-                if recorder is not None
-                else 0
+            # The auto fallback is no longer silent: the structured
+            # log records why the kernel declined so a degraded
+            # sweep is diagnosable after the fact.
+            logger.event(
+                "kernel_fallback",
+                scheme=getattr(predictor, "name", type(predictor).__name__),
+                trace=trace.meta.name,
+                streaming=streaming,
+                reason=str(exc),
             )
-            try:
-                if streaming:
-                    result = simulate_vectorized_stream(
-                        predictor,
-                        trace,
-                        context_switches=context_switches,
-                        track_per_site=track_per_site,
-                        warmup_branches=warmup_branches,
-                        block_size=block_size,
-                    )
-                else:
-                    result = simulate_vectorized(
-                        predictor,
-                        trace,
-                        context_switches=context_switches,
-                        track_per_site=track_per_site,
-                        warmup_branches=warmup_branches,
-                    )
-            except KernelUnavailable as exc:
-                if recorder is not None:
-                    recorder.pop_through(span_id, fallback=True)
-                if backend == "vectorized":
-                    raise
-                # The auto fallback is no longer silent: the structured
-                # log records why the kernel declined so a degraded
-                # sweep is diagnosable after the fact.
-                logger.event(
-                    "kernel_fallback",
-                    scheme=getattr(predictor, "name", type(predictor).__name__),
-                    trace=trace.meta.name,
-                    streaming=streaming,
-                    reason=str(exc),
-                )
-            except BaseException:
-                if recorder is not None:
-                    recorder.pop_through(span_id)
-                raise
-            else:
-                if recorder is not None:
-                    recorder.pop_through(span_id, branches=result.conditional_branches)
-                _log_run_end(logger, result)
-                return result, "vectorized"
+        except BaseException:
+            if recorder is not None:
+                recorder.pop_through(span_id)
+            raise
+        else:
+            if recorder is not None:
+                recorder.pop_through(span_id, branches=result.conditional_branches)
+            _log_run_end(logger, result)
+            return result, "vectorized"
     result = _interpret(predictor, trace, context_switches, track_per_site,
                         warmup_branches, probe, block_size, recorder)
     _log_run_end(logger, result)

@@ -22,10 +22,15 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import islice
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from itertools import accumulate, islice
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
+
+
+class TraceFormatError(ValueError):
+    """Raised when a trace file is malformed, or a record value does not
+    fit its column's dtype."""
 
 
 class BranchClass(enum.IntEnum):
@@ -118,9 +123,9 @@ class Trace:
     :meth:`iter_tuples`, iteration, indexing) builds six plain lists
     with ``tolist()`` and caches them on the trace, about 145 bytes per
     record more on 64-bit CPython. The constructor converts (and so
-    copies) the columns it is given. A trace with a value that does not
-    fit its array's dtype (a pc at or above ``2**63``, say) stores plain
-    lists instead, and :meth:`as_arrays` raises for it.
+    copies) the columns it is given, and raises
+    :class:`TraceFormatError` naming the record when a value does not
+    fit its array's dtype (a pc at or above ``2**63``, say).
     """
 
     __slots__ = ("meta", "_arrays", "_lists", "_digest")
@@ -135,43 +140,25 @@ class Trace:
         instret: Sequence[int],
         trap: Sequence[bool],
     ) -> None:
-        columns = (pc, taken, cls, target, instret, trap)
-        lengths = {len(column) for column in columns}
-        if len(lengths) != 1:
-            raise ValueError(f"column lengths differ: {sorted(lengths)}")
-        try:
-            self._adopt(meta, TraceArrays(columns, copy=True), None)
-        except (OverflowError, TypeError, ValueError):
-            self._adopt(meta, None, tuple(list(column) for column in columns))
+        self._adopt(meta, TraceArrays((pc, taken, cls, target, instret, trap), copy=True))
 
     @classmethod
     def _from_arrays(cls, meta: TraceMeta, arrays: "TraceArrays") -> "Trace":
         """A trace that stores ``arrays`` as they are."""
         trace = cls.__new__(cls)
-        trace._adopt(meta, arrays, None)
+        trace._adopt(meta, arrays)
         return trace
 
-    @classmethod
-    def _from_lists(cls, meta: TraceMeta, columns) -> "Trace":
-        """A trace that stores ``columns`` (six equal-length lists) as
-        they are, with no arrays until :meth:`as_arrays` asks."""
-        trace = cls.__new__(cls)
-        trace._adopt(meta, None, tuple(columns))
-        return trace
-
-    def _adopt(self, meta: TraceMeta, arrays: Optional["TraceArrays"], lists) -> None:
+    def _adopt(self, meta: TraceMeta, arrays: "TraceArrays") -> None:
         self.meta = meta
         self._arrays = arrays
-        # The six list columns: the stored form when `arrays` is None,
-        # otherwise a cache built on the first list access.
-        self._lists = lists
+        # The six list columns, built on the first list access.
+        self._lists = None
         # sha256 hex digest, cached by repro.trace.stream.content_digest.
         self._digest: Optional[str] = None
 
     def __len__(self) -> int:
-        if self._arrays is not None:
-            return len(self._arrays)
-        return len(self._lists[0])
+        return len(self._arrays)
 
     def __iter__(self) -> Iterator[BranchRecord]:
         for pc, taken, cls, target, instret, trap in self.iter_tuples():
@@ -220,15 +207,8 @@ class Trace:
 
         The vectorized simulation backend (:mod:`repro.sim.kernels`)
         consumes traces through this API, and every simulation of the
-        trace shares the one instance. A trace that stores lists
-        converts them here, and raises when they do not fit.
-
-        Raises:
-            OverflowError: when a column holds a value outside the
-                array's dtype (e.g. a pc at or above ``2**63``).
+        trace shares the one instance.
         """
-        if self._arrays is None:
-            self._arrays = TraceArrays(self._lists)
         return self._arrays
 
     # ------------------------------------------------------------------
@@ -242,65 +222,49 @@ class Trace:
     def iter_blocks(self, block_size: Optional[int] = None) -> Iterator["TraceBlock"]:
         """Yield the trace as :class:`TraceBlock` windows.
 
-        Blocks hold slices of the trace's arrays (of its lists when it
-        stores lists). ``block_size=None`` yields the whole trace as a
-        single block that shares the trace's :class:`TraceArrays`, so
-        the vectorized engine pays no conversion twice. An empty trace
-        yields no blocks. This makes an in-memory :class:`Trace` a
-        valid :class:`repro.trace.stream.TraceSource`.
+        Blocks hold slices of the trace's arrays. ``block_size=None``
+        yields the whole trace as a single block that shares the trace's
+        :class:`TraceArrays`, so the vectorized engine pays no conversion
+        twice. An empty trace yields no blocks. This makes an in-memory
+        :class:`Trace` a valid :class:`repro.trace.stream.TraceSource`.
         """
         n = len(self)
         if block_size is not None and block_size < 1:
             raise ValueError("block_size must be >= 1")
         if n == 0:
             return
-        arrays = self._arrays
-        columns = self._lists if arrays is None else arrays.columns
         if block_size is None or block_size >= n:
-            block = TraceBlock(self.meta, 0, *columns)
-            block._arrays = arrays
-            yield block
+            yield TraceBlock(self.meta, 0, self._arrays)
             return
         for start in range(0, n, block_size):
-            stop = min(start + block_size, n)
-            yield TraceBlock(self.meta, start, *(column[start:stop] for column in columns))
+            yield TraceBlock(self.meta, start, self._arrays[start:start + block_size])
 
     # ------------------------------------------------------------------
     # Derived views
     # ------------------------------------------------------------------
     def conditional_only(self) -> "Trace":
         """A new trace containing only conditional-branch records."""
-        if self._arrays is None:
-            return self.select([i for i, c in enumerate(self._lists[2]) if c == _CONDITIONAL])
         return self.select(np.flatnonzero(self._arrays.cond_mask))
 
-    def select(self, indices: Sequence[int]) -> "Trace":
-        """A new trace containing only the records at ``indices``,
-        gathered from the arrays."""
-        if self._arrays is None:
-            return Trace(self.meta, *([column[i] for i in indices] for column in self._lists))
-        rows = np.asarray(indices, dtype=np.intp)
-        return Trace._from_arrays(
-            self.meta, TraceArrays(tuple(column[rows] for column in self._arrays.columns)))
+    def select(self, indices: Union[Sequence[int], slice]) -> "Trace":
+        """A new trace containing only the records at ``indices``: a
+        sequence of record indices, gathered from the arrays, or a
+        slice, whose arrays are views of this trace's (read-only)
+        arrays."""
+        if not isinstance(indices, slice):
+            indices = np.asarray(indices, dtype=np.intp)
+        return Trace._from_arrays(self.meta, self._arrays[indices])
 
     def head(self, n: int) -> "Trace":
-        """A new trace containing the first ``n`` records. Its arrays are
-        views of this trace's (read-only) arrays."""
-        if self._arrays is None:
-            return Trace(self.meta, *(column[:n] for column in self._lists))
-        return Trace._from_arrays(
-            self.meta, TraceArrays(tuple(column[:n] for column in self._arrays.columns)))
+        """A new trace containing the first ``n`` records, as views of
+        this trace's arrays."""
+        return self.select(slice(n))
 
     def static_branch_sites(self) -> List[int]:
         """Sorted distinct PCs of *conditional* branches in the trace."""
-        if self._arrays is None:
-            pc, _taken, cls = self._lists[:3]
-            return sorted({p for p, c in zip(pc, cls) if c == _CONDITIONAL})
         return np.unique(self._arrays.pc[self._arrays.cond_mask]).tolist()
 
     def num_conditional(self) -> int:
-        if self._arrays is None:
-            return sum(1 for c in self._lists[2] if c == _CONDITIONAL)
         return int(np.count_nonzero(self._arrays.cond_mask))
 
     def __repr__(self) -> str:
@@ -317,9 +281,9 @@ class TraceArrays:
     ``uint8`` class, ``bool`` taken and trap: 27 bytes per record), plus
     the derived products every vectorized consumer needs: the
     conditional-record mask and (lazily) the dense site-id relabelling
-    of conditional PCs. This is the form in which a :class:`Trace`
-    stores its records, and streamed trace blocks build one from their
-    columns without materializing a :class:`Trace`.
+    of conditional PCs. This is the one form in which a :class:`Trace`
+    and every :class:`TraceBlock` store their records; converting
+    columns to it is where a value outside the dtypes is rejected.
 
     ``residency`` holds the vectorized kernels' set-associative BHT
     residency words for this trace, keyed by ``(num_sets,
@@ -332,7 +296,7 @@ class TraceArrays:
     __slots__ = ("pc", "taken", "cls", "target", "instret", "trap",
                  "cond_mask", "_sites", "_site_ids", "residency", "__weakref__")
 
-    def __init__(self, columns, *, copy: bool = False) -> None:
+    def __init__(self, columns, *, copy: bool = False, start: int = 0) -> None:
         """Convert ``columns``, the six record columns ``(pc, taken,
         cls, target, instret, trap)`` as lists or arrays.
 
@@ -340,15 +304,21 @@ class TraceArrays:
         without copying and frozen in place, unless ``copy`` is set.
 
         Raises:
-            OverflowError: when a value does not fit its dtype.
+            ValueError: when the columns differ in length.
+            TraceFormatError: when a value does not fit its dtype, naming
+                the column, the record (counted from ``start``) and the
+                allowed range.
         """
+        lengths = {len(column) for column in columns}
+        if len(lengths) != 1:
+            raise ValueError(f"column lengths differ: {sorted(lengths)}")
         convert = np.array if copy else np.asarray
         pc, taken, cls, target, instret, trap = columns
-        self.pc = convert(pc, dtype=np.int64)
+        self.pc = _convert("pc", pc, np.int64, convert, start)
         self.taken = convert(taken, dtype=np.bool_)
-        self.cls = convert(cls, dtype=np.uint8)
-        self.target = convert(target, dtype=np.int64)
-        self.instret = convert(instret, dtype=np.int64)
+        self.cls = _convert("cls", cls, np.uint8, convert, start)
+        self.target = _convert("target", target, np.int64, convert, start)
+        self.instret = _convert("instret", instret, np.int64, convert, start)
         self.trap = convert(trap, dtype=np.bool_)
         self.cond_mask = self.cls == int(BranchClass.CONDITIONAL)
         for column in (*self.columns, self.cond_mask):
@@ -365,6 +335,11 @@ class TraceArrays:
     def __len__(self) -> int:
         return int(self.pc.shape[0])
 
+    def __getitem__(self, rows) -> "TraceArrays":
+        """The records at ``rows``: a slice gives views of these arrays,
+        an index array a gathered copy."""
+        return TraceArrays(tuple(column[rows] for column in self.columns))
+
     def conditional_site_ids(self):
         """``(sites, ids)``: sorted distinct conditional PCs and, for
         every conditional record in trace order, the index of its PC in
@@ -378,6 +353,23 @@ class TraceArrays:
         return self._sites, self._site_ids
 
 
+def _convert(name: str, values, dtype, convert, start: int):
+    """``values`` as a ``dtype`` array; a value outside the dtype raises
+    :class:`TraceFormatError` naming the first such record."""
+    try:
+        return convert(values, dtype=dtype)
+    except (OverflowError, TypeError, ValueError):
+        info = np.iinfo(dtype)
+        lo, hi = int(info.min), int(info.max)
+        for index, value in enumerate(values):
+            if not lo <= value <= hi:
+                raise TraceFormatError(
+                    f"record {start + index}: {name}={value} does not fit the "
+                    f"{info.dtype} column (allowed range [{lo}, {hi}])"
+                ) from None
+        raise
+
+
 class TraceBlock:
     """A bounded, immutable window of consecutive trace records.
 
@@ -386,48 +378,43 @@ class TraceBlock:
     records as a sequence of blocks whose memory footprint is bounded
     by the block size, never by the trace length. A block carries the
     owning trace's :class:`TraceMeta`, the absolute index of its first
-    record (``start``), and the six record columns — NumPy arrays
-    (slices of an in-memory trace's arrays, streamed containers,
-    synthetic array generators) or, for a trace that stores lists,
-    plain Python lists; both kinds serve both consumers.
+    record (``start``), and its records as a read-only
+    :class:`TraceArrays` (a slice of an in-memory trace's arrays, decoded
+    from a streamed container, or converted from a generator's records).
     """
 
-    __slots__ = ("meta", "start", "_columns", "_arrays")
+    __slots__ = ("meta", "start", "_arrays")
 
-    def __init__(self, meta: TraceMeta, start: int, pc, taken, cls, target, instret, trap) -> None:
+    def __init__(self, meta: TraceMeta, start: int, arrays: TraceArrays) -> None:
         self.meta = meta
         self.start = int(start)
-        self._columns = (pc, taken, cls, target, instret, trap)
-        self._arrays: Optional[TraceArrays] = None
+        self._arrays = arrays
 
     def __len__(self) -> int:
-        return len(self._columns[0])
+        return len(self._arrays)
 
     @property
     def columns(self):
-        """The raw columns ``(pc, taken, cls, target, instret, trap)``."""
-        return self._columns
+        """The record arrays ``(pc, taken, cls, target, instret, trap)``."""
+        return self._arrays.columns
 
     def iter_tuples(self) -> Iterator[Tuple[int, bool, int, int, int, bool]]:
         """Yield ``(pc, taken, cls, target, instret, trap)`` tuples.
 
-        NumPy columns are converted to Python scalars once per block
+        The columns are converted to Python scalars once per call
         (``tolist``), so the interpreted engine iterates native tuples
         exactly as it does over an in-memory :class:`Trace`.
         """
-        cols = [c.tolist() if hasattr(c, "tolist") else c for c in self._columns]
-        return zip(*cols)
+        return zip(*(column.tolist() for column in self._arrays.columns))
 
     def as_arrays(self) -> TraceArrays:
-        """Columnar NumPy view of the block, built once and cached."""
-        if self._arrays is None:
-            self._arrays = TraceArrays(self._columns)
+        """The block's read-only :class:`TraceArrays`."""
         return self._arrays
 
     def to_trace(self) -> Trace:
         """Materialize the block as a standalone :class:`Trace` (which
         copies its columns)."""
-        return Trace(self.meta, *self._columns)
+        return Trace(self.meta, *self._arrays.columns)
 
     def __repr__(self) -> str:
         return f"TraceBlock(start={self.start}, records={len(self)})"
@@ -456,8 +443,8 @@ class TraceBuilder:
     words point into. :meth:`build` decodes the whole log with NumPy:
     ``instret`` is a cumulative sum, and pc, class and target are
     gathers from the slot table. The decoded arrays are what the trace
-    stores; only when a value does not fit their dtypes does the trace
-    store exact Python lists instead (gathered as objects).
+    stores; :meth:`build` raises :class:`TraceFormatError` naming the
+    record when a value does not fit their dtypes.
     """
 
     def __init__(self, name: str = "anonymous", dataset: str = "", source: str = "unknown") -> None:
@@ -568,26 +555,34 @@ class TraceBuilder:
         self.branch(pc, True, BranchClass.RETURN, target=target, work=work)
 
     def build(self, total_instructions: Optional[int] = None) -> Trace:
-        """Freeze the builder into an immutable :class:`Trace`."""
+        """Freeze the builder into an immutable :class:`Trace`.
+
+        Raises:
+            TraceFormatError: when a record's pc, class, target or
+                ``instret`` does not fit its array's dtype.
+        """
         log = self._log
         # int64 decoding is exact while no word nor partial sum passes
-        # 2**63 - 1; otherwise the log decodes as Python ints, unbounded.
+        # 2**63 - 1; otherwise the words split in Python, and the clock
+        # sums as exact Python ints for TraceArrays to convert or reject.
         try:
             words = np.array(log, dtype=np.int64)
             exact = not log or len(log) * (int(words.max()) >> _CODE_BITS) <= _INT64_MAX
         except OverflowError:
             exact = False
-        if not exact:
-            words = np.array(log, dtype=object)
-        codes = (words & _CODE_MASK).astype(np.int64, copy=False)
-        clock = np.cumsum(words >> _CODE_BITS)
+        if exact:
+            codes = words & _CODE_MASK
+            clock = np.cumsum(words >> _CODE_BITS)
+        else:
+            codes = np.array([word & _CODE_MASK for word in log], dtype=np.int64)
+            clock = list(accumulate(word >> _CODE_BITS for word in log))
         records = np.flatnonzero(codes > 1)
         traps_so_far = np.cumsum(codes == 1)[records]
         record_codes = codes[records]
         slots = record_codes >> 1
         taken = (record_codes & 1).astype(np.bool_)
         trap = np.diff(traps_so_far, prepend=0) > 0
-        instret = clock[records]
+        instret = clock[records] if exact else [clock[i] for i in records.tolist()]
         if total_instructions is None:
             total_instructions = int(clock[-1]) if log else 0
         meta = TraceMeta(
@@ -597,18 +592,18 @@ class TraceBuilder:
             total_instructions=total_instructions,
         )
         slot_pc, slot_cls, slot_target = self._slot_columns
-        try:
-            arrays = TraceArrays((
-                np.array(slot_pc, dtype=np.int64)[slots], taken,
-                np.array(slot_cls, dtype=np.uint8)[slots],
-                np.array(slot_target, dtype=np.int64)[slots],
-                instret.astype(np.int64, copy=False), trap,
-            ))
-        except (OverflowError, TypeError, ValueError):
-            # A value outside the dtypes: the trace stores exact lists, and
-            # as_arrays() raises on demand.
-            pc, cls, target = (np.array(column, dtype=object)[slots].tolist()
-                               for column in self._slot_columns)
-            columns = (pc, taken.tolist(), cls, target, instret.tolist(), trap.tolist())
-            return Trace._from_lists(meta, columns)
-        return Trace._from_arrays(meta, arrays)
+        return Trace._from_arrays(meta, TraceArrays((
+            _gather(slot_pc, np.int64, slots), taken,
+            _gather(slot_cls, np.uint8, slots),
+            _gather(slot_target, np.int64, slots), instret, trap,
+        )))
+
+
+def _gather(table: List[int], dtype, slots):
+    """The per-record values of a slot table column: gathered from an
+    array when the table fits ``dtype``, otherwise as the exact ints, for
+    :class:`TraceArrays` to reject naming the record."""
+    try:
+        return np.array(table, dtype=dtype)[slots]
+    except OverflowError:
+        return [table[slot] for slot in slots.tolist()]

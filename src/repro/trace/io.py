@@ -11,11 +11,11 @@ Two interchangeable formats:
   bytes and a trace's arrays; no Python list is built either way.
 
 Both formats round-trip exactly (checked by property-based tests).
-Field values that cannot be represented by the binary format (e.g. a
-``pc`` outside the signed 64-bit range) raise :class:`TraceFormatError`
-*before* any bytes are written, and :func:`save_trace` writes through a
-temporary file, so a failed save never leaves a truncated trace file
-on disk.
+Every record of a :class:`Trace` fits the binary format, because its
+arrays reject a value outside their dtypes when they are built (a
+``pc`` outside the signed 64-bit range raises :class:`TraceFormatError`
+naming the record). :func:`save_trace` writes through a temporary file,
+so a failed save never leaves a truncated trace file on disk.
 """
 
 from __future__ import annotations
@@ -25,11 +25,11 @@ import os
 import struct
 import warnings
 from pathlib import Path
-from typing import BinaryIO, Iterable, Optional, TextIO, Union
+from typing import BinaryIO, Callable, Iterable, Optional, TextIO, Union
 
 import numpy as np
 
-from .events import BranchClass, BranchRecord, Trace, TraceArrays, TraceMeta
+from .events import BranchClass, BranchRecord, Trace, TraceArrays, TraceFormatError, TraceMeta
 
 _MAGIC = b"BTRC"
 _VERSION = 1
@@ -45,10 +45,6 @@ _INT64_MAX = (1 << 63) - 1
 _KNOWN_META_KEYS = ("name", "dataset", "source", "total_instructions")
 
 PathLike = Union[str, Path]
-
-
-class TraceFormatError(ValueError):
-    """Raised when a trace file is malformed or unrepresentable."""
 
 
 class TraceFormatWarning(UserWarning):
@@ -105,7 +101,9 @@ def read_text(stream: TextIO, missing_meta: str = "warn") -> Trace:
             and produced misleading ledger run ids downstream.
 
     Unknown ``# key=value`` lines are preserved in
-    :attr:`TraceMeta.extra` (sorted by key) instead of being dropped.
+    :attr:`TraceMeta.extra` (sorted by key) instead of being dropped. A
+    field that does not fit its column raises :class:`TraceFormatError`
+    naming the record (records count from 0 in line order).
     """
     if missing_meta not in ("warn", "error", "ignore"):
         raise ValueError(f"missing_meta must be 'warn', 'error' or 'ignore', got {missing_meta!r}")
@@ -194,20 +192,15 @@ def _record_dtype():
     ])
 
 
-def _pack_columns(pc, taken, cls, target, instret, trap) -> bytes:
-    """Serialize one block of columns (lists or arrays) to packed
-    record bytes; an unrepresentable value raises
-    :class:`TraceFormatError`."""
-    records = np.empty(len(pc), dtype=_record_dtype())
-    try:
-        records["pc"] = np.asarray(pc, dtype=np.int64)
-        records["cls"] = np.asarray(cls, dtype=np.uint8)
-        records["target"] = np.asarray(target, dtype=np.int64)
-        records["instret"] = np.asarray(instret, dtype=np.int64)
-    except (OverflowError, ValueError) as exc:
-        raise TraceFormatError(f"trace column out of range: {exc}") from exc
-    flags = np.asarray(taken, dtype=np.uint8) * _FLAG_TAKEN
-    flags |= np.asarray(trap, dtype=np.uint8) * _FLAG_TRAP
+def _pack_records(arrays: TraceArrays) -> bytes:
+    """Serialize one block's arrays to packed record bytes."""
+    records = np.empty(len(arrays), dtype=_record_dtype())
+    records["pc"] = arrays.pc
+    records["cls"] = arrays.cls
+    records["target"] = arrays.target
+    records["instret"] = arrays.instret
+    flags = arrays.taken.astype(np.uint8) * _FLAG_TAKEN
+    flags |= arrays.trap.astype(np.uint8) * _FLAG_TRAP
     records["flags"] = flags
     return records.tobytes()
 
@@ -228,63 +221,38 @@ def _unpack_records(buffer, count: int = -1, offset: int = 0) -> TraceArrays:
     ))
 
 
-def _check_range(name: str, values: Iterable[int], lo: int, hi: int) -> None:
-    for index, value in enumerate(values):
-        if not (lo <= value <= hi):
-            raise TraceFormatError(
-                f"record {index}: {name}={value} does not fit the binary "
-                f"trace format (allowed range [{lo}, {hi}])"
-            )
-
-
-def _validate_columns(trace: Trace) -> None:
-    """Validate every column fits the packed record, with indices."""
-    pc, _taken, cls, target, instret, _trap = trace.columns
-    _check_range("pc", pc, _INT64_MIN, _INT64_MAX)
-    _check_range("cls", cls, 0, 255)
-    _check_range("target", target, _INT64_MIN, _INT64_MAX)
-    _check_range("instret", instret, _INT64_MIN, _INT64_MAX)
-
-
-def _records_payload(trace: Trace) -> bytes:
-    """Serialize all records to bytes, validating ranges up front.
-
-    The one block of :meth:`Trace.iter_blocks` holds the trace's stored
-    columns, its arrays unless it stores lists. Only a list-storing
-    trace can fail to pack, and only then are its columns validated
-    one by one, to report the offending record. Nothing is written to
-    any stream before this returns, so a validation failure can never
-    truncate an output file mid-record.
-    """
-    try:
-        return b"".join(_pack_columns(*block.columns) for block in trace.iter_blocks())
-    except TraceFormatError:
-        _validate_columns(trace)
-        raise
-
-
 def write_binary(trace: Trace, stream: BinaryIO) -> None:
     """Write ``trace`` to ``stream`` in the packed binary format.
 
-    Field ranges are validated and the full record payload built
-    *before* the header is written: an unrepresentable value raises
-    :class:`TraceFormatError` (not a bare ``struct.error``) and leaves
-    the stream untouched. ``TraceMeta.extra`` keys are a text-format
-    feature and are not serialized here.
+    A ``total_instructions`` outside int64 raises
+    :class:`TraceFormatError` and leaves the stream untouched.
+    ``TraceMeta.extra`` keys are a text-format feature and are not
+    serialized here.
     """
-    meta = trace.meta
+    _write_binary(trace.meta, len(trace), trace.iter_blocks(), stream.write)
+
+
+def _write_binary(meta: TraceMeta, count: int, blocks: Iterable,
+                  write: Callable[[bytes], object]) -> None:
+    """Pass the ``.btb`` serialization of ``count`` records, given as
+    :class:`TraceBlock` ``blocks``, to ``write`` piece by piece: the
+    one ``.btb`` writer, behind :func:`write_binary`, ``save_source``
+    and ``content_digest``. The header is checked before anything is
+    passed on."""
     if not (_INT64_MIN <= meta.total_instructions <= _INT64_MAX):
         raise TraceFormatError(
             f"total_instructions={meta.total_instructions} does not fit the "
             f"binary trace format (allowed range [{_INT64_MIN}, {_INT64_MAX}])"
         )
-    payload = _records_payload(trace)
-    stream.write(_HEADER.pack(_MAGIC, _VERSION, 0, len(trace)))
-    _write_string(stream, meta.name)
-    _write_string(stream, meta.dataset)
-    _write_string(stream, meta.source)
-    stream.write(struct.pack("<q", meta.total_instructions))
-    stream.write(payload)
+    write(
+        _HEADER.pack(_MAGIC, _VERSION, 0, count)
+        + _pack_string(meta.name)
+        + _pack_string(meta.dataset)
+        + _pack_string(meta.source)
+        + struct.pack("<q", meta.total_instructions)
+    )
+    for block in blocks:
+        write(_pack_records(block.as_arrays()))
 
 
 def read_binary(stream: BinaryIO) -> Trace:
@@ -306,10 +274,9 @@ def read_binary(stream: BinaryIO) -> Trace:
     return Trace._from_arrays(meta, _unpack_records(payload))
 
 
-def _write_string(stream: BinaryIO, value: str) -> None:
+def _pack_string(value: str) -> bytes:
     data = value.encode("utf-8")
-    stream.write(struct.pack("<I", len(data)))
-    stream.write(data)
+    return struct.pack("<I", len(data)) + data
 
 
 def _read_string(stream: BinaryIO) -> str:
@@ -343,44 +310,18 @@ def _tmp_sibling(path: Path) -> Path:
 def save_trace(trace: Trace, path: PathLike) -> None:
     """Save ``trace`` to ``path``; format chosen by suffix.
 
-    ``.btr`` selects the text format, ``.btrs`` the streamed container
-    (written via :func:`repro.trace.stream.save_source`), anything else
-    the binary format. The data is written to a uniquely-named temporary
-    sibling file and atomically renamed into place, so a failed save
-    (validation error, full disk, interrupt) never leaves a partial
-    trace file at ``path``, and concurrent savers never observe each
-    other's partial writes.
+    ``.btr`` selects the text format, ``.btrs`` the streamed container,
+    anything else the binary format. This is
+    :func:`repro.trace.stream.save_source` on the trace: the data is
+    written to a uniquely-named temporary sibling file, fsynced and
+    atomically renamed into place, so a failed save (full disk,
+    interrupt) never leaves a partial trace file at ``path``, and
+    concurrent savers never observe each other's partial writes.
     """
-    path = Path(path)
-    if path.suffix == ".btrs":
-        # Deferred import: stream builds on this module.
-        from .stream import save_source
+    # Deferred import: stream builds on this module.
+    from .stream import save_source
 
-        save_source(trace, path)
-        return
-    tmp = _tmp_sibling(path)
-    try:
-        # fsync before the rename: os.replace alone orders the *name*,
-        # not the bytes — after a crash the rename can survive while the
-        # data does not, publishing a truncated trace (found by
-        # res/replace-without-fsync).
-        if path.suffix == ".btr":
-            with tmp.open("w") as stream:
-                write_text(trace, stream)
-                stream.flush()
-                os.fsync(stream.fileno())
-        else:
-            with tmp.open("wb") as stream:
-                write_binary(trace, stream)
-                stream.flush()
-                os.fsync(stream.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            tmp.unlink()
-        except OSError:
-            pass
-        raise
+    save_source(trace, path)
 
 
 def _sniff_magic(path: Path) -> bytes:

@@ -37,23 +37,24 @@ import hashlib
 import mmap
 import os
 import struct
+from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, Protocol, Sequence, Tuple, Union, runtime_checkable
 
 import numpy as np
 
-from .events import BranchRecord, Trace, TraceBlock, TraceMeta
+from .events import BranchRecord, Trace, TraceArrays, TraceBlock, TraceMeta
 from .io import (
     _FLAG_TAKEN,
     _FLAG_TRAP,
-    _HEADER,
-    _MAGIC,
     _RECORD,
-    _VERSION,
     PathLike,
     TraceFormatError,
-    _pack_columns,
+    _pack_records,
+    _pack_string,
+    _tmp_sibling,
     _unpack_records,
+    _write_binary,
     _write_text,
     load_trace,
 )
@@ -152,15 +153,6 @@ def iter_source_tuples(
         yield from block.iter_tuples()
 
 
-# ----------------------------------------------------------------------
-# Helpers shared by the writer, the reader, the digest and save_source
-# ----------------------------------------------------------------------
-
-def _pack_string(value: str) -> bytes:
-    data = value.encode("utf-8")
-    return struct.pack("<I", len(data)) + data
-
-
 def _normalize_block_size(block_size: Optional[int], total: Optional[int]) -> int:
     if block_size is None:
         if total is None:
@@ -200,9 +192,7 @@ class TraceWriter:
                 stored in the header.
         """
         self._path = Path(path)
-        self._tmp = self._path.with_name(
-            f"{self._path.name}.tmp-{os.getpid()}-{id(self):x}"
-        )
+        self._tmp = _tmp_sibling(self._path)
         self._name = name
         self._dataset = dataset
         self._source = source
@@ -259,16 +249,11 @@ class TraceWriter:
             ) from exc
         self._write(b"".join(data), n, last)
 
-    def append_block(self, block) -> None:
-        """Append a :class:`TraceBlock` (or any object with ``columns``)."""
-        columns = block.columns
-        n = len(columns[0])
-        if n == 0:
-            return
-        payload = _pack_columns(*columns)
-        instret = columns[4]
-        last = int(instret[-1]) if hasattr(instret, "tolist") else instret[-1]
-        self._write(payload, n, last)
+    def append_block(self, block: TraceBlock) -> None:
+        """Append a :class:`TraceBlock`."""
+        arrays = block.as_arrays()
+        if len(arrays):
+            self._write(_pack_records(arrays), len(arrays), int(arrays.instret[-1]))
 
     def append_trace(self, trace: Trace) -> None:
         """Append every record of an in-memory :class:`Trace`."""
@@ -443,9 +428,7 @@ class StreamedTrace:
             offset = self._data_offset + start * _RECORD_SIZE
             # Decode straight out of the map; the block's arrays own
             # their memory, so the pages can be released.
-            arrays = _unpack_records(mm, m, offset)
-            block = TraceBlock(self.meta, start, *arrays.columns)
-            block._arrays = arrays
+            block = TraceBlock(self.meta, start, _unpack_records(mm, m, offset))
             try:
                 yield block
             finally:  # also when the consumer stops early (head)
@@ -588,19 +571,21 @@ class RecordStreamSource:
             yield _as_record_tuple(record)
 
     def iter_blocks(self, block_size: Optional[int] = None) -> Iterator[TraceBlock]:
-        """Buffer the generator into list-backed :class:`TraceBlock` s."""
+        """Buffer the generator into :class:`TraceBlock` s.
+
+        Raises:
+            TraceFormatError: when a record value does not fit its
+                column, naming the record's index in the stream.
+        """
         bs = _normalize_block_size(block_size, self._num_records)
-        pc, taken, cls, target, instret, trap = [], [], [], [], [], []
         start = 0
-        for tup in self.iter_tuples():
-            pc.append(tup[0]); taken.append(tup[1]); cls.append(tup[2])
-            target.append(tup[3]); instret.append(tup[4]); trap.append(tup[5])
-            if len(pc) >= bs:
-                yield TraceBlock(self.meta, start, pc, taken, cls, target, instret, trap)
-                start += len(pc)
-                pc, taken, cls, target, instret, trap = [], [], [], [], [], []
-        if pc:
-            yield TraceBlock(self.meta, start, pc, taken, cls, target, instret, trap)
+        records = self.iter_tuples()
+        while True:
+            rows = list(islice(records, bs))
+            if not rows:
+                return
+            yield TraceBlock(self.meta, start, TraceArrays(tuple(zip(*rows)), start=start))
+            start += len(rows)
 
 
 def _splitmix64(x):
@@ -656,7 +641,7 @@ class IndexedSource:
     :mod:`repro.trace.synthetic` produce for pure-conditional streams.
     Because nothing depends on earlier records, generating block
     ``[a, b)`` costs O(b - a): a 10M-branch stream needs no 10M-record
-    buffer anywhere. Requires NumPy.
+    buffer anywhere.
     """
 
     def __init__(self, outcome_fn: Callable, num_records: Optional[int] = None,
@@ -705,15 +690,14 @@ class IndexedSource:
             m = bs if total is None else min(bs, total - start)
             idx = np.arange(start, start + m, dtype=np.int64)
             taken = np.asarray(self._outcome_fn(idx), dtype=np.bool_)
-            yield TraceBlock(
-                self.meta, start,
+            yield TraceBlock(self.meta, start, TraceArrays((
                 self._pcs[idx % len(self._pcs)],
                 taken,
                 np.zeros(m, dtype=np.uint8),
                 np.zeros(m, dtype=np.int64),
                 (idx + 1) * self._step,
                 np.zeros(m, dtype=np.bool_),
-            )
+            )))
             start += m
 
     def iter_tuples(self) -> Iterator[Tuple[int, bool, int, int, int, bool]]:
@@ -735,6 +719,7 @@ def save_source(source: TraceSource, path: PathLike,
     streamed container, anything else the ``.btb`` binary format. All
     three paths write through a temporary file and rename atomically,
     and none of them materializes more than one block at a time.
+    :func:`repro.trace.io.save_trace` is this function on a trace.
     """
     path = Path(path)
     total = source.num_records
@@ -748,11 +733,13 @@ def save_source(source: TraceSource, path: PathLike,
                 writer.append_block(block)
             writer.finalize(total_instructions=source.meta.total_instructions)
         return
-    tmp = path.with_name(f"{path.name}.tmp-{os.getpid()}-{id(source):x}")
+    tmp = _tmp_sibling(path)
     try:
         # fsync before publishing, exactly as TraceWriter.finalize does
-        # for .btrs: rename-only publication can survive a crash that
-        # the data does not (found by res/replace-without-fsync).
+        # for .btrs: os.replace alone orders the *name*, not the bytes,
+        # so rename-only publication can survive a crash that the data
+        # does not (found by res/replace-without-fsync).
+        # Literal open modes: the resource lint (repro.check) reads them.
         if path.suffix == ".btr":
             with tmp.open("w") as stream:
                 _write_text(source.meta, total, source.iter_blocks(block_size), stream)
@@ -760,9 +747,7 @@ def save_source(source: TraceSource, path: PathLike,
                 os.fsync(stream.fileno())
         else:
             with tmp.open("wb") as stream:
-                stream.write(_binary_prefix(source.meta, total))
-                for block in source.iter_blocks(block_size):
-                    stream.write(_pack_columns(*block.columns))
+                _write_binary(source.meta, total, source.iter_blocks(block_size), stream.write)
                 stream.flush()
                 os.fsync(stream.fileno())
         os.replace(tmp, path)
@@ -772,18 +757,6 @@ def save_source(source: TraceSource, path: PathLike,
         except OSError:
             pass
         raise
-
-
-def _binary_prefix(meta: TraceMeta, count: int) -> bytes:
-    """The ``.btb`` v1 header + metadata bytes for ``count`` records —
-    byte-identical to what :func:`repro.trace.io.write_binary` emits."""
-    return (
-        _HEADER.pack(_MAGIC, _VERSION, 0, count)
-        + _pack_string(meta.name)
-        + _pack_string(meta.dataset)
-        + _pack_string(meta.source)
-        + struct.pack("<q", meta.total_instructions)
-    )
 
 
 def open_trace_source(path: PathLike, missing_meta: str = "warn") -> Union[Trace, StreamedTrace]:
@@ -849,9 +822,7 @@ def content_digest(source: TraceSource,
     if total is None:
         raise ValueError("cannot digest an unbounded source; bound it with limit(n)")
     digest = hashlib.sha256()
-    digest.update(_binary_prefix(source.meta, total))
-    for block in source.iter_blocks(block_size):
-        digest.update(_pack_columns(*block.columns))
+    _write_binary(source.meta, total, source.iter_blocks(block_size), digest.update)
     hexdigest = digest.hexdigest()
     if isinstance(source, Trace):
         source._digest = hexdigest

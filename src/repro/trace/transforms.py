@@ -8,12 +8,16 @@ by phase, and merging program fragments.
 All transforms return new :class:`~repro.trace.events.Trace` objects;
 ``instret`` columns are preserved verbatim for windowed views (so the
 context-switch clock stays meaningful relative to the original run)
-and recomputed for merges.
+and recomputed for merges. Windows, phases and the warm-up cut are
+views of the trace's arrays; the filters compute their record indices
+on the arrays too, so none of them builds the trace's Python lists.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Sequence, Set
+from typing import Callable, Iterable, List, Sequence
+
+import numpy as np
 
 from .events import BranchClass, Trace, TraceBuilder
 
@@ -22,8 +26,7 @@ def window(trace: Trace, start: int, count: int) -> Trace:
     """Records ``start .. start+count`` (clamped), instret preserved."""
     if start < 0 or count < 0:
         raise ValueError("start and count must be non-negative")
-    indices = range(min(start, len(trace)), min(start + count, len(trace)))
-    return trace.select(list(indices))
+    return trace.select(slice(start, start + count))
 
 
 def skip_warmup(trace: Trace, conditional_branches: int) -> Trace:
@@ -34,17 +37,9 @@ def skip_warmup(trace: Trace, conditional_branches: int) -> Trace:
     """
     if conditional_branches < 0:
         raise ValueError("conditional_branches must be non-negative")
-    seen = 0
-    cut = 0
-    for index, (_pc, _taken, cls, _target, _instret, _trap) in enumerate(trace.iter_tuples()):
-        if cls == BranchClass.CONDITIONAL:
-            seen += 1
-            if seen > conditional_branches:
-                cut = index
-                break
-    else:
-        cut = len(trace)
-    return trace.select(list(range(cut, len(trace))))
+    conditional = np.flatnonzero(trace.as_arrays().cond_mask)
+    cut = conditional[conditional_branches] if conditional_branches < len(conditional) else len(trace)
+    return trace.select(slice(int(cut), None))
 
 
 def filter_sites(trace: Trace, sites: Iterable[int], keep: bool = True) -> Trace:
@@ -53,34 +48,19 @@ def filter_sites(trace: Trace, sites: Iterable[int], keep: bool = True) -> Trace
     Non-conditional records are always kept: they carry the instruction
     clock and context-switch markers.
     """
-    site_set: Set[int] = set(sites)
-    indices: List[int] = []
-    for index, (pc, _taken, cls, _target, _instret, _trap) in enumerate(trace.iter_tuples()):
-        if cls != BranchClass.CONDITIONAL:
-            indices.append(index)
-            continue
-        if (pc in site_set) == keep:
-            indices.append(index)
-    return trace.select(indices)
+    arrays = trace.as_arrays()
+    listed = np.isin(arrays.pc, list(set(sites)))
+    return trace.select(np.flatnonzero(~arrays.cond_mask | (listed == keep)))
 
 
 def split_phases(trace: Trace, phases: int) -> List[Trace]:
     """Cut the trace into ``phases`` equal consecutive pieces."""
     if phases < 1:
         raise ValueError("phases must be >= 1")
-    size = max(len(trace) // phases, 1)
-    pieces: List[Trace] = []
-    for start in range(0, len(trace), size):
-        pieces.append(trace.select(list(range(start, min(start + size, len(trace))))))
-        if len(pieces) == phases:
-            # Fold any remainder into the final phase.
-            remainder = list(range(start + size, len(trace)))
-            if remainder:
-                pieces[-1] = trace.select(
-                    list(range(start, len(trace)))
-                )
-            break
-    return pieces
+    starts = range(0, len(trace), max(len(trace) // phases, 1))[:phases]
+    # The final phase runs to the end, folding in any remainder.
+    stops = [*starts[1:], None]
+    return [trace.select(slice(start, stop)) for start, stop in zip(starts, stops)]
 
 
 def merge(traces: Sequence[Trace], name: str = "merged") -> Trace:
@@ -107,8 +87,9 @@ def subsample_sites(
     e.g. ``subsample_sites(trace, lambda pc: pc % 2 == 0)`` to study
     set-interference.
     """
-    indices: List[int] = []
-    for index, (pc, _taken, cls, _target, _instret, _trap) in enumerate(trace.iter_tuples()):
-        if cls != BranchClass.CONDITIONAL or predicate(pc):
-            indices.append(index)
-    return trace.select(indices)
+    arrays = trace.as_arrays()
+    sites, site_ids = arrays.conditional_site_ids()
+    chosen = np.array([bool(predicate(pc)) for pc in sites.tolist()], dtype=np.bool_)
+    keep = ~arrays.cond_mask
+    keep[arrays.cond_mask] = chosen[site_ids]
+    return trace.select(np.flatnonzero(keep))

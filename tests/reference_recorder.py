@@ -4,8 +4,9 @@
 probe over it, kept verbatim as the oracle for
 ``tests/test_trace_builder.py`` and the speed pin in
 ``benchmarks/test_bench_workloads.py``, with the comparison both use.
-The reference builder's trace stores the six lists it recorded, as they
-are, so the comparison sees the recorded values and their types.
+The reference builder hands the six lists it recorded to the public
+``Trace`` constructor, which converts them exactly or raises
+:class:`TraceFormatError` naming the first record that does not fit.
 """
 
 from typing import Dict, List, Optional, Set
@@ -13,7 +14,7 @@ from typing import Dict, List, Optional, Set
 import numpy as np
 import pytest
 
-from repro.trace.events import BranchClass, Trace, TraceArrays, TraceMeta
+from repro.trace.events import BranchClass, Trace, TraceFormatError, TraceMeta
 from repro.trace.stream import content_digest
 from repro.workloads.base import stable_site_id
 
@@ -82,10 +83,8 @@ class ReferenceBuilder:
             source=self._source,
             total_instructions=self._instret if total_instructions is None else total_instructions,
         )
-        return Trace._from_lists(meta, (
-            list(self._pc), list(self._taken), list(self._cls),
-            list(self._target), list(self._instret_col), list(self._trap),
-        ))
+        return Trace(meta, self._pc, self._taken, self._cls,
+                     self._target, self._instret_col, self._trap)
 
 
 class ReferenceProbe:
@@ -148,32 +147,37 @@ class ReferenceProbe:
         self.builder.instructions(count)
 
 
+def assert_same_build(builder, reference, **kwargs) -> None:
+    """``builder.build(**kwargs)`` and ``reference.build(**kwargs)`` give
+    the same trace (see :func:`assert_same_trace`), or both raise a
+    :class:`TraceFormatError` with the same message: the same column,
+    record and allowed range."""
+    try:
+        expected = reference.build(**kwargs)
+    except TraceFormatError as exc:
+        with pytest.raises(TraceFormatError) as raised:
+            builder.build(**kwargs)
+        assert str(raised.value) == str(exc)
+    else:
+        assert_same_trace(builder.build(**kwargs), expected)
+
+
 def assert_same_trace(trace: Trace, expected: Trace, digest: bool = True) -> None:
     """``trace`` equals ``expected``, a reference recorder's trace, with
-    equal metadata. When the recorded values fit the canonical dtypes,
-    ``trace`` stores equal read-only arrays and has built no lists yet;
-    when they do not, it stores lists and ``as_arrays`` raises. Either
-    way the lists ``trace.columns`` gives equal the recorded ones column
-    for column, element type for element type."""
+    equal metadata: it stores equal read-only arrays and has built no
+    lists yet, and the lists ``trace.columns`` then gives equal the
+    recorded ones column for column, element type for element type."""
     assert trace.meta == expected.meta
     assert len(trace) == len(expected)
-    recorded = expected.columns
-    try:
-        want_arrays = TraceArrays(recorded)
-    except OverflowError:
-        assert trace._arrays is None
-        with pytest.raises(OverflowError):
-            trace.as_arrays()
-    else:
-        arrays = trace._arrays
-        assert arrays is not None, "a builder trace within the dtypes stores its arrays"
-        assert trace._lists is None, "a builder trace builds its lists only on demand"
-        for name in ("pc", "taken", "cls", "target", "instret", "trap", "cond_mask"):
-            got, want = getattr(arrays, name), getattr(want_arrays, name)
-            assert got.dtype == want.dtype and np.array_equal(got, want), name
-            assert not got.flags.writeable
-    for column, want in zip(trace.columns, recorded):
+    assert trace._lists is None, "a builder trace builds its lists only on demand"
+    arrays, want_arrays = trace.as_arrays(), expected.as_arrays()
+    for name in ("pc", "taken", "cls", "target", "instret", "trap", "cond_mask"):
+        got, want = getattr(arrays, name), getattr(want_arrays, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+        assert not got.flags.writeable
+    for column, want in zip(trace.columns, expected.columns):
         assert column == want
         assert list(map(type, column)) == list(map(type, want))
-    if digest and trace._arrays is not None:
+    # The .btb header, and so the digest, holds an int64 instruction count.
+    if digest and -(1 << 63) <= expected.meta.total_instructions < 1 << 63:
         assert content_digest(trace) == content_digest(expected)

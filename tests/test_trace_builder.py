@@ -10,8 +10,9 @@ int64, negative targets, ``work`` too wide for a packed word,
 ``instructions(0 … 2**40)``, traps, a trailing trap, the empty
 builder) and requires the same columns, element types, ``meta.total_instructions``, ``len(builder)``
 and midway ``builder.instret``. A trace whose values fit the canonical
-dtypes must carry prebuilt arrays equal to a fresh conversion; any
-other trace carries none and ``as_arrays`` raises as before.
+dtypes must carry prebuilt arrays equal to a fresh conversion; for any
+other, the builder and the reference both raise the same
+``TraceFormatError``, naming the column, the record and the range.
 
 Workload testing traces are also regenerated with the reference probe
 and compared column for column.
@@ -29,11 +30,16 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.trace.events import BranchClass, TraceBuilder
+from repro.trace.events import BranchClass, TraceBuilder, TraceFormatError
 from repro.workloads import base
 from repro.workloads.base import BranchProbe
 from repro.workloads.suite import BENCHMARK_ORDER, get_workload
-from tests.reference_recorder import ReferenceBuilder, ReferenceProbe, assert_same_trace
+from tests.reference_recorder import (
+    ReferenceBuilder,
+    ReferenceProbe,
+    assert_same_build,
+    assert_same_trace,
+)
 
 PROFILE_NAME = os.environ.get("HYPOTHESIS_PROFILE", "tier1")
 PROFILE = settings(
@@ -97,12 +103,13 @@ def test_builder_matches_reference(ops, narrow):
     for op in ops:
         assert _apply(builder, op) == _apply(reference, op)
     assert (len(builder), builder.instret) == (len(reference), reference.instret)
-    assert_same_trace(builder.build(), reference.build())
+    # Wide values (narrow=False) raise on both sides, naming the same record.
+    assert_same_build(builder, reference)
     # Building is repeatable and leaves the builder open for more records.
-    assert_same_trace(builder.build(total_instructions=7), reference.build(total_instructions=7))
+    assert_same_build(builder, reference, total_instructions=7)
     builder.conditional(0x2000, True)
     reference.conditional(0x2000, True)
-    assert_same_trace(builder.build(), reference.build())
+    assert_same_build(builder, reference)
 
 
 def test_empty_and_trailing_trap():
@@ -116,14 +123,34 @@ def test_empty_and_trailing_trap():
     assert_same_trace(builder.build(), reference.build())
 
 
-def test_wide_values_keep_list_columns_without_arrays():
+def test_wide_values_are_rejected_naming_the_record():
     builder, reference = TraceBuilder(), ReferenceBuilder()
     for recorder in (builder, reference):
+        recorder.conditional(0x10, True)
         recorder.branch(1 << 63, True, BranchClass.CALL, target=-(1 << 63) - 1)
-        recorder.conditional(0x10, False, work=1 << 80)
-    trace = builder.build()
-    assert trace.meta.total_instructions == (1 << 80) + 2
-    assert_same_trace(trace, reference.build())
+    for recorder in (builder, reference):
+        with pytest.raises(TraceFormatError, match=r"record 1: pc=9223372036854775808 "
+                                                   r"does not fit the int64 column"):
+            recorder.build()
+    builder, reference = TraceBuilder(), ReferenceBuilder()
+    for recorder in (builder, reference):
+        recorder.conditional(0x10, True)
+        recorder.call(0x20, target=-(1 << 63) - 1)
+    for recorder in (builder, reference):
+        with pytest.raises(TraceFormatError, match=r"record 1: target=-9223372036854775809 "):
+            recorder.build()
+    # Words past int64 that still sum within it decode exactly; a clock
+    # past int64 is rejected at the first record it reaches.
+    builder, reference = TraceBuilder(), ReferenceBuilder()
+    for recorder in (builder, reference):
+        recorder.conditional(0x10, False, work=1 << 40)
+        recorder.instructions(1 << 80)
+    assert_same_build(builder, reference)
+    assert builder.build().meta.total_instructions == (1 << 80) + (1 << 40) + 1
+    for recorder in (builder, reference):
+        recorder.conditional(0x10, True)
+        with pytest.raises(TraceFormatError, match=rf"record 1: instret={(1 << 80) + (1 << 40) + 2} "):
+            recorder.build()
 
 
 # ----------------------------------------------------------------------

@@ -138,7 +138,9 @@ class TestFileHelpers:
 
 
 class TestBinaryValidation:
-    """Unrepresentable values fail loudly, before any bytes are written."""
+    """Unrepresentable values fail loudly, before any bytes are written:
+    a record value when the trace is built, ``total_instructions`` when
+    the trace is written."""
 
     def _trace_with(self, **overrides):
         from repro.trace.events import Trace, TraceMeta
@@ -159,11 +161,9 @@ class TestBinaryValidation:
         [("pc", 1 << 63), ("target", -(1 << 63) - 1), ("instret", 1 << 70)],
     )
     def test_out_of_range_column_raises_before_writing(self, column, value):
-        trace = self._trace_with(**{column: [value]})
-        stream = io.BytesIO()
-        with pytest.raises(TraceFormatError, match=column):
-            write_binary(trace, stream)
-        assert stream.getvalue() == b""  # nothing written, not even a header
+        # The trace cannot be built, so there is nothing to write.
+        with pytest.raises(TraceFormatError, match=f"record 0: {column}={value} "):
+            self._trace_with(**{column: [value]})
 
     def test_out_of_range_total_instructions(self):
         from repro.trace.events import Trace, TraceMeta
@@ -177,8 +177,14 @@ class TestBinaryValidation:
             write_binary(trace, stream)
         assert stream.getvalue() == b""
 
+    def _trace_with_total(self, total_instructions):
+        from repro.trace.events import Trace, TraceMeta
+
+        return Trace(TraceMeta(name="bad", total_instructions=total_instructions),
+                     [0x1000], [True], [0], [0], [4], [False])
+
     def test_failed_save_leaves_no_file(self, tmp_path):
-        trace = self._trace_with(pc=[1 << 63])
+        trace = self._trace_with_total(1 << 64)
         path = tmp_path / "bad.btb"
         with pytest.raises(TraceFormatError):
             save_trace(trace, path)
@@ -190,7 +196,7 @@ class TestBinaryValidation:
         good = _sample_trace()
         save_trace(good, path)
         with pytest.raises(TraceFormatError):
-            save_trace(self._trace_with(instret=[1 << 65]), path)
+            save_trace(self._trace_with_total(1 << 65), path)
         _traces_equal(good, load_trace(path))
 
 

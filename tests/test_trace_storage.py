@@ -14,8 +14,11 @@ are built on the first list access and cached. These tests pin that:
   container's ``materialize`` / ``head`` and ``select`` / ``head`` /
   ``conditional_only`` to give equal arrays, equal lazily built lists of
   canonical ``int`` / ``bool`` elements, and equal content digests.
-* **Wide values.** A trace with a value outside its dtypes stores lists,
-  derives views from them, and fails to pack with the record's index.
+* **Wide values.** A value outside its column's dtype is rejected where
+  the records enter: ``Trace(...)``, ``TraceBuilder.build``,
+  ``read_text``, ``trace_from_records`` and
+  ``RecordStreamSource.iter_blocks`` raise ``TraceFormatError`` naming
+  the column, the record and the allowed range.
 
 The example budget comes from the hypothesis profile named by
 ``HYPOTHESIS_PROFILE`` (see ``conftest.py``).
@@ -24,6 +27,7 @@ The example budget comes from the hypothesis profile named by
 import gc
 import io
 import os
+import re
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -36,16 +40,18 @@ from hypothesis import strategies as st
 from repro.sim.parallel import _spool_traces, spec
 from repro.sim.runner import BenchmarkCase, run_matrix
 from repro.trace.events import BranchClass, Trace, TraceBuilder, TraceMeta
+from repro.trace.events import BranchRecord
 from repro.trace.io import (
     TraceFormatError,
     read_binary,
     read_text,
     save_trace,
+    trace_from_records,
     write_binary,
     write_text,
 )
 from repro.trace.stats import compute_stats
-from repro.trace.stream import content_digest, open_stream, save_source
+from repro.trace.stream import RecordStreamSource, content_digest, open_stream, save_source
 from repro.workloads.suite import get_workload
 
 PROFILE = settings(
@@ -267,19 +273,45 @@ def test_blocks_are_array_slices_and_the_whole_block_shares_the_arrays():
 # Wide values
 # ----------------------------------------------------------------------
 
-def test_wide_values_store_lists_and_report_the_record():
-    meta = TraceMeta("wide")
-    pcs = [0x10, 1 << 63, 0x10]
-    trace = Trace(meta, pcs, [True, False, True], [0, 0, 1], [0, 0, 0], [1, 2, 3],
-                  [False] * 3)
-    assert trace._arrays is None and trace.columns[0] == pcs
-    with pytest.raises(OverflowError):
-        trace.as_arrays()
-    assert (len(trace), trace.num_conditional(), trace.static_branch_sites()) == (
-        3, 2, [0x10, 1 << 63])
-    assert trace.conditional_only().columns[0] == [0x10, 1 << 63]
-    narrow = trace.select([0, 2])  # the wide record left out: arrays again
-    assert narrow._arrays is not None and narrow.columns[0] == [0x10, 0x10]
-    assert trace.head(1)._arrays is not None
-    with pytest.raises(TraceFormatError, match="record 1: pc="):
-        write_binary(trace, io.BytesIO())
+_INT64 = "int64 column (allowed range [-9223372036854775808, 9223372036854775807])"
+
+
+@pytest.mark.parametrize("column,value,allowed", [
+    pytest.param("pc", 1 << 63, _INT64, id="pc"),
+    pytest.param("cls", 256, "uint8 column (allowed range [0, 255])", id="cls"),
+    pytest.param("target", -(1 << 63) - 1, _INT64, id="target"),
+    pytest.param("instret", 1 << 70, _INT64, id="instret"),
+])
+def test_wide_values_are_rejected_at_every_entry(column, value, allowed):
+    good = dict(zip(_NAMES, (0x10, True, 0, 0x40, 5, False)))
+    narrow = [tuple(good.values())] * 4
+    rows = list(narrow)
+    rows[2] = tuple(dict(good, **{column: value}).values())
+
+    def rejected(index):
+        return pytest.raises(TraceFormatError, match=re.escape(
+            f"record {index}: {column}={value} does not fit the {allowed}"))
+
+    with rejected(2):
+        Trace(TraceMeta("wide"), *zip(*rows))
+    builder = TraceBuilder()
+    for index, (pc, taken, cls, target, instret, _trap) in enumerate(rows):
+        # Three records retire 3 instructions before the wide one's work.
+        work = instret - 3 if column == "instret" and index == 2 else 0
+        builder.branch(pc, taken, cls, target=target, work=work)
+    with rejected(2):
+        builder.build()
+    with rejected(2):
+        trace_from_records(BranchRecord(*row) for row in rows)
+    if column != "cls":  # the text format spells the class by name
+        text = "# total_instructions=9\n" + "".join(
+            f"{pc} {int(taken)} cond {target} {instret} {int(trap)}\n"
+            for pc, taken, _cls, target, instret, trap in rows)
+        with rejected(2):
+            read_text(io.StringIO(text))
+    # A generator's records are counted from the start of the stream.
+    source = RecordStreamSource(lambda: iter(narrow + rows), num_records=8)
+    blocks = source.iter_blocks(4)
+    assert len(next(blocks)) == 4
+    with rejected(6):
+        next(blocks)
