@@ -42,7 +42,8 @@ bench:
 # million-branch trace, and appends the measured speedups to the run
 # ledger (results/ledger) for repro-obs history / export-bench.
 bench-kernels:
-	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_bench_kernels.py --benchmark-only
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_bench_kernels.py --benchmark-only \
+		--benchmark-autosave
 
 # Streaming-substrate throughput pin: asserts that simulating a
 # million-branch mmap-backed .btrs container block-by-block (block
@@ -50,14 +51,16 @@ bench-kernels:
 # 10% of its wall time, and appends the measured overheads to the run
 # ledger (results/ledger) for repro-obs history / export-bench.
 bench-stream:
-	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_bench_stream.py --benchmark-only
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_bench_stream.py --benchmark-only \
+		--benchmark-autosave
 
 # Characterization-engine throughput pin: asserts the vectorized
 # counting backend is bit-identical to the pure-python loop and >=5x
 # faster on a million-branch trace, and appends the measured speedup to
 # the run ledger (results/ledger) for repro-obs history / export-bench.
 bench-characterize:
-	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_bench_characterize.py --benchmark-only
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_bench_characterize.py --benchmark-only \
+		--benchmark-autosave
 
 # Predictability characterization of the eqntott workload: verifies the
 # python and vectorized backends agree bit-for-bit, prints the report,

@@ -49,16 +49,22 @@ def run_once(benchmark, fn):
 def pytest_sessionfinish(session, exitstatus):
     """Append the session's benchmark timings to the run ledger.
 
-    Every ``--benchmark-only`` run leaves one ``"bench"`` entry per
-    measurement in ``results/ledger/`` at the repo root, so
+    A run asked to save its results (pytest-benchmark's
+    ``--benchmark-save`` / ``--benchmark-autosave``, as the Makefile's
+    ledger-recording ``bench-*`` targets pass) leaves one ``"bench"``
+    entry per measurement in ``results/ledger/`` at the repo root, so
     ``repro-obs regress`` can flag harness slowdowns and
-    ``repro-obs export-bench`` can snapshot the trajectory. Best
-    effort by design: a missing plugin, an errored benchmark or an
-    unwritable ledger never fails the session.
+    ``repro-obs export-bench`` can snapshot the trajectory; any other
+    run leaves the tracked ledger untouched. Best effort by design: a
+    missing plugin, an errored benchmark or an unwritable ledger never
+    fails the session.
     """
-    bench_session = getattr(session.config, "_benchmarksession", None)
+    config = session.config
+    bench_session = getattr(config, "_benchmarksession", None)
     benchmarks = getattr(bench_session, "benchmarks", None)
-    if not benchmarks:
+    saving = config.getoption("benchmark_save", None) or config.getoption(
+        "benchmark_autosave", None)
+    if not benchmarks or not saving:
         return
     try:
         from repro.obs.ledger import RunLedger, entry_from_benchmark

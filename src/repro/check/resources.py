@@ -61,10 +61,11 @@ def _finding(rule: str, location: str, message: str, severity: str = ERROR) -> F
 
 
 def _open_mode(node: ast.Call) -> Optional[str]:
-    """The mode string of an ``open``-family call, if statically known.
+    """The mode string of an ``open``-family call.
 
-    Returns the literal mode, ``"r"`` for a defaulted mode, or ``None``
-    when the call is not an open or the mode is dynamic.
+    Returns the literal mode, ``"r"`` for a defaulted mode, ``"w"`` for
+    a mode that is not a literal (it may write, so the write rules must
+    see the call), or ``None`` when the call is not an open.
     """
     func = node.func
     mode_pos: Optional[int] = None
@@ -74,17 +75,17 @@ def _open_mode(node: ast.Call) -> Optional[str]:
         mode_pos = 0
     if mode_pos is None:
         return None
+    mode: Optional[ast.expr] = None
     for kw in node.keywords:
         if kw.arg == "mode":
-            if isinstance(kw.value, ast.Constant) and isinstance(kw.value.value, str):
-                return kw.value.value
-            return None
-    if len(node.args) > mode_pos:
-        arg = node.args[mode_pos]
-        if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
-            return arg.value
-        return None
-    return "r"
+            mode = kw.value
+    if mode is None and len(node.args) > mode_pos:
+        mode = node.args[mode_pos]
+    if mode is None:
+        return "r"
+    if isinstance(mode, ast.Constant) and isinstance(mode.value, str):
+        return mode.value
+    return "w"
 
 
 def _targets_tmp(node: ast.Call) -> bool:

@@ -4,10 +4,13 @@ A Figure-9-style sweep is dozens of (scheme, benchmark) cells spread
 over worker processes; until this module, the only signal that it was
 alive was the process table. The pieces here close that gap:
 
-* :class:`Heartbeat` — the tiny, picklable record a worker (or the
-  parent, for cache hits) emits when it starts and finishes a cell.
-  Workers put them on a ``multiprocessing`` queue supplied by
-  :func:`repro.sim.parallel.execute_matrix` via its ``progress`` hook.
+* :class:`Heartbeat` — the tiny record of a cell event (``start``,
+  ``done``, ``cached``) that :func:`repro.sim.parallel.execute_matrix`
+  hands its ``progress`` hook, always in the parent process. A worker
+  puts one ``(pid, scheme, benchmark)`` start triple per cell on a
+  ``multiprocessing`` manager queue; the parent reads each ``done``
+  off the cell's spans as it settles the cell, and emits ``cached``
+  for result-cache hits.
 * :class:`SweepMonitor` — the parent-side aggregator: feeds on
   heartbeats, tracks per-worker state, keeps the done-count
   **monotone** (a crashed worker can stall, never un-finish work) and
@@ -55,8 +58,8 @@ class Heartbeat:
         benchmark: the cell's benchmark name.
         branches: conditional branches simulated (``done`` only).
         wall: seconds the cell took (``done`` / ``cached``).
-        rss_bytes: the worker's peak RSS as of this pulse (``done``
-            only; 0 when the producer could not read it).
+        rss_bytes: the worker's peak RSS at the end of the cell
+            (``done`` only; 0 when the producer could not read it).
     """
 
     worker: int

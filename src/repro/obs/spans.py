@@ -31,11 +31,10 @@ The pieces:
   run; when no recorder is enabled they skip all span work, the same
   zero-overhead-when-off discipline as the probes (pinned in
   ``benchmarks/test_bench_spans.py``).
-* :class:`SpanCollector` — the parent-side aggregator for sweeps:
-  workers drain their recorder at cell end and ship the spans through
-  the existing heartbeat manager queue as plain tuples
-  (:func:`to_wire` / :func:`from_wire`); a crashed worker simply never
-  ships, which loses its spans but never corrupts the sweep trace.
+* :class:`SpanCollector` — the parent-side aggregator for sweeps: a
+  worker drains its recorder at cell end and returns the spans with
+  the cell's result (a :class:`Span` pickles as it is), and the parent
+  reads the cell's telemetry off them before collecting them.
 * :func:`to_chrome_trace` / :func:`spans_from_chrome` /
   :func:`validate_chrome_trace` — conversion to and from the Chrome
   trace-event JSON object form (``{"traceEvents": [...]}``) with a
@@ -71,14 +70,12 @@ __all__ = [
     "cell_span_summaries",
     "disable",
     "enable",
-    "from_wire",
     "get_recorder",
     "recording",
     "span_totals",
     "spans_from_chrome",
     "summarize_spans",
     "to_chrome_trace",
-    "to_wire",
     "validate_chrome_trace",
     "validate_span_tree",
 ]
@@ -169,31 +166,6 @@ class Span:
             parent_id=None if parent is None else int(parent),
             args=dict(payload.get("args", {})),
         )
-
-
-#: Wire form of one span: a plain tuple, so worker processes can ship
-#: spans through a multiprocessing manager queue without the receiving
-#: side needing anything beyond this module.
-_Wire = Tuple[str, str, float, float, int, int, int, Optional[int], Dict[str, Any]]
-
-
-def to_wire(spans: Sequence[Span]) -> List[_Wire]:
-    """Flatten spans to plain picklable tuples for the heartbeat queue."""
-    return [
-        (s.name, s.cat, s.ts, s.dur, s.pid, s.tid, s.span_id, s.parent_id, dict(s.args))
-        for s in spans
-    ]
-
-
-def from_wire(wire: Sequence[_Wire]) -> List[Span]:
-    """Inverse of :func:`to_wire`; tolerant of nothing — wire tuples are
-    produced only by this module, so shape errors raise loudly."""
-    return [
-        Span(name=w[0], cat=w[1], ts=float(w[2]), dur=float(w[3]), pid=int(w[4]),
-             tid=int(w[5]), span_id=int(w[6]),
-             parent_id=None if w[7] is None else int(w[7]), args=dict(w[8]))
-        for w in wire
-    ]
 
 
 class _OpenSpan:
@@ -374,7 +346,7 @@ def enable(recorder: SpanRecorder) -> SpanRecorder:
     kernels' stream loop, :func:`repro.trace.stream.open_trace_source`)
     consult :func:`get_recorder` once per run; with no recorder enabled
     they do no span work at all. Enabling is not reentrant by design —
-    one recorder per process, mirroring one heartbeat queue per sweep.
+    one recorder per process.
     """
     global _ACTIVE
     _ACTIVE = recorder
@@ -408,34 +380,21 @@ def recording(recorder: Optional[SpanRecorder] = None) -> Iterator[SpanRecorder]
 
 
 class SpanCollector:
-    """Aggregates spans from the parent recorder and worker wire batches.
+    """Aggregates the spans of a sweep, from the parent and its workers.
 
-    Fed by :func:`repro.sim.parallel.execute_matrix` while it drains the
-    heartbeat queue. Loss-tolerant by construction: each worker ships
-    its cell's spans as one wire batch *after* the cell completes, so a
-    crashed worker contributes nothing rather than a torn batch, and the
-    collected trace always validates (:func:`validate_span_tree` treats
-    every batch independently).
+    Fed by :func:`repro.sim.parallel.execute_matrix`: each computed
+    cell's spans as the parent settles the cell (a worker's arrive with
+    the cell's result, whole), and the parent recorder's remaining
+    spans when the sweep ends. Spans whose parent never arrived stay
+    valid roots (see :func:`build_span_tree`).
     """
 
     def __init__(self) -> None:
         self._spans: List[Span] = []
-        self.batches = 0
 
     def ingest(self, spans: Sequence[Span]) -> None:
-        """Add completed spans (parent-side recorder drains)."""
+        """Add completed spans."""
         self._spans.extend(spans)
-        self.batches += 1
-
-    def ingest_wire(self, wire: Sequence[_Wire]) -> None:
-        """Add one worker's shipped batch; a malformed batch is dropped
-        whole (never partially), keeping the sweep trace coherent."""
-        try:
-            spans = from_wire(wire)
-        except Exception:
-            return
-        self._spans.extend(spans)
-        self.batches += 1
 
     @property
     def spans(self) -> List[Span]:
@@ -458,8 +417,8 @@ def build_span_tree(
 
     Parent links only ever point within one recorder (same pid/tid), so
     the child map is keyed by the parent's :attr:`Span.key`. A span
-    whose parent is missing (its batch was lost with a crashed worker)
-    is treated as a root rather than an error — loss tolerance again.
+    whose parent is missing (never collected, e.g. lost with a failed
+    worker) is treated as a root rather than an error.
     """
     by_key = {span.key: span for span in spans}
     children: Dict[Tuple[int, int, int], List[Span]] = {}
@@ -500,7 +459,7 @@ def validate_span_tree(spans: Sequence[Span]) -> List[str]:
             continue
         parent = seen.get((span.pid, span.tid, span.parent_id))
         if parent is None:
-            continue  # lost batch: treated as a root, not an error
+            continue  # missing parent: treated as a root, not an error
         if span.ts < parent.ts - tolerance or span.end > parent.end + tolerance:
             problems.append(
                 f"child {span.name} {span.key} [{span.ts:.1f}, {span.end:.1f}] "

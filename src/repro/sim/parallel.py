@@ -19,7 +19,11 @@ exploits that:
   (:func:`result_cache_key`); warm reruns execute zero simulations.
 * **Telemetry** — every run produces a
   :class:`~repro.sim.results.RunTelemetry` (per-cell wall time, cache
-  hit/miss counts) attached to the returned matrix.
+  hit/miss counts) attached to the returned matrix. A cell's closed
+  ``cell`` and ``phase`` spans are its one record: a worker returns
+  them with the result, and the parent reads the cell's telemetry,
+  its ``done`` heartbeat and what a tracer collects off them. The only
+  message on the ``progress`` queue is a worker's ``start``.
 * **Case-major execution** — pending cells run one benchmark at a time
   (cases in figure order, then schemes in label order), so the
   one-trace memo of :mod:`repro.sim.kernels`, in the parent and in
@@ -48,10 +52,9 @@ import queue as queue_module
 import shutil
 import tempfile
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..predictors.base import BranchPredictor, TrainingUnavailable
 from ..trace.cache import ResultCache
@@ -72,6 +75,10 @@ __all__ = [
 #: Bumped whenever the cached payload layout or key recipe changes, so
 #: stale caches from older revisions can never satisfy a new lookup.
 _KEY_VERSION = "v1"
+
+#: Seconds between polls of in-flight remote cells while heartbeats or
+#: ``tick`` need servicing.
+_POLL_SECONDS = 0.5
 
 
 @dataclass(frozen=True)
@@ -180,17 +187,6 @@ def _load_spooled(path: str) -> Trace:
     return trace
 
 
-@contextmanager
-def _phase(recorder, name: str, phases: Dict[str, float]) -> Iterator[None]:
-    """Time ``name`` as a ``"phase"`` span under the open cell span;
-    the closed span's duration becomes ``phases[name]``."""
-    span_id = recorder.push(name, cat="phase")
-    try:
-        yield
-    finally:
-        phases[name] = recorder.pop_through(span_id).seconds
-
-
 def _evaluate_cell(
     recorder,
     label: str,
@@ -200,7 +196,7 @@ def _evaluate_cell(
     training_trace: Union[Trace, str, None],
     context_switches: Optional[ContextSwitchConfig],
     backend: str,
-) -> Tuple[Optional[SimulationResult], float, Dict[str, float], str, int]:
+) -> Tuple[Optional[SimulationResult], List["Span"]]:  # noqa: F821
     """Build and simulate one cell under a ``"cell"`` span of ``recorder``.
 
     The one cell evaluation of a sweep, run in pool workers
@@ -208,34 +204,32 @@ def _evaluate_cell(
     in memory, or are the paths of a worker's spooled files, whose
     loading is then the cell's first phase. Each phase — ``trace_load``,
     ``build``, ``simulate`` — is a ``"phase"`` span under the cell span,
-    and the telemetry is read off those spans: ``phases`` maps each
-    phase to its span's duration and the wall time is the cell span's.
-    The engine's own spans nest under ``simulate`` when ``recorder`` is
-    the process's enabled recorder; a recorder nobody enabled times the
-    phases and nothing else.
+    and the closing cell span carries the backend that ran (``""`` when
+    none did) and a resource reading. The engine's own spans nest under
+    ``simulate`` when ``recorder`` is the process's enabled recorder; a
+    recorder nobody enabled times the phases and nothing else.
 
-    Returns ``(result-or-None, wall_time, phases, backend,
-    peak_rss_bytes)``; a ``None`` result means the builder raised
-    ``TrainingUnavailable`` (``backend`` is then ``""``). The resource
-    reading lands on the closing cell span.
+    Returns ``(result-or-None, spans)``, where ``spans`` is everything
+    ``recorder`` completed, drained, in completion order: the cell span
+    is last and its phase spans are its children. A ``None`` result
+    means the builder raised ``TrainingUnavailable``.
     """
     from ..obs.resources import read_resources
 
     cell_id = recorder.push("cell", cat="sweep", scheme=label, benchmark=case_name)
-    phases: Dict[str, float] = {}
     if isinstance(test_trace, str):
-        with _phase(recorder, "trace_load", phases):
+        with recorder.span("trace_load", cat="phase"):
             test_trace = _load_spooled(test_trace)
             training_trace = _load_spooled(training_trace) if training_trace else None
     result: Optional[SimulationResult] = None
     used_backend = ""
-    with _phase(recorder, "build", phases):
+    with recorder.span("build", cat="phase"):
         try:
             predictor = builder(training_trace)
         except TrainingUnavailable:
             predictor = None
     if predictor is not None:
-        with _phase(recorder, "simulate", phases):
+        with recorder.span("simulate", cat="phase"):
             # Resolved through this module's global at call time, so a
             # wrapper installed on it sees every cell.
             result, used_backend = simulate_with_backend(
@@ -244,9 +238,8 @@ def _evaluate_cell(
                 context_switches=context_switches,
                 backend=backend,
             )
-    sample = read_resources()
-    cell = recorder.pop_through(cell_id, backend=used_backend, **sample.as_args())
-    return result, cell.seconds, phases, used_backend, sample.peak_rss_bytes
+    recorder.pop_through(cell_id, backend=used_backend, **read_resources().as_args())
+    return result, recorder.drain()
 
 
 # ----------------------------------------------------------------------
@@ -255,30 +248,19 @@ def _evaluate_cell(
 
 
 def _cell_recorder(traced: bool):
-    """The recorder a worker's cell records on, and whether its spans
-    are the worker's to ship.
+    """The recorder a worker's cell records on.
 
     Untraced, a fresh private recorder nobody enabled: it times the
     cell's phases and the engine emits nothing. Traced, the worker's
     persistent per-process recorder, enabled process-wide so the
     engine's spans nest under the cell's ``simulate`` phase. A recorder
-    whose pid differs is a fork-inherited copy of the parent's —
-    useless here, since its spans would never ship — so the worker
-    replaces it with its own. Only a recorder enabled by an in-process
-    caller (same pid, not ours) is used as-is, its spans left for that
-    caller.
+    whose pid differs is a fork-inherited copy of the parent's, so the
+    worker replaces it with its own.
     """
     from ..obs import spans as spans_mod
 
     if not traced:
-        return spans_mod.SpanRecorder(), False
-    recorder = spans_mod.get_recorder()
-    if (
-        recorder is not None
-        and recorder is not _SPAN_STATE.get("recorder")
-        and recorder.pid == os.getpid()
-    ):
-        return recorder, False
+        return spans_mod.SpanRecorder()
     recorder = _SPAN_STATE.get("recorder")
     if recorder is None or recorder.pid != os.getpid():
         recorder = spans_mod.SpanRecorder()
@@ -289,51 +271,27 @@ def _cell_recorder(traced: bool):
         # A previous cell in this worker died mid-span (pool workers
         # outlive task exceptions). Abandon its partial trace — close
         # and discard everything — so this cell's spans stay
-        # well-formed; that cell's spans are simply lost, the
-        # queue-loss-tolerance contract.
+        # well-formed; that cell failed, so its spans never reach the
+        # parent.
         while recorder.depth:
             recorder.pop()
         recorder.drain()
-    return recorder, True
+    return recorder
 
 
-def _pulse(
-    heartbeats, kind: str, label: str, case_name: str, branches: int = 0,
-    wall: float = 0.0, rss: int = 0,
-) -> None:
-    """Best-effort heartbeat put; telemetry must never fail a cell.
+def _pulse(heartbeats, label: str, case_name: str) -> None:
+    """Announce a cell's start as a ``(pid, label, case_name)`` triple.
 
-    Workers emit plain tuples (not :class:`repro.obs.live.Heartbeat`
-    objects) so the worker side stays import-free; the parent rewraps
-    them before invoking the ``progress`` hook. Span batches travel on
-    the same queue as ``("spans", pid, wire)`` triples — the string
-    first element is what distinguishes them from these int-pid-first
-    heartbeat tuples on the draining side.
+    The one message shape on the heartbeat queue: the cell's ``done``
+    beat is read off its spans when the parent settles the cell.
+    Workers put plain tuples (not :class:`repro.obs.live.Heartbeat`
+    objects) so the worker side stays import-free. Best effort:
+    telemetry must never fail a cell.
     """
     if heartbeats is None:
         return
     try:
-        heartbeats.put((os.getpid(), kind, label, case_name, branches, wall, rss))
-    except Exception:
-        pass
-
-
-def _ship_spans(heartbeats, recorder) -> None:
-    """Ship a worker recorder's completed spans to the parent.
-
-    One ``("spans", pid, wire)`` message per cell, put *after* the cell
-    completes — so a crashed worker contributes no batch at all (its
-    spans are lost, the sweep trace stays coherent) and a full batch is
-    never torn. Best-effort like :func:`_pulse`: span telemetry must
-    never fail a cell.
-    """
-    spans = recorder.drain()
-    if heartbeats is None or not spans:
-        return
-    from ..obs.spans import to_wire
-
-    try:
-        heartbeats.put(("spans", recorder.pid, to_wire(spans)))
+        heartbeats.put((os.getpid(), label, case_name))
     except Exception:
         pass
 
@@ -348,29 +306,23 @@ def _run_cell(
     backend: str = "auto",
     heartbeats=None,
     traced: bool = False,
-) -> Tuple[str, str, Optional[SimulationResult], float, Dict[str, float], str, int]:
+) -> Tuple[Optional[SimulationResult], List["Span"]]:  # noqa: F821
     """Execute one cell from spooled traces (runs inside a worker).
 
-    Returns ``(label, case_name, result-or-None, wall_time, phases,
-    backend, peak_rss_bytes)`` as :func:`_evaluate_cell` measures them
-    (``phases``: ``trace_load`` / ``build`` / ``simulate``). When
-    ``heartbeats`` (a multiprocessing queue) is given, the worker
-    announces the cell's start and completion on it for live
-    ``--follow`` monitoring. With ``traced=True`` the worker records
-    the cell's spans on its own recorder (see :func:`_cell_recorder`)
-    and ships them back on the heartbeat queue.
+    Returns :func:`_evaluate_cell`'s ``(result-or-None, spans)``; the
+    spans travel back in the future's result (a :class:`Span` pickles as
+    it is). Traced, they are everything the worker's recorder completed
+    (see :func:`_cell_recorder`), engine spans included; untraced, the
+    private recorder's cell and phase spans. When ``heartbeats`` (a
+    manager queue) is given, the worker announces the cell's start on
+    it for live ``--follow`` monitoring.
     """
-    recorder, own_recorder = _cell_recorder(traced)
-    _pulse(heartbeats, "start", label, case_name)
-    result, wall, phases, used_backend, rss = _evaluate_cell(
+    recorder = _cell_recorder(traced)
+    _pulse(heartbeats, label, case_name)
+    return _evaluate_cell(
         recorder, label, case_name, builder, test_path, training_path,
         context_switches, backend,
     )
-    if own_recorder:
-        _ship_spans(heartbeats, recorder)
-    branches = result.conditional_branches if result is not None else 0
-    _pulse(heartbeats, "done", label, case_name, branches, wall, rss)
-    return label, case_name, result, wall, phases, used_backend, rss
 
 
 # ----------------------------------------------------------------------
@@ -394,7 +346,6 @@ def execute_matrix(
     result_cache: Optional[ResultCache] = None,
     progress: Optional[Callable[[Any], None]] = None,
     tick: Optional[Callable[[], None]] = None,
-    progress_interval: float = 0.5,
     backend: str = "auto",
     tracer: Optional[Any] = None,
 ) -> ResultMatrix:
@@ -427,27 +378,27 @@ def execute_matrix(
         result_cache: on-disk cell cache; ``None`` disables caching.
         progress: live-monitoring hook; receives one
             :class:`repro.obs.live.Heartbeat` per cell event (start /
-            done / cached). When workers are involved the beats travel
-            over a ``multiprocessing`` manager queue and are delivered
-            from the parent process, so the hook needs no locking.
+            done / cached), always from the parent process, so the hook
+            needs no locking. A worker announces a cell's ``start`` on
+            a ``multiprocessing`` manager queue; every ``done`` is read
+            off the cell's spans when the parent settles the cell.
             ``None`` (the default) adds zero overhead — no manager, no
             queue, no wait timeouts.
-        tick: called roughly every ``progress_interval`` seconds while
-            remote cells are in flight (and after every local cell), so
-            a ``--follow`` renderer can refresh ETA/staleness even when
-            no heartbeat arrived.
-        progress_interval: polling period for ``tick`` draining.
+        tick: called about every half second while remote cells are in
+            flight (and after every local cell), so a ``--follow``
+            renderer can refresh ETA/staleness even when no heartbeat
+            arrived.
         tracer: optional :class:`repro.obs.spans.SpanCollector`. The
             sweep's telemetry is always read off spans — a ``"sweep"``
             span with one ``"cell"`` span per cell and one ``"phase"``
-            span per cell phase. Untraced, they are recorded on a
-            private recorder and dropped. With a tracer they are
-            recorded on the process's enabled recorder (one is enabled
-            for the sweep's duration if none is), worker processes
-            record their cells locally and ship the completed spans
-            back on the heartbeat queue, and everything lands in the
-            collector. A worker that crashes simply never ships — its
-            spans are lost, the sweep trace stays valid.
+            span per cell phase. Untraced, they are recorded on private
+            recorders and dropped. With a tracer they are recorded on
+            the process's enabled recorder (one is enabled for the
+            sweep's duration if none is), worker processes record their
+            cells on their own recorders and return the completed spans
+            with each cell's result, and everything lands in the
+            collector. A cell that raises fails the sweep; the spans
+            collected until then still form a valid tree.
 
     Returns:
         A :class:`ResultMatrix` with telemetry attached.
@@ -552,10 +503,10 @@ def execute_matrix(
                 cell_id = recorder.push(
                     "cell", cat="sweep", scheme=label, benchmark=case.name, cached=True
                 )
-                phases: Dict[str, float] = {}
-                with _phase(recorder, "cache_lookup", phases):
-                    hit, payload = result_cache.load(key)
-                    result = SimulationResult.from_dict(payload) if payload is not None else None
+                lookup_id = recorder.push("cache_lookup", cat="phase")
+                hit, payload = result_cache.load(key)
+                result = SimulationResult.from_dict(payload) if payload is not None else None
+                lookup = recorder.pop_through(lookup_id)
                 if not hit:
                     # Not a cell of its own: the cell is evaluated below.
                     recorder.discard(cell_id)
@@ -572,7 +523,7 @@ def execute_matrix(
                     result,
                     "cache" if result is not None else "unavailable",
                     wall,
-                    phases,
+                    {"cache_lookup": lookup.seconds},
                     "cache" if result is not None else "",
                     0,
                 )
@@ -582,30 +533,34 @@ def execute_matrix(
         # Phase 2: compute the remaining cells — in worker processes
         # when asked and possible, in-process otherwise.
         def _settle(label: str, case_name: str, key: Optional[str],
-                    result: Optional[SimulationResult], wall: float,
-                    phases: Dict[str, float], used_backend: str, rss: int) -> None:
+                    result: Optional[SimulationResult], spans: List["Span"]) -> None:  # noqa: F821
+            # Everything the parent learns of a computed cell, local or
+            # remote, is read off its spans: the cell span closed last.
+            cell = spans[-1]
+            rss = cell.args["peak_rss_bytes"]
             outcomes[(label, case_name)] = (
                 result,
                 "simulated" if result is not None else "unavailable",
-                wall,
-                phases,
-                used_backend,
+                cell.seconds,
+                {span.name: span.seconds for span in spans if span.parent_id == cell.span_id},
+                cell.args["backend"],
                 rss,
             )
             if key is not None and result_cache is not None:
                 result_cache.store(key, result.to_dict() if result is not None else None)
+            if tracer is not None:
+                tracer.ingest(spans)
+            if emit is not None:
+                branches = result.conditional_branches if result is not None else 0
+                emit(cell.pid, "done", label, case_name, branches, cell.seconds, rss)
 
         def _run_local(label: str, case, key: Optional[str]) -> None:
             if emit is not None:
-                emit(os.getpid(), "start", label, case.name)
-            result, wall, phases, used_backend, rss = _evaluate_cell(
+                emit(recorder.pid, "start", label, case.name)
+            _settle(label, case.name, key, *_evaluate_cell(
                 recorder, label, case.name, builder_by_label[label],
                 case.test_trace, case.training_trace, context_switches, backend,
-            )
-            _settle(label, case.name, key, result, wall, phases, used_backend, rss)
-            if emit is not None:
-                branches = result.conditional_branches if result is not None else 0
-                emit(os.getpid(), "done", label, case.name, branches, wall, rss)
+            ))
             if tick is not None:
                 tick()
 
@@ -619,34 +574,27 @@ def execute_matrix(
             spool = Path(tempfile.mkdtemp(prefix="repro-spool-"))
             manager = None
             heartbeat_queue = None
-            if (emit is not None or tracer is not None) and remote:
+            if emit is not None and remote:
                 # A manager queue (not a raw mp.Queue) because the
                 # executor pickles task arguments; manager proxies
-                # survive that. Spans ride the same queue as heartbeats,
-                # so tracing alone also needs it.
+                # survive that.
                 import multiprocessing
 
                 manager = multiprocessing.Manager()
                 heartbeat_queue = manager.Queue()
 
-            def _drain_heartbeats() -> None:
+            def _drain_starts() -> None:
+                # A worker puts a cell's start before running it, so
+                # draining before settling a cell delivers its start
+                # before its done.
                 if heartbeat_queue is None:
                     return
                 while True:
                     try:
-                        message = heartbeat_queue.get_nowait()
-                    except queue_module.Empty:
-                        break
-                    except Exception:
-                        break
-                    if message and message[0] == "spans":
-                        # A worker's shipped span batch: ("spans", pid, wire).
-                        if tracer is not None:
-                            tracer.ingest_wire(message[2])
-                        continue
-                    if emit is not None:
-                        pid, kind, hb_label, hb_case, branches, hb_wall, hb_rss = message
-                        emit(pid, kind, hb_label, hb_case, branches, hb_wall, hb_rss)
+                        pid, hb_label, hb_case = heartbeat_queue.get_nowait()
+                    except (queue_module.Empty, EOFError, OSError):  # or the manager is gone
+                        return
+                    emit(pid, "start", hb_label, hb_case)
 
             try:
                 trace_paths = _spool_traces({case.name: case for _, case, _ in remote}, spool)
@@ -666,14 +614,14 @@ def execute_matrix(
                             heartbeat_queue,
                             tracer is not None,
                         )
-                        futures[future] = key
+                        futures[future] = (label, case.name, key)
                     # Overlap the unpicklable (parent-process) cells with
                     # the pool instead of serializing them afterwards.
                     for label, case, key in local:
                         _run_local(label, case, key)
                     not_done = set(futures)
                     poll = (
-                        progress_interval
+                        _POLL_SECONDS
                         if heartbeat_queue is not None or tick is not None
                         else None
                     )
@@ -681,13 +629,11 @@ def execute_matrix(
                         done, not_done = wait(
                             not_done, timeout=poll, return_when=FIRST_COMPLETED
                         )
-                        _drain_heartbeats()
+                        _drain_starts()
                         if tick is not None:
                             tick()
                         for future in done:
-                            label, case_name, *measured = future.result()
-                            _settle(label, case_name, futures[future], *measured)
-                _drain_heartbeats()
+                            _settle(*futures[future], *future.result())
                 if tick is not None:
                     tick()
             finally:

@@ -156,8 +156,8 @@ def run_matrix(
             either way, so the cache is shared across backends.
         tracer: optional :class:`repro.obs.spans.SpanCollector`; when
             given the whole sweep is span-traced (sweep → cell → phase
-            → block hierarchy, worker spans shipped back through the
-            heartbeat queue — see
+            → block hierarchy, worker spans returned with each cell's
+            result — see
             :func:`repro.sim.parallel.execute_matrix`). Telemetry only,
             never affects results.
 

@@ -355,19 +355,34 @@ class TraceArrays:
 
 def _convert(name: str, values, dtype, convert, start: int):
     """``values`` as a ``dtype`` array; a value outside the dtype raises
-    :class:`TraceFormatError` naming the first such record."""
-    try:
-        return convert(values, dtype=dtype)
-    except (OverflowError, TypeError, ValueError):
-        info = np.iinfo(dtype)
-        lo, hi = int(info.min), int(info.max)
-        for index, value in enumerate(values):
-            if not lo <= value <= hi:
-                raise TraceFormatError(
-                    f"record {start + index}: {name}={value} does not fit the "
-                    f"{info.dtype} column (allowed range [{lo}, {hi}])"
-                ) from None
-        raise
+    :class:`TraceFormatError` naming the first such record.
+
+    A NumPy column whose dtype casts to ``dtype`` unsafely (``uint64``
+    to ``int64``, floats to integers) is checked elementwise, since
+    NumPy's cast would wrap or truncate silently: a value that does not
+    survive the cast (out of range, NaN, non-integral) is rejected.
+    """
+    info = np.iinfo(dtype)
+    if isinstance(values, np.ndarray) and values.dtype.kind in "uif" \
+            and not np.can_cast(values.dtype, dtype):
+        with np.errstate(invalid="ignore"):
+            cast = values.astype(dtype)
+            wrong = (cast.astype(values.dtype) != values) | ((cast < 0) != (values < 0))
+        if not wrong.any():
+            return cast
+        bad = int(np.argmax(wrong))
+    else:
+        try:
+            return convert(values, dtype=dtype)
+        except (OverflowError, TypeError, ValueError):
+            bad = next((index for index, value in enumerate(values)
+                        if not info.min <= value <= info.max), None)
+            if bad is None:
+                raise
+    raise TraceFormatError(
+        f"record {start + bad}: {name}={values[bad]} does not fit the "
+        f"{info.dtype} column (allowed range [{info.min}, {info.max}])"
+    ) from None
 
 
 class TraceBlock:

@@ -31,6 +31,14 @@ class TestUnmanagedHandles:
         """)
         assert _rules(findings) == {"res/unmanaged-handle"}
 
+    def test_dynamic_mode_open_is_a_handle(self):
+        findings = _scan("""
+            def read(path, mode):
+                stream = open(path, mode=mode)
+                return stream.read()
+        """)
+        assert _rules(findings) == {"res/unmanaged-handle", "res/non-atomic-write"}
+
     def test_with_managed_open_is_fine(self):
         findings = _scan("""
             def read(path):
@@ -160,6 +168,20 @@ class TestFsyncDiscipline:
                 tmp = path.with_suffix(".tmp")
                 with tmp.open("w") as stream:
                     stream.write(text)
+                os.replace(tmp, path)
+        """)
+        assert _rules(findings) == {"res/replace-without-fsync"}
+
+    def test_dynamic_mode_counts_as_a_write(self):
+        # A mode that is not a literal may write: the rename still needs
+        # an fsync before it.
+        findings = _scan("""
+            import os
+
+            def save(path, payload, text):
+                tmp = path.with_suffix(".tmp")
+                with tmp.open("w" if text else "wb") as stream:
+                    stream.write(payload)
                 os.replace(tmp, path)
         """)
         assert _rules(findings) == {"res/replace-without-fsync"}

@@ -10,10 +10,14 @@ Guarantees under test:
 * ``format_status`` / ``FollowPrinter`` render and tear down cleanly,
 * ``execute_matrix(progress=...)`` actually delivers heartbeats, in
   every execution mode (cache hit, in-process, worker processes), and
-  the observed done-count sequence is monotone.
+  the observed done-count sequence is monotone;
+* workers send only ``(pid, scheme, benchmark)`` start triples; each
+  cell's ``done`` follows its ``start`` and carries the worker, wall
+  time and peak RSS of the cell's span and ``CellTelemetry``.
 """
 
 import io
+import multiprocessing
 
 import pytest
 
@@ -23,6 +27,42 @@ from repro.obs.live import (
     SweepMonitor,
     format_status,
 )
+
+
+class _SpyQueue:
+    """A manager queue that records what the parent takes off it.
+
+    Pickled into every worker with its proxy, so worker puts go to the
+    real queue; only the parent's copy records."""
+
+    def __init__(self, queue):
+        self.queue = queue
+        self.taken = []
+
+    def put(self, message):
+        self.queue.put(message)
+
+    def get_nowait(self):
+        message = self.queue.get_nowait()
+        self.taken.append(message)
+        return message
+
+
+class _SpyManager:
+    def __init__(self, spies):
+        self.manager = _REAL_MANAGER()
+        self.spies = spies
+
+    def Queue(self):
+        spy = _SpyQueue(self.manager.Queue())
+        self.spies.append(spy)
+        return spy
+
+    def shutdown(self):
+        self.manager.shutdown()
+
+
+_REAL_MANAGER = multiprocessing.Manager
 
 
 class FakeClock:
@@ -177,7 +217,7 @@ class TestParallelIntegration:
         builders = {"GAg-6": spec("gag-6"), "AT": spec("always-taken")}
         return builders, cases
 
-    def _run(self, n_workers, cache=None):
+    def _run(self, n_workers, cache=None, tracer=None):
         from repro.sim.runner import run_matrix
 
         builders, cases = self._setup()
@@ -189,7 +229,8 @@ class TestParallelIntegration:
             done_trajectory.append(monitor.done)
 
         matrix = run_matrix(
-            builders, cases, n_workers=n_workers, result_cache=cache, progress=progress
+            builders, cases, n_workers=n_workers, result_cache=cache, progress=progress,
+            tracer=tracer,
         )
         return matrix, monitor, done_trajectory
 
@@ -228,3 +269,46 @@ class TestParallelIntegration:
         baseline = run_matrix(builders, cases)
         matrix, _monitor, _ = self._run(n_workers=1)
         assert matrix == baseline
+
+    def test_workers_send_only_start_triples(self, monkeypatch):
+        spies = []
+        monkeypatch.setattr(multiprocessing, "Manager", lambda: _SpyManager(spies))
+        _matrix, monitor, _ = self._run(n_workers=2)
+        (spy,) = spies
+        assert len(spy.taken) == 4
+        for message in spy.taken:
+            pid, scheme, benchmark = message
+            assert isinstance(pid, int) and pid > 0
+            assert isinstance(scheme, str) and isinstance(benchmark, str)
+        cells = {(beat.scheme, beat.benchmark) for beat in monitor.history}
+        assert {(scheme, benchmark) for _pid, scheme, benchmark in spy.taken} == cells
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_each_cell_starts_before_it_is_done(self, n_workers):
+        _matrix, monitor, _ = self._run(n_workers=n_workers)
+        order = [(beat.kind, beat.cell) for beat in monitor.history]
+        assert len(order) == 8
+        for kind, cell in order:
+            if kind == "done":
+                assert order.index(("start", cell)) < order.index(("done", cell))
+
+    def test_done_beats_are_read_off_the_cell_spans(self):
+        from repro.obs.spans import SpanCollector
+
+        tracer = SpanCollector()
+        matrix, monitor, _ = self._run(n_workers=2, tracer=tracer)
+        cells = {(c.scheme, c.benchmark): c for c in matrix.telemetry.cells}
+        spans = {
+            (span.args["scheme"], span.args["benchmark"]): span
+            for span in tracer.spans if span.name == "cell"
+        }
+        done = [beat for beat in monitor.history if beat.kind == "done"]
+        assert len(done) == 4
+        for beat in done:
+            cell, span = cells[(beat.scheme, beat.benchmark)], spans[(beat.scheme, beat.benchmark)]
+            assert beat.worker == span.pid != 0
+            assert beat.wall == cell.wall_time == span.seconds
+            assert beat.rss_bytes == cell.rss_peak == span.args["peak_rss_bytes"] > 0
+            assert beat.branches > 0
+        starts = {beat.cell: beat.worker for beat in monitor.history if beat.kind == "start"}
+        assert all(starts[beat.cell] == beat.worker for beat in done)

@@ -6,9 +6,9 @@ The guarantees under test:
   id-anchored popping, discarding, reserved args;
 * tree integrity: parent/child nesting and containment, monotone
   timestamps across the fork boundary, duplicate detection;
-* loss tolerance: a missing (crashed-worker) batch orphans spans into
-  roots without corrupting the sweep trace, malformed wire batches are
-  dropped whole;
+* loss tolerance: spans whose parent was never collected become
+  roots without corrupting the sweep trace;
+* transport: spans cross the process boundary pickled as they are;
 * exactness: Chrome trace-event JSON round-trips spans bit-for-bit,
   and per-cell span totals equal the telemetry phase times;
 * the sweep integration: serial and parallel traced sweeps produce
@@ -16,6 +16,7 @@ The guarantees under test:
 """
 
 import json
+import pickle
 
 import pytest
 
@@ -31,14 +32,12 @@ from repro.obs.spans import (
     cell_span_summaries,
     disable,
     enable,
-    from_wire,
     get_recorder,
     recording,
     span_totals,
     spans_from_chrome,
     summarize_spans,
     to_chrome_trace,
-    to_wire,
     validate_chrome_trace,
     validate_span_tree,
 )
@@ -231,24 +230,15 @@ class TestEngineBlockSpans:
         assert counts == [10, 10]
 
 
-class TestWireProtocol:
-    def test_round_trip(self):
+class TestPickling:
+    def test_spans_pickle_as_they_are(self):
+        # A worker returns its cell's spans in the future's result.
         clock = FakeClock(start=100.0, step=0.0)
         recorder = _recorder(clock=clock)
-        with recorder.span("cell", cat="sweep", scheme="GAg"):
+        with recorder.span("cell", cat="sweep", scheme="GAg", peak_rss_bytes=7):
             _span_at(recorder, clock, "build", 100.0, 100.1, cat="phase")
         spans = recorder.spans
-        assert from_wire(to_wire(spans)) == spans
-
-    def test_collector_drops_malformed_batch_whole(self):
-        collector = SpanCollector()
-        good = _recorder()
-        good.push("ok")
-        good.pop()
-        collector.ingest_wire(to_wire(good.spans))
-        collector.ingest_wire([("torn",)])  # malformed: dropped whole
-        assert len(collector) == 1
-        assert collector.batches == 1
+        assert pickle.loads(pickle.dumps(spans)) == spans
 
 
 class TestTreeIntegrity:
@@ -282,8 +272,9 @@ class TestTreeIntegrity:
         assert any("escapes" in p for p in validate_span_tree([parent, escapee]))
 
     def test_queue_loss_tolerance_partial_sweep(self):
-        # Parent sweep span + one worker's cell batch; the other
-        # worker "crashed" and never shipped. The trace stays valid.
+        # Parent sweep span + one worker's cell spans; the other
+        # worker's cell failed, so its spans never arrived. The trace
+        # stays valid.
         parent_clock = FakeClock(start=0.0, step=0.0)
         parent = _recorder(pid=1, clock=parent_clock)
         sweep = parent.push("sweep")
@@ -294,7 +285,7 @@ class TestTreeIntegrity:
             pass
         collector = SpanCollector()
         collector.ingest(parent.drain())
-        collector.ingest_wire(to_wire(worker.drain()))
+        collector.ingest(worker.drain())
         assert not validate_span_tree(collector.spans)
         assert len(collector.spans) == 2
 
@@ -408,6 +399,18 @@ class TestSweepIntegration:
         for span in collector.spans:
             assert span.ts >= sweep.ts - 0.5
             assert span.end <= sweep.end + 0.5
+
+    def test_traced_parallel_sweep_starts_no_manager(self, monkeypatch):
+        import multiprocessing
+
+        def no_manager():
+            raise AssertionError("a traced sweep without progress needs no manager")
+
+        monkeypatch.setattr(multiprocessing, "Manager", no_manager)
+        collector = SpanCollector()
+        matrix = _sweep_fixture(n_workers=2, tracer=collector)
+        assert len({span.pid for span in collector.spans}) > 1
+        self._check_phase_agreement(collector, matrix)
 
     def test_failed_traced_sweep_releases_the_recorder(self):
         def broken(training_trace):

@@ -39,7 +39,7 @@ from hypothesis import strategies as st
 
 from repro.sim.parallel import _spool_traces, spec
 from repro.sim.runner import BenchmarkCase, run_matrix
-from repro.trace.events import BranchClass, Trace, TraceBuilder, TraceMeta
+from repro.trace.events import BranchClass, Trace, TraceArrays, TraceBuilder, TraceMeta
 from repro.trace.events import BranchRecord
 from repro.trace.io import (
     TraceFormatError,
@@ -276,13 +276,18 @@ def test_blocks_are_array_slices_and_the_whole_block_shares_the_arrays():
 _INT64 = "int64 column (allowed range [-9223372036854775808, 9223372036854775807])"
 
 
-@pytest.mark.parametrize("column,value,allowed", [
-    pytest.param("pc", 1 << 63, _INT64, id="pc"),
-    pytest.param("cls", 256, "uint8 column (allowed range [0, 255])", id="cls"),
-    pytest.param("target", -(1 << 63) - 1, _INT64, id="target"),
-    pytest.param("instret", 1 << 70, _INT64, id="instret"),
+@pytest.mark.parametrize("column,value,allowed,dtype", [
+    pytest.param("pc", 1 << 63, _INT64, None, id="pc"),
+    pytest.param("cls", 256, "uint8 column (allowed range [0, 255])", None, id="cls"),
+    pytest.param("target", -(1 << 63) - 1, _INT64, None, id="target"),
+    pytest.param("instret", 1 << 70, _INT64, None, id="instret"),
+    # NumPy columns whose cast to the column dtype would wrap or truncate.
+    pytest.param("pc", 1 << 63, _INT64, np.uint64, id="pc-uint64"),
+    pytest.param("instret", 1.9e19, _INT64, np.float64, id="instret-float64"),
+    pytest.param("instret", float("nan"), _INT64, np.float64, id="instret-nan"),
+    pytest.param("target", 2.5, _INT64, np.float64, id="target-fraction"),
 ])
-def test_wide_values_are_rejected_at_every_entry(column, value, allowed):
+def test_wide_values_are_rejected_at_every_entry(column, value, allowed, dtype):
     good = dict(zip(_NAMES, (0x10, True, 0, 0x40, 5, False)))
     narrow = [tuple(good.values())] * 4
     rows = list(narrow)
@@ -292,6 +297,14 @@ def test_wide_values_are_rejected_at_every_entry(column, value, allowed):
         return pytest.raises(TraceFormatError, match=re.escape(
             f"record {index}: {column}={value} does not fit the {allowed}"))
 
+    if dtype is not None:
+        columns = [np.array(values, dtype=dtype) if name == column else values
+                   for name, values in zip(_NAMES, zip(*rows))]
+        with rejected(2):
+            Trace(TraceMeta("wide"), *columns)
+        with rejected(2):
+            TraceArrays(columns)
+        return
     with rejected(2):
         Trace(TraceMeta("wide"), *zip(*rows))
     builder = TraceBuilder()
