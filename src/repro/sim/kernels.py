@@ -30,10 +30,14 @@ How a two-level scheme is vectorized
    outcomes driving one automaton. One sort groups them: each record
    packs into an int64 word ``key << (s + 1) | trace_index << 1 |
    outcome`` (``s`` = bit width of ``n - 1``), and sorting the words
-   yields the sorted keys, the outcomes in group order and — only when
-   the records are scored one by one — the trace index of each, with
-   ties broken by trace index, i.e. time order inside every group. Keys
-   too wide for the word fall back to a stable argsort and gathers.
+   yields the group starts (where adjacent words differ above bit
+   ``s``), the outcomes in group order and — only when the records are
+   scored one by one — the int32 trace index of each, with ties broken
+   by trace index, i.e. time order inside every group; the sorted keys
+   only when a carried store needs them. A kernel that builds its keys
+   as a fresh int64 array hands it over, and the words are built in
+   it. Keys too wide for the word fall back to a stable argsort and
+   gathers.
    The per-outcome transition function
    packs into a byte (:func:`repro.core.automata.packed_transition_code`),
    function composition becomes a 256x256 table lookup, and a segmented
@@ -71,10 +75,13 @@ loop (see :func:`kernel_supports`).
 Scoring
 -------
 
-A kernel's outcome is a correct count or the int64 block-local,
-trace-order indices of its mispredicted conditional records, each
-once. Scanning schemes return the count when the run aggregates (no
-warmup, no per-site tracking); otherwise :func:`_run_wrong_positions`
+A kernel's outcome is a correct count or the block-local, trace-order
+indices of its mispredicted conditional records, each once: int32 from
+the pattern-table scans and the per-address layouts, whose orders are
+int32, and int64 from ``flatnonzero`` in the direct schemes. A consumer
+that offsets them by a block's start widens them first. Scanning
+schemes return the count when the run aggregates (no warmup, no
+per-site tracking); otherwise :func:`_run_wrong_positions`
 reads the mispredicted records off the runs — up to three head offsets
 per run where ``head_wrong`` steps up, plus the whole tail where
 ``tail_mis`` is set — and :func:`_scan` maps them through the group
@@ -106,16 +113,22 @@ case-major, so each trace arrives once). The memo has two tiers:
   object and its :class:`_TraceMemo`. That holds the full layouts,
   keyed by ``(num_sets, associativity)`` (``None`` for the ideal BHT)
   and ``(interval, switch_on_traps)``, and the scheme-independent
-  inputs: the :class:`_Run` columns (outcomes, pcs, flush segments,
-  switch count) and the global register's restart distances per
+  inputs: the :class:`_Run` columns (outcomes, flush segments, switch
+  count) and the global register's restart distances per
   context-switch model, one ``_MAX_HISTORY_BITS``-wide outcome window
   in trace order and one per memoized layout (a window serves every
   history length: :func:`_fill_extended` reads only its low ``k``
-  bits), and the per-site execution tally per warmup. The memo holds
-  one trace's at most: a call on another trace replaces them, the
-  reference's callback drops them once the trace's arrays are
-  collected, and ``_LAYOUT_MEMO.clear()`` drops them too. They serve
-  the repeated cells of one trace.
+  bits), and the per-site execution tally per warmup. Per conditional
+  record that is 1 B of outcomes, 8 B of flush segments (one
+  zero-stride value without context switches), 1 B of restart
+  distances and 4 B of window per context-switch model, plus 13 B per
+  layout: its int32 ``order``, five 1-byte columns and its 4 B window.
+  The pcs are not kept (few kernels read them, and a run gathers them
+  on first use), and the trace's arrays cache the int32 site ids (4 B)
+  beside them. The memo holds one trace's at most: a call on another
+  trace replaces them, the reference's callback drops them once the
+  trace's arrays are collected, and ``_LAYOUT_MEMO.clear()`` drops them
+  too. They serve the repeated cells of one trace.
 * **Residency words of every live trace.** A set-associative layout
   costs an LRU replay (:func:`_lru_metadata`), and every experiment of
   a sweep walks the same traces in turn, evicting the previous one's
@@ -222,9 +235,15 @@ _MAX_HISTORY_BITS = 24
 #: ``2**_MAX_TABLE_ID_BITS`` keeps those keys inside int64.
 _MAX_TABLE_ID_BITS = 32
 
-#: Per-block record indices are int32 (group starts, episode offsets,
-#: the LRU replay's positions and lifting table), so a block must hold
-#: fewer than ``2**_MAX_BLOCK_INDEX_BITS`` conditional records.
+#: Per-block record indices are int32 (a layout's ``order``, the group
+#: sort's trace order and so the scanning kernels' mispredicted
+#: indices, group starts, episode offsets and run lengths, the LRU
+#: replay's positions and lifting table) and so are site ids, so a
+#: block must hold fewer than ``2**_MAX_BLOCK_INDEX_BITS`` conditional
+#: records. Indices that leave the block stay int64: a carried slot's
+#: ``rec`` (``t0`` + index) and the miss analyses' trace positions.
+#: Only the sorts' own permutations stay intp, which gathers take
+#: without a conversion.
 _MAX_BLOCK_INDEX_BITS = 31
 
 
@@ -357,12 +376,12 @@ def _find_runs(out_u8: np.ndarray, grp_new: np.ndarray, ops: _AutomatonOps,
     starts[1:] |= out_u8[1:] != out_u8[:-1]
     first = np.flatnonzero(starts)
     nruns = first.shape[0]
-    length = np.empty(nruns, dtype=np.int64)
-    if nruns > 1:
-        length[:-1] = np.diff(first)
+    # Block-local lengths fit int32, and the capped ones a byte.
+    length = np.empty(nruns, dtype=np.int32)
+    np.subtract(first[1:], first[:-1], out=length[:-1])
     length[-1] = n - first[-1]
     out = out_u8[first]
-    lcap = np.minimum(length, 3)
+    lcap = np.minimum(length, 3).astype(np.uint8)
     code = ops.pow_codes[out, lcap]
 
     grp_first = grp_new[first]
@@ -481,18 +500,20 @@ def _lasts(heads: np.ndarray, n: int) -> np.ndarray:
 
 
 def _group_sort(keys: np.ndarray, out_u8: np.ndarray, base: Optional[np.ndarray] = None,
-                need_order: bool = True):
+                need_order: bool = True, need_keys: bool = True):
     """``(order, grp_new, key_s, out_s)``: records grouped by their
     non-negative ``keys``, ties broken by trace index (time order).
 
-    ``order`` holds each grouped record's trace index (None unless
-    ``need_order``), ``grp_new`` marks group starts, and ``key_s`` and
-    ``out_s`` are the sorted keys and the outcomes in the same order.
-    ``keys`` and ``out_u8`` are in trace order, or in a ``base`` order
-    (``base[i]`` = trace index of element ``i``). One sort of the unique
-    words ``key << (s + 1) | trace_index << 1 | outcome`` gives all
-    four; keys too wide for that word take a stable argsort and gathers
-    instead.
+    ``order`` holds each grouped record's int32 trace index (None unless
+    ``need_order``), ``grp_new`` marks group starts, and ``key_s`` (None
+    unless ``need_keys``) and ``out_s`` are the sorted keys and the
+    outcomes in the same order. ``keys`` and ``out_u8`` are in trace
+    order, or in a ``base`` order (``base[i]`` = trace index of element
+    ``i``). One sort of the unique words ``key << (s + 1) | trace_index
+    << 1 | outcome`` gives all four: groups start where adjacent words
+    differ above bit ``s``. The words are built in ``keys`` itself when
+    it is a writeable int64 array, which the caller hands over. Keys
+    too wide for the word take a stable argsort and gathers instead.
     """
     n = keys.shape[0]
     s = (n - 1).bit_length()
@@ -502,22 +523,29 @@ def _group_sort(keys: np.ndarray, out_u8: np.ndarray, base: Optional[np.ndarray]
         out_s = out_u8[order]
         if base is not None:
             order = base[order]
-        return order if need_order else None, _change_marks(key_s), key_s, out_s
-    words = keys.astype(np.int64)
+        return (order.astype(np.int32, copy=False) if need_order else None,
+                _change_marks(key_s), key_s if need_keys else None, out_s)
+    words = keys if keys.dtype == np.int64 and keys.flags.writeable else keys.astype(np.int64)
     words <<= s
-    words |= np.arange(n, dtype=np.int64) if base is None else base
+    words |= np.arange(n, dtype=np.int32) if base is None else base
     words <<= 1
     words |= out_u8
     words.sort()
-    key_s = words >> (s + 1)
+    grp_new = np.empty(n, dtype=np.bool_)
+    grp_new[0] = True
+    above = words[1:] ^ words[:-1]
+    above >>= s + 1
+    np.not_equal(above, 0, out=grp_new[1:])
+    del above
+    key_s = words >> (s + 1) if need_keys else None
     out_s = words.astype(np.uint8)  # the low byte; its bit 0 is the outcome
     out_s &= 1
     order = None
     if need_order:
         words >>= 1
         words &= (1 << s) - 1
-        order = words
-    return order, _change_marks(key_s), key_s, out_s
+        order = words.astype(np.int32)
+    return order, grp_new, key_s, out_s
 
 
 def _start_indices(new_mark: np.ndarray) -> np.ndarray:
@@ -568,20 +596,26 @@ def _since_restart(seg: np.ndarray) -> np.ndarray:
     return np.arange(seg.shape[0], dtype=np.int32) - _start_indices(_change_marks(seg))
 
 
-def _fill_extended(window: np.ndarray, since: np.ndarray, fill: np.ndarray, k: int) -> np.ndarray:
+def _fill_extended(window: np.ndarray, since: np.ndarray, fill, k: int) -> np.ndarray:
     """History-register contents: ``min(since, k)`` window bits with the
-    ``fill`` bit (a scalar, or one per record) extended through the
-    remaining upper positions. Only the low ``k`` bits of ``window`` are
-    read, so a wider window serves, and ``since`` may be capped anywhere
-    at or above ``k``. Registers restart rarely, so the records less
-    than ``k`` past a restart are patched after one full-width mask."""
+    ``fill`` bit extended through the remaining upper positions. ``fill``
+    is a scalar, or None for a register filled with its restart's
+    outcome: the oldest of its ``since`` window bits (the value at
+    ``since == 0`` is then left to the caller). Only the low ``k`` bits
+    of ``window`` are read, so a wider window serves, and ``since`` may
+    be capped anywhere at or above ``k``. Registers restart rarely, so
+    the records less than ``k`` past a restart are patched after one
+    full-width mask."""
     mask = np.int32((1 << k) - 1)
     patterns = window & mask
     short = np.flatnonzero(since < k)
     if short.size:
-        low_mask = (np.int32(1) << since[short].astype(np.int32)) - np.int32(1)
-        short_fill = fill[short] if np.ndim(fill) else fill
-        patterns[short] = (window[short] & low_mask) | (short_fill * (mask ^ low_mask))
+        since_s = since[short].astype(np.int32)
+        low_mask = (np.int32(1) << since_s) - np.int32(1)
+        window_s = window[short]
+        if fill is None:
+            fill = (window_s >> np.maximum(since_s - 1, 0)) & 1
+        patterns[short] = (window_s & low_mask) | (fill * (mask ^ low_mask))
     return patterns
 
 
@@ -631,15 +665,16 @@ class _Run:
         if memo and final and t0 == 0 and prev_epoch is None and fires_base == 0:
             self.memo = _LAYOUT_MEMO.entry(arrays)
             columns = _traced("inputs", self.memo.run_columns, arrays, context_switches, self.cs)
-            self._pc_c = columns[-1]
         else:
             columns = _run_columns(arrays, context_switches, prev_epoch, int(fires_base))
-        self.out_bool, self.seg_c, self.switches, self.fires_end, self.last_epoch = columns[:5]
+        self.out_bool, self.seg_c, self.switches, self.fires_end, self.last_epoch = columns
         self.out_u8 = self.out_bool.view(np.uint8)
         self.n_c = int(self.out_bool.shape[0])
 
     @property
     def pc_c(self) -> np.ndarray:
+        """The conditional records' pcs, gathered on first use: most
+        whole-trace kernels never read them, so the memo keeps none."""
         if self._pc_c is None:
             self._pc_c = self.arrays.pc[self.arrays.cond_mask]
         return self._pc_c
@@ -798,16 +833,19 @@ def _scan_keys(run: _Run, ops: _AutomatonOps, keys: np.ndarray, store: Optional[
                out: Optional[np.ndarray] = None, base: Optional[np.ndarray] = None):
     """Group records by pattern-table index and scan them. ``keys`` and
     ``out`` may be in a ``base`` order (``base[i]`` = trace index of
-    element ``i``); ties break by trace index (see :func:`_group_sort`).
-    With tracing on, each call is one ``scan`` span."""
+    element ``i``); ties break by trace index (see :func:`_group_sort`,
+    which sorts an int64 ``keys`` in place). With tracing on, each call
+    is one ``scan`` span."""
     return _traced("scan", _sort_and_scan, run, ops, keys, store, out, base)
 
 
 def _sort_and_scan(run: _Run, ops: _AutomatonOps, keys: np.ndarray, store: Optional[_Keyed],
                    out: Optional[np.ndarray], base: Optional[np.ndarray]):
-    """:func:`_scan_keys`'s ``((result, store), None)``."""
+    """:func:`_scan_keys`'s ``((result, store), None)``. Only a store to
+    seed from or write back needs the sorted keys."""
     order, grp_new, key_s, out_s = _group_sort(
-        keys, run.out_u8 if out is None else out, base, need_order=not run.aggregate)
+        keys, run.out_u8 if out is None else out, base, need_order=not run.aggregate,
+        need_keys=store is not None or not run.final)
     return _scan_store(run, ops, key_s, out_s, grp_new, order, store), None
 
 
@@ -900,7 +938,8 @@ def _kernel_gap(predictor: GApPredictor):
         hist, known, store = carry or (None, None, None)
         ghr, hist = _global_history(run, k, reset, hist)
         ids, known = _site_ids(run, known)
-        result, store = _scan_keys(run, ops, (ids << k) | ghr, store)
+        # Site ids are int32 until shifted into a key.
+        result, store = _scan_keys(run, ops, (ids.astype(np.int64) << k) | ghr, store)
         return result, (hist, known, store)
 
     return kernel
@@ -933,16 +972,17 @@ class _Layout:
     the block; ``cont`` says, per such head, whether it hits an entry
     carried in from the previous block. ``m`` counts records since the
     last episode start or head, capped at 255 (``uint8``: its readers
-    compare it with a history length), and ``first_out`` is the outcome
-    of that start.
+    compare it with a history length). ``order`` is int32 and every
+    other per-record column one byte, so a memoized layout costs 9 B
+    per conditional record.
 
     ``heads``, ``lasts`` (each slot's first and last record), ``hkey``
     (each head's slot) and ``cont`` are None when the block neither
     resumes nor carries out slots.
     """
 
-    __slots__ = ("order", "out_s", "ep_new", "m", "first_out", "blk_new",
-                 "evict", "heads", "lasts", "hkey", "cont", "ideal")
+    __slots__ = ("order", "out_s", "ep_new", "m", "blk_new", "evict", "heads", "lasts",
+                 "hkey", "cont", "ideal")
 
     def __init__(self, order, out_s, ep_new, blk_new, evict, heads, hkey, cont,
                  ideal) -> None:
@@ -957,10 +997,8 @@ class _Layout:
         self.hkey = hkey
         self.cont = cont
         self.ideal = ideal
-        ep_start = _start_indices(ep_new if heads is None else ep_new | blk_new)
-        self.first_out = out_s[ep_start]
         m = np.arange(n, dtype=np.int32)
-        m -= ep_start
+        m -= _start_indices(ep_new if heads is None else ep_new | blk_new)
         self.m = np.minimum(m, 255).astype(np.uint8)
 
 
@@ -1031,6 +1069,9 @@ def _build_layout(run: _Run, bht, carry: Optional[_Keyed]) -> _Layout:
         pc_chg = _change_marks(run.pc_c[order])
         evict = pc_chg & ~ep_new
         ep_new |= pc_chg
+    # Gathers take the sort's intp permutation (int32 indices gather
+    # slower); the layout keeps an int32 one.
+    order = order.astype(np.int32)
     heads = hkey = cont = None
     if carry is not None or not run.final:
         heads = np.flatnonzero(blk_new)
@@ -1321,8 +1362,8 @@ def _assoc_layout(run: _Run, bht: CacheBHT, carry: Optional[_Keyed]) -> _Layout:
         heads = np.flatnonzero(blk_new)
         hkey = slot_s[heads]
         cont = ~ep_new[heads]
-    return _Layout(order, run.out_u8[order], ep_new, blk_new, evict_r[order2],
-                   heads, hkey, cont, False)
+    return _Layout(order.astype(np.int32), run.out_u8[order], ep_new, blk_new,
+                   evict_r[order2], heads, hkey, cont, False)
 
 
 def _residency_words(run: _Run, bht: CacheBHT) -> np.ndarray:
@@ -1346,9 +1387,10 @@ def _words_layout(run: _Run, words: np.ndarray) -> _Layout:
     within each slot."""
     order = _stable_argsort(words >> 2)
     words_s = words[order]
-    return _Layout(order, run.out_u8[order], (words_s & 2) != 0,
-                   _change_marks(words_s >> 2), (words_s & 1) != 0,
-                   None, None, None, False)
+    out_s = run.out_u8[order]
+    order = order.astype(np.int32)
+    return _Layout(order, out_s, (words_s & 2) != 0, _change_marks(words_s >> 2),
+                   (words_s & 1) != 0, None, None, None, False)
 
 
 def _read_only(*values) -> None:
@@ -1364,7 +1406,7 @@ class _TraceMemo:
     * ``layouts``: :class:`_Layout` by ``(num_sets, associativity, cs)``
       (``None, None`` for the ideal BHT);
     * ``columns``: a :class:`_Run`'s ``(out_bool, seg_c, switches,
-      fires_end, last_epoch, pc_c)`` by ``cs``;
+      fires_end, last_epoch)`` by ``cs``;
     * ``since``: records since the global register's last restart,
       capped at ``_MAX_HISTORY_BITS`` (``uint8``), by ``cs``;
     * ``windows``: ``_MAX_HISTORY_BITS``-wide outcome windows, by the
@@ -1390,8 +1432,7 @@ class _TraceMemo:
         columns = self.columns.get(cs)
         if columns is not None:
             return columns, "memo"
-        columns = _run_columns(arrays, context_switches, None, 0) + (
-            arrays.pc[arrays.cond_mask],)
+        columns = _run_columns(arrays, context_switches, None, 0)
         _read_only(*columns)
         return self.columns.setdefault(cs, columns), "build"
 
@@ -1496,8 +1537,9 @@ def _slot_carry(run: _Run, layout: _Layout, carry: Optional[_Keyed], **cols) -> 
     ``cols`` (one value per head). Ideal-BHT entries a flush has already
     invalidated can never be read again and are dropped."""
     at = layout.order[layout.lasts]
+    # Recency leaves the block, so it is int64 past any block's indices.
     slots = _upsert(carry, layout.hkey, pc=run.pc_c[at], stamp=run.seg_c[at],
-                    rec=run.t0 + at, **cols)
+                    rec=at.astype(np.int64) + run.t0, **cols)
     if layout.ideal:
         slots = slots.select(slots.cols["stamp"] == run.fires_end)
     return slots
@@ -1509,17 +1551,18 @@ def _pa_patterns(run: _Run, layout: _Layout, k: int, carry: Optional[_Keyed]) ->
     The register fills with the episode's first outcome on the first
     update and shifts afterwards, so before occurrence ``m >= 1`` it
     holds the last ``min(m, k)`` episode outcomes extended with the
-    first outcome; before occurrence 0 the predictors read the all-ones
-    pattern a miss would be allocated with. A head continuing a carried
-    entry resumes its carried register instead. A whole-trace run reads
-    the window of its memoized layout from the trace's memo.
+    first outcome, which is bit ``m - 1`` of the outcome window; before
+    occurrence 0 the predictors read the all-ones pattern a miss would
+    be allocated with. A head continuing a carried entry resumes its
+    carried register instead. A whole-trace run reads the window of its
+    memoized layout from the trace's memo.
     """
     mask = (1 << k) - 1
     if run.memo is None:
         window = _outcome_window(layout.out_s, k)
     else:
         window = run.memo.window(layout, layout.out_s)
-    patterns = _fill_extended(window, layout.m, layout.first_out, k)
+    patterns = _fill_extended(window, layout.m, None, k)
     patterns[layout.m == 0] = mask
     if carry is not None:
         heads = layout.heads[layout.cont]
@@ -1611,23 +1654,29 @@ def _kernel_pap(predictor: PApPredictor):
                 new_table[layout.heads[resume]] = False
             resumed = (layout.heads[resume], tables[resume])
         table_start = new_table if resumed is None else new_table | layout.blk_new
-        table_id = np.cumsum(table_start) - 1
+        # The keys ``table << k | pattern`` grow in one int64 buffer,
+        # which the group sort then sorts in place.
+        keys = np.cumsum(table_start, dtype=np.int64)
+        keys -= 1
         if resumed is None:
-            added = int(table_id[-1]) + 1
+            added = int(keys[-1]) + 1
         else:
             fresh = new_table[table_start]
             added = int(np.count_nonzero(fresh))
             ids = np.empty(fresh.shape[0], dtype=np.int64)
             ids[fresh] = next_table + np.arange(added)
-            ids[table_id[resumed[0]]] = resumed[1]
-            table_id = ids[table_id]
-        keys = (table_id << k) | patterns_s
+            ids[keys[resumed[0]]] = resumed[1]
+            keys = ids[keys]
+        if not run.final:
+            last_tables = keys[layout.lasts]
+            regs = _pa_registers_out(layout, patterns_s, k)
+        keys <<= k
+        keys |= patterns_s
+        del patterns_s  # the carry has read them: free them before the scan
         result, store = _scan_keys(run, ops, keys, store, out=layout.out_s, base=layout.order)
         if run.final:
             return result, None
-        slots = _slot_carry(run, layout, slots,
-                            reg=_pa_registers_out(layout, patterns_s, k),
-                            table=table_id[layout.lasts])
+        slots = _slot_carry(run, layout, slots, reg=regs, table=last_tables)
         # Tables no slot can reach again (replaced, or whose ideal-BHT
         # entry a flush invalidated) leave the store.
         store = store.select(np.isin(store.keys >> k, slots.cols["table"]))
@@ -1835,10 +1884,11 @@ def _kernel_for(predictor):
 
     A kernel is ``kernel(run, carry) -> (outcome, carry)``: ``carry`` is
     None before the first block, and the outcome is a correct count
-    (aggregate runs of the scanning kernels) or the int64 block-local
-    trace-order indices of the mispredicted conditional records, each
-    once, in any order. Dispatch is on the *exact* type: a subclass
-    may override predict or update semantics the kernels hard-code.
+    (aggregate runs of the scanning kernels) or the block-local
+    trace-order indices (int32 or int64) of the mispredicted conditional
+    records, each once, in any order. Dispatch is on the *exact* type:
+    a subclass may override predict or update semantics the kernels
+    hard-code.
     """
     kind = type(predictor)
     if kind is AlwaysTaken:

@@ -343,11 +343,12 @@ class TraceArrays:
     def conditional_site_ids(self):
         """``(sites, ids)``: sorted distinct conditional PCs and, for
         every conditional record in trace order, the index of its PC in
-        ``sites``. Computed once and cached."""
+        ``sites``: int32, unless the trace has over ``2**31`` sites.
+        Computed once and cached."""
         if self._sites is None:
             sites, ids = np.unique(self.pc[self.cond_mask], return_inverse=True)
             sites.flags.writeable = False
-            ids = ids.astype(np.int64, copy=False)
+            ids = ids.astype(np.int32 if sites.shape[0] <= 1 << 31 else np.int64)
             ids.flags.writeable = False
             self._sites, self._site_ids = sites, ids
         return self._sites, self._site_ids

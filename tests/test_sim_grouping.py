@@ -7,8 +7,10 @@ packed ``key | trace index | outcome`` words; the reference is a stable
 argsort of the keys plus the gathers it replaced, for trace-order keys,
 slot-order keys whose groups each lie in one slot block (PAp, SAs),
 slot-order keys scattered back to trace order (PAg, SAg), with and
-without the trace-order indices, and for keys wide enough to force the
-argsort fallback.
+without the trace-order indices, with and without the sorted keys
+(a final block with no store reads its group starts off the sorted
+words), and for keys wide enough to force the argsort fallback. Both
+paths return int32 trace indices.
 
 The example budget comes from the hypothesis profile named by
 ``HYPOTHESIS_PROFILE`` (see ``conftest.py``).
@@ -63,7 +65,8 @@ def _reference(keys, out, base):
 def _assert_same(got, want, need_order):
     order, grp_new, key_s, out_s = got
     if need_order:
-        assert np.array_equal(order, want[0])
+        # int32 on the fused word sort and the argsort fallback alike.
+        assert order.dtype == np.int32 and np.array_equal(order, want[0])
     else:
         assert order is None
     assert np.array_equal(grp_new, want[1])
@@ -150,6 +153,31 @@ def test_slot_order_keys_tied_in_trace_order(case, need_order, data):
     _assert_same(got, want, need_order)
 
 
+@PROFILE
+@given(case=grouping_cases(), need_order=st.booleans(), slot_order=st.booleans())
+def test_a_final_block_without_sorted_keys_groups_alike(case, need_order, slot_order):
+    """A final block with no store asks for no ``key_s``: its group
+    starts come from adjacent sorted words, and must equal the keyed
+    call's, as must the outcomes and the trace order."""
+    rng, n, key_bits = case
+    keys = rng.integers(0, 1 << key_bits, n, dtype=np.int64)
+    out = rng.integers(0, 2, n).astype(np.uint8)
+    base = None
+    want = _reference(keys, out, None)
+    if slot_order:
+        # The same records listed in a random order: ties still break
+        # by trace index.
+        base = rng.permutation(n).astype(np.int32)
+        keys, out = keys[base], out[base]
+    keyed = kernels._group_sort(keys.copy(), out, base, need_order=need_order)
+    _assert_same(keyed, want, need_order)
+    order, grp_new, key_s, out_s = kernels._group_sort(keys.copy(), out, base,
+                                                       need_order=need_order,
+                                                       need_keys=False)
+    assert key_s is None
+    _assert_same((order, grp_new, want[2], out_s), want, need_order)
+
+
 def test_narrow_keys_never_reach_the_fallback(no_argsort_when_fused):
     rng = np.random.default_rng(0)
     for n, key_bits in ((1, 62), (2, 61), (1000, 20), (1 << 16, 46)):
@@ -158,9 +186,10 @@ def test_narrow_keys_never_reach_the_fallback(no_argsort_when_fused):
         keys[0] = (1 << key_bits) - 1
         out = rng.integers(0, 2, n).astype(np.uint8)
         base = rng.permutation(n)
-        for args in ((keys, out), (keys, out, base)):
-            assert np.array_equal(kernels._group_sort(*args)[2], np.sort(keys))
+        for args in ((out,), (out, base)):
+            # The fused sort builds its words in an int64 ``keys``.
+            assert np.array_equal(kernels._group_sort(keys.copy(), *args)[2], np.sort(keys))
     # One bit wider than the word holds: the fallback.
     no_argsort_when_fused["fused"] = False
     keys[0] = 1 << 47
-    assert np.array_equal(kernels._group_sort(keys, out)[2], np.sort(keys))
+    assert np.array_equal(kernels._group_sort(keys.copy(), out)[2], np.sort(keys))

@@ -187,8 +187,7 @@ def test_memoized_layout_arrays_are_read_only():
         layout = kernels._pa_layout(kernels._Run(trace, None, False, 0), bht, None)
         arrays = {name: getattr(layout, name) for name in kernels._Layout.__slots__
                   if isinstance(getattr(layout, name), np.ndarray)}
-        assert set(arrays) == {"order", "out_s", "ep_new", "m", "first_out", "blk_new",
-                               "evict"}
+        assert set(arrays) == {"order", "out_s", "ep_new", "m", "blk_new", "evict"}
         for name, array in arrays.items():
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = array[0]

@@ -16,16 +16,26 @@ local mix that mostly revisits recent tags, or a long phase over fewer
 tags than ways, whose exit evicts tags touched ``2**12`` events earlier.
 The example budget comes from the hypothesis profile named by
 ``HYPOTHESIS_PROFILE`` (see ``conftest.py``).
+
+Block-local record indices are int32, but a streamed block's carried
+slots record their last access's global record index (``rec``), which
+orders the next block's LRU seeds. The width test folds PAg and PAp
+over the same blocks twice, once with the global indices shifted past
+``2**31``, and requires the same mispredictions and the same carry with
+``rec`` shifted by the offset.
 """
 
 import os
 import random
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core.automata import A2
 from repro.core.history import CacheBHT
+from repro.core.twolevel import make_pag, make_pap
 from repro.sim import ContextSwitchConfig
 from repro.sim import kernels
 from repro.trace.events import TraceBuilder
@@ -177,3 +187,52 @@ def test_thrash_epoch_misses_on_every_event():
     assert np.array_equal(miss, first)
     assert np.count_nonzero(evict) == np.count_nonzero(first) - assoc
     assert set(slot.tolist()) == set(range(assoc))
+
+
+def _fold_blocks(predictor, trace, cuts, offset):
+    """Each block's sorted mispredicted indices and the final carry of
+    ``predictor``'s kernel, with the blocks' global record indices
+    starting at ``offset``."""
+    kernel = kernels._kernel_for(predictor)
+    bounds = [0, *cuts, len(trace)]
+    carry = None
+    prev_epoch = None
+    fires = 0
+    seen = offset
+    wrong = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        run = kernels._Run(trace.select(range(lo, hi)), SWITCHES, True, 0,
+                           prev_epoch=prev_epoch, fires_base=fires, t0=seen, final=False)
+        block_wrong, carry = kernel(run, carry)
+        wrong.append(np.sort(block_wrong))
+        prev_epoch, fires, seen = run.last_epoch, run.fires_end, seen + run.n_c
+    return wrong, carry
+
+
+@pytest.mark.parametrize("make", [make_pag, make_pap], ids=["pag", "pap"])
+@pytest.mark.parametrize("where", ["straddles", "beyond"])
+def test_carried_recency_survives_global_indices_past_int32(make, where):
+    """A block starting at ``t0 >= 2**31`` gives the result and carry of
+    the same block at a small ``t0``, with ``rec`` shifted: the carried
+    slot columns stay int64 whatever the block-local indices are."""
+    assoc, num_sets = 4, 2
+    trace = _build_trace(11, assoc, num_sets, 2, ["thrash", "uniform", "local"])
+    cuts = [len(trace) // 3, 2 * len(trace) // 3]
+    first_block = int(trace.select(range(cuts[0])).as_arrays().cond_mask.sum())
+    # The second block starts 5 records below 2**31, or all start past it.
+    offset = (1 << 31) - first_block - 5 if where == "straddles" else 1 << 33
+    want_wrong, want = _fold_blocks(make(4, A2, num_sets * assoc, assoc), trace, cuts, 0)
+    got_wrong, got = _fold_blocks(make(4, A2, num_sets * assoc, assoc), trace, cuts, offset)
+    assert all(np.array_equal(a, b) for a, b in zip(got_wrong, want_wrong))
+    slots, want_slots = got[0], want[0]
+    assert np.array_equal(slots.keys, want_slots.keys)
+    assert slots.cols.keys() == want_slots.cols.keys()
+    for name, column in slots.cols.items():
+        shift = offset if name == "rec" else 0
+        assert np.array_equal(column, want_slots.cols[name] + shift), name
+    assert slots.cols["rec"].dtype == slots.cols["stamp"].dtype == np.int64
+    assert int(slots.cols["rec"].max()) >= 1 << 31
+    store, want_store = got[1], want[1]
+    assert np.array_equal(store.keys, want_store.keys)
+    assert np.array_equal(store.cols["state"], want_store.cols["state"])
+    assert got[2:] == want[2:]

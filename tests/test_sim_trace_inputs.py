@@ -2,7 +2,7 @@
 
 A whole-trace kernel call (:func:`repro.sim.kernels._kernel_blocks` with
 one final block) takes more than its first-level layout from the trace's
-memo: its run's columns (outcomes, pcs, flush segments) per
+memo: its run's columns (outcomes and flush segments) per
 context-switch model, one ``_MAX_HISTORY_BITS``-wide outcome window in
 trace order and one per memoized layout, the global register's restart
 distances, and the per-site execution tally per warmup. These tests
@@ -42,7 +42,7 @@ from .test_sim_layout_memo import MEMO, PROFILE, SWITCHES, _bht, _random_trace, 
 
 CONTEXT_SWITCHES = (None, SWITCHES, ContextSwitchConfig(7, False))
 
-COLUMNS = ("out_bool", "seg_c", "pc_c", "n_c", "switches", "fires_end", "last_epoch")
+COLUMNS = ("out_bool", "seg_c", "n_c", "switches", "fires_end", "last_epoch")
 
 
 @pytest.fixture(autouse=True)
@@ -126,11 +126,13 @@ def test_memo_served_columns_equal_fresh_ones_and_are_read_only(cs):
     assert not served.out_u8.flags.writeable
     if cs is None:
         assert served.seg_c.strides == (0,)
+    # The pcs are gathered per run, not held by the memo.
+    assert np.array_equal(served.pc_c, fresh.pc_c)
+    assert all(column is not served.pc_c for column in served.memo.columns[served.cs])
     # A second whole-trace run, scored differently, shares the arrays.
     again = _whole_run(trace, cs, track_per_site=True, warmup=10)
     assert again.memo is served.memo
-    assert all(getattr(again, name) is getattr(served, name)
-               for name in ("out_bool", "seg_c", "pc_c"))
+    assert all(getattr(again, name) is getattr(served, name) for name in ("out_bool", "seg_c"))
 
 
 def test_only_whole_trace_runs_use_the_memo():

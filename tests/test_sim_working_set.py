@@ -1,0 +1,90 @@
+"""The kernels' per-record working set, pinned in bytes per record.
+
+How long a trace fits in memory is set by what a whole-trace kernel call
+holds and allocates per conditional record. These tests measure both
+with ``tracemalloc`` (NumPy reports its array buffers to it) on the
+``gcc`` testing trace, about 370k conditional records, for a
+per-address and a global scheme with per-site tracking:
+
+* **held**: what the first call leaves behind, which is the trace's
+  memo (its run columns, restart distances, outcome windows and
+  first-level layout, and the per-site tally) plus the cached site ids;
+* **scan peak**: the high-water mark of a second call, which the memo
+  serves, above what the first call left: the pattern keys, the group
+  sort, the run scan and the scoring.
+
+The caps sit about 20% above the readings of the int32 record indices
+and well below the int64 ones they replaced (see ``CHANGES.md``). The
+dtype pins name the columns that carry the saving.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from repro.core.history import CacheBHT, IdealBHT
+from repro.predictors.registry import make_predictor
+from repro.sim import kernels, simulate
+from repro.workloads.suite import all_workloads
+
+#: scheme -> (held, scan peak) caps in bytes per conditional record.
+CAPS = {
+    "pap-16-512x1": (22.0, 42.0),
+    "gap-16": (13.0, 28.0),
+}
+
+
+@pytest.fixture(scope="module")
+def trace():
+    return all_workloads()["gcc"].generate("testing", scale=1)
+
+
+def _readings(scheme, trace):
+    """``(held, scan peak)`` of whole-trace calls, in B/record."""
+    arrays = trace.as_arrays()
+    n = int(np.count_nonzero(arrays.cond_mask))
+    assert n >= 200_000
+    # A first call outside the measurement imports what the kernels
+    # import lazily; then the memo and the cached site ids start empty.
+    simulate(make_predictor(scheme), trace, track_per_site=True, backend="vectorized")
+    kernels._LAYOUT_MEMO.clear()
+    arrays._sites = arrays._site_ids = None
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        first = simulate(make_predictor(scheme), trace, track_per_site=True,
+                         backend="vectorized")
+        held = tracemalloc.get_traced_memory()[0] - base
+        tracemalloc.reset_peak()
+        second = simulate(make_predictor(scheme), trace, track_per_site=True,
+                          backend="vectorized")
+        peak = tracemalloc.get_traced_memory()[1] - base - held
+    finally:
+        tracemalloc.stop()
+        kernels._LAYOUT_MEMO.clear()
+    assert first == second
+    return held / n, peak / n
+
+
+@pytest.mark.parametrize("scheme", sorted(CAPS))
+def test_whole_trace_working_set_per_record(scheme, trace):
+    held, peak = _readings(scheme, trace)
+    held_cap, peak_cap = CAPS[scheme]
+    over = [f"{what} {value:.1f} B/record > {cap}"
+            for what, value, cap in (("memo", held, held_cap), ("scan", peak, peak_cap))
+            if value > cap]
+    assert not over, ", ".join(over)
+
+
+def test_record_indices_are_int32(trace):
+    arrays = trace.as_arrays()
+    assert arrays.conditional_site_ids()[1].dtype == np.int32
+    run = kernels._Run(trace, None, True, 0)
+    orders = [kernels._build_layout(run, bht, None).order
+              for bht in (IdealBHT(), CacheBHT(512, 1), CacheBHT(512, 4))]
+    assert all(order.dtype == np.int32 and order.shape == (run.n_c,) for order in orders)
+    keys = arrays.pc[arrays.cond_mask] % 4096
+    for base in (None, orders[-1]):
+        order, _grp_new, _key_s, _out_s = kernels._group_sort(keys.copy(), run.out_u8, base)
+        assert order.dtype == np.int32
