@@ -26,18 +26,22 @@ Two caveats make these *reference points*, not hard ceilings:
    no fixed k-history mapping can capture — raising k is the only fix,
    the paper's Figure 7 story.
 
-Both oracles use the same history bookkeeping as the real predictors
-(two passes: tally, then score), so comparisons are apples-to-apples.
+Both tally each context over the kernels' registers (all ones, then only
+shifts: no outcome extension, unlike the interference passes; no context
+switches; at most 24 history bits).
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Optional
 
-from ..core.history import history_mask
-from ..trace.events import BranchClass, Trace
+import numpy as np
+
+from ..core.history import IdealBHT
+from ..sim.kernels import (_global_history, _history_bits, _Keyed, _pa_history, _site_ids,
+                           _source_tallies, _upsert)
+from ..trace.events import Trace
 
 __all__ = [
     "PredictabilityBounds",
@@ -64,19 +68,54 @@ class PredictabilityBounds:
         return self.history_bound - self.bias_bound
 
 
+def _context_counts(source, k: int, per_address: bool = True, fill: int = 1,
+                    skip: bool = False, block_size: Optional[int] = None):
+    """``(records, counts, known)``: ``taken`` and ``total`` per ``site << k |
+    register`` (``k == 0``: per site) and the pc -> site id map, both None
+    without a record. The per-address (ideal BHT) or global register
+    starts all ``fill`` and only shifts; ``skip`` drops records it holds fill bits for."""
+    ideal = IdealBHT()
+
+    def kernel(run, carry):
+        known, first, seen, counts = carry or (
+            None, None, np.zeros(0, np.int64), _Keyed(np.empty(0, np.int64)))
+        ids, known = _site_ids(run, known)
+        keys, out, valid = ids.astype(np.int64), run.out_u8, slice(None)
+        if k and per_address:
+            layout, registers, first = _pa_history(run, ideal, k, first, fill)
+            keys, out = keys[layout.order], layout.out_s
+            if skip:
+                seen = np.pad(seen, (0, known.keys.shape[0] - seen.shape[0]))
+                valid = seen[keys] + layout.m >= k
+                seen += np.bincount(ids, minlength=seen.shape[0])
+            keys = keys << k | registers
+        elif k:
+            registers, first = _global_history(run, k, (1 << k) - 1 if fill else 0, first)
+            valid = run.t0 + np.arange(run.n_c) >= k if skip else valid
+            keys = keys << k | registers
+        keys, index = np.unique(keys[valid], return_inverse=True)
+        total = np.bincount(index, minlength=keys.shape[0])
+        taken = np.bincount(index[out[valid].view(np.bool_)], minlength=keys.shape[0])
+        prior = counts.get(keys, "taken", "total", default=0)
+        counts = _upsert(counts, keys, taken=taken + prior[0], total=total + prior[1])
+        return (counts, known), (known, first, seen, counts)
+
+    records, tally = _source_tallies(kernel, source, block_size)
+    return (records,) + (tally or (None, None))
+
+
+def _majority_oracle(trace: Trace, k: int, per_address: bool = True) -> float:
+    """The static majority oracle's accuracy per (branch, k-bit register)."""
+    records, counts, _known = _context_counts(trace, k, per_address)
+    if not records:
+        return 0.0
+    taken, total = counts.cols["taken"], counts.cols["total"]
+    return int(np.maximum(taken, total - taken).sum()) / records
+
+
 def bias_bound(trace: Trace) -> float:
     """Accuracy of the static per-branch majority-direction oracle."""
-    taken: Dict[int, int] = defaultdict(int)
-    total: Dict[int, int] = defaultdict(int)
-    for pc, was_taken, cls, _t, _i, _tr in trace.iter_tuples():
-        if cls != BranchClass.CONDITIONAL:
-            continue
-        total[pc] += 1
-        if was_taken:
-            taken[pc] += 1
-    correct = sum(max(taken[pc], total[pc] - taken[pc]) for pc in total)
-    denominator = sum(total.values())
-    return correct / denominator if denominator else 0.0
+    return _majority_oracle(trace, 0)
 
 
 def history_bound(trace: Trace, history_bits: int, per_address: bool = True) -> float:
@@ -88,23 +127,7 @@ def history_bound(trace: Trace, history_bits: int, per_address: bool = True) -> 
         per_address: contexts keyed by the branch's own history (the
             PAg/PAp ceiling); False keys by global history (GAg ceiling).
     """
-    mask = history_mask(history_bits)
-    counts: Dict[Tuple[int, int], list] = defaultdict(lambda: [0, 0])
-    histories: Dict[int, int] = {}
-    global_history = mask
-    for pc, taken, cls, _t, _i, _tr in trace.iter_tuples():
-        if cls != BranchClass.CONDITIONAL:
-            continue
-        if per_address:
-            history = histories.get(pc, mask)
-            counts[(pc, history)][1 if taken else 0] += 1
-            histories[pc] = ((history << 1) | (1 if taken else 0)) & mask
-        else:
-            counts[(pc, global_history)][1 if taken else 0] += 1
-            global_history = ((global_history << 1) | (1 if taken else 0)) & mask
-    correct = sum(max(not_taken, taken) for not_taken, taken in counts.values())
-    denominator = sum(a + b for a, b in counts.values())
-    return correct / denominator if denominator else 0.0
+    return _majority_oracle(trace, _history_bits(history_bits), per_address)
 
 
 def predictability_bounds(trace: Trace, history_bits: int) -> PredictabilityBounds:

@@ -17,21 +17,25 @@ trace, so the accuracy differences the figures show can be attributed.
 * :func:`bht_pressure` — hit/miss/eviction rates of a practical BHT for
   the trace's working set (what Figure 10 varies).
 
-All passes stream over any :class:`repro.trace.stream.TraceSource`
-(not just a materialized :class:`~repro.trace.events.Trace`); the
-optional ``block_size`` walks the source in bounded blocks, and the
-result is block-size invariant by the ``TraceSource`` contract.
+Each pass tallies, over any :class:`repro.trace.stream.TraceSource` and
+block-size invariantly, the first level the kernels build: PAg's ideal-BHT
+registers (all ones, then outcome extension on a branch's first update), GAg's
+register, the BHT layout's miss and eviction marks; no context switches, at
+most 24 history bits.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
-from ..core.history import CacheBHT, history_mask
-from ..trace.events import BranchClass
-from ..trace.stream import TraceSource, iter_source_tuples
+import numpy as np
+
+from ..core.history import CacheBHT, IdealBHT
+from ..sim.kernels import (_global_history, _group_sort, _history_bits, _Keyed, _lasts,
+                           _pa_history, _pa_layout, _site_ids, _slot_carry, _source_tallies,
+                           _upsert)
+from ..trace.stream import TraceSource
 
 __all__ = [
     "BHTPressure",
@@ -65,34 +69,23 @@ def first_level_interference(
     history_bits: int,
     block_size: Optional[int] = None,
 ) -> FirstLevelInterference:
-    """Compare the global history register against private ones.
+    """Compare the global history register against private ones: GAg's
+    register and PAg's ideal-BHT registers before each lookup."""
+    k = _history_bits(history_bits)
+    ideal = IdealBHT()
 
-    Both registers follow the paper's initialisation (all ones, then
-    outcome extension for the private registers on first update).
-    """
-    mask = history_mask(history_bits)
-    global_history = mask
-    private: Dict[int, int] = {}
-    seen: Dict[int, bool] = {}
-    polluted = 0
-    total = 0
-    for pc, taken, cls, _target, _instret, _trap in iter_source_tuples(trace, block_size):
-        if cls != BranchClass.CONDITIONAL:
-            continue
-        total += 1
-        private_history = private.get(pc, mask)
-        if private_history != global_history:
-            polluted += 1
-        global_history = ((global_history << 1) | (1 if taken else 0)) & mask
-        if pc not in seen:
-            private[pc] = mask if taken else 0  # outcome extension
-            seen[pc] = True
-        else:
-            private[pc] = ((private[pc] << 1) | (1 if taken else 0)) & mask
+    def kernel(run, carry):
+        ghr, slots, polluted = carry or (None, None, 0)
+        before, ghr = _global_history(run, k, (1 << k) - 1, ghr)
+        layout, patterns_s, slots = _pa_history(run, ideal, k, slots)
+        polluted += int(np.count_nonzero(patterns_s != before[layout.order]))
+        return polluted, (ghr, slots, polluted)
+
+    total, polluted = _source_tallies(kernel, trace, block_size)
     return FirstLevelInterference(
         history_bits=history_bits,
         conditional_branches=total,
-        polluted_lookups=polluted,
+        polluted_lookups=polluted or 0,
     )
 
 
@@ -130,39 +123,37 @@ def second_level_interference(
     history_bits: int,
     block_size: Optional[int] = None,
 ) -> SecondLevelInterference:
-    """Measure pattern-table aliasing under PAg first-level history."""
-    mask = history_mask(history_bits)
-    private: Dict[int, int] = {}
-    fresh: Dict[int, bool] = {}
-    owners: Dict[int, set] = defaultdict(set)
-    last_writer: Dict[int, int] = {}
-    last_outcome: Dict[int, bool] = {}
-    updates = 0
-    cross = 0
-    destructive = 0
-    for pc, taken, cls, _target, _instret, _trap in iter_source_tuples(trace, block_size):
-        if cls != BranchClass.CONDITIONAL:
-            continue
-        pattern = private.get(pc, mask)
-        updates += 1
-        owners[pattern].add(pc)
-        previous_writer = last_writer.get(pattern)
-        if previous_writer is not None and previous_writer != pc:
-            cross += 1
-            if last_outcome[pattern] != taken:
-                destructive += 1
-        last_writer[pattern] = pc
-        last_outcome[pattern] = taken
-        if pc not in fresh:
-            private[pc] = mask if taken else 0
-            fresh[pc] = True
-        else:
-            private[pc] = ((private[pc] << 1) | (1 if taken else 0)) & mask
-    shared = sum(1 for pcs in owners.values() if len(pcs) > 1)
+    """Measure pattern-table aliasing under PAg first-level history:
+    updates grouped by (pattern, time), each compared with the entry's
+    previous writer (in the group or carried from an earlier block)."""
+    k = _history_bits(history_bits)
+    ideal = IdealBHT()
+
+    def kernel(run, carry):
+        slots, known, last, owners, cross, destructive = carry or (
+            None, None, _Keyed(np.empty(0, np.int64)), np.empty(0, np.int64), 0, 0)
+        layout, patterns_s, slots = _pa_history(run, ideal, k, slots)
+        ids, known = _site_ids(run, known)
+        order, grp_new, key_s, out_s = _group_sort(patterns_s, layout.out_s, layout.order)
+        site_s = ids[order].astype(np.int64)
+        heads = np.flatnonzero(grp_new)
+        prev_site, prev_out = np.roll(site_s, 1), np.roll(out_s, 1)
+        prev_site[heads], prev_out[heads] = last.get(key_s[heads], "site", "out")
+        crossed = (prev_site >= 0) & (prev_site != site_s)
+        cross += int(np.count_nonzero(crossed))
+        destructive += int(np.count_nonzero(crossed & (prev_out != out_s)))
+        owners = np.union1d(owners, key_s << 32 | site_s)
+        lasts = _lasts(heads, run.n_c)
+        last = _upsert(last, key_s[heads], site=site_s[lasts], out=out_s[lasts])
+        return (owners, cross, destructive), (slots, known, last, owners, cross, destructive)
+
+    updates, tally = _source_tallies(kernel, trace, block_size)
+    owners, cross, destructive = tally or (np.empty(0, np.int64), 0, 0)
+    _patterns, sites = np.unique(owners >> 32, return_counts=True)
     return SecondLevelInterference(
         history_bits=history_bits,
-        entries_used=len(owners),
-        entries_shared=shared,
+        entries_used=int(sites.shape[0]),
+        entries_shared=int(np.count_nonzero(sites > 1)),
         updates=updates,
         cross_branch_updates=cross,
         destructive_updates=destructive,
@@ -191,21 +182,29 @@ def bht_pressure(
     associativity: int = 4,
     block_size: Optional[int] = None,
 ) -> BHTPressure:
-    """Replay the trace's conditional PCs through a BHT cache."""
+    """Replay the trace's conditional PCs through a BHT cache (the
+    kernels' layout: ``ep_new`` marks misses, ``evict`` evictions)."""
     bht = CacheBHT(num_entries, associativity)
-    distinct = set()
-    for pc, _taken, cls, _target, _instret, _trap in iter_source_tuples(trace, block_size):
-        if cls != BranchClass.CONDITIONAL:
-            continue
-        distinct.add(pc)
-        bht.access(pc)
+
+    def kernel(run, carry):
+        slots, known, misses, evictions = carry or (None, None, 0, 0)
+        layout = _pa_layout(run, bht, slots)
+        _ids, known = _site_ids(run, known)
+        misses += int(np.count_nonzero(layout.ep_new))
+        evictions += int(np.count_nonzero(layout.evict))
+        if not run.final:
+            slots = _slot_carry(run, layout, slots)
+        return (misses, evictions, known.keys.shape[0]), (slots, known, misses, evictions)
+
+    accesses, tally = _source_tallies(kernel, trace, block_size)
+    misses, evictions, distinct = tally or (0, 0, 0)
     return BHTPressure(
         num_entries=num_entries,
         associativity=associativity,
-        accesses=bht.stats.accesses,
-        hits=bht.stats.hits,
-        evictions=bht.stats.evictions,
-        distinct_branches=len(distinct),
+        accesses=accesses,
+        hits=accesses - misses,
+        evictions=evictions,
+        distinct_branches=distinct,
     )
 
 

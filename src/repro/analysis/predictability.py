@@ -41,9 +41,9 @@ from the paper's all-ones register initialisation (kept by
 would pollute the transient contexts and break the closed forms.
 
 Two backends produce the *same integer count tables* — a pure-python
-dict loop and a vectorized NumPy path (shift-or packed history keys,
-``np.unique`` reduction over packed ``(site, history, outcome)``
-keys, in the style of :mod:`repro.sim.kernels`) — so every derived
+dict loop and a vectorized NumPy path (the static oracles' context
+tally, :func:`repro.analysis.bounds._context_counts`, over the
+kernels' first-level registers filled with zeros) — so every derived
 float, and therefore the whole :class:`CharacterizationReport`, is
 bit-identical between them by construction. The report serialises
 under schema :data:`CHAR_SCHEMA` with an exact ``to_dict`` /
@@ -64,6 +64,7 @@ from ..core.history import history_mask
 from ..predictors.base import BranchPredictor
 from ..trace.events import BranchClass, Trace
 from ..trace.stream import TraceSource, iter_source_tuples
+from .bounds import _context_counts
 from .breakdown import MispredictionBreakdown, _replay
 from .interference import bht_pressure, first_level_interference, second_level_interference
 
@@ -212,185 +213,32 @@ def _python_counts(
     )
 
 
-def _compact_packed(chunks: List[Tuple[Any, Any]]) -> Tuple[Any, Any]:
-    """Merge ``(keys, counts)`` chunks into one sorted unique pair."""
-    keys = np.concatenate([chunk[0] for chunk in chunks])
-    counts = np.concatenate([chunk[1] for chunk in chunks])
-    if keys.size == 0:
-        return keys, counts
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    counts = counts[order]
-    fresh = np.concatenate(([True], keys[1:] != keys[:-1]))
-    return keys[fresh], np.add.reduceat(counts, np.flatnonzero(fresh))
-
-
-#: Compact the packed-key accumulator whenever it holds more than this
-#: many entries; bounds the accumulator to O(sites * 2**max_k) between
-#: compactions instead of O(trace length).
-_COMPACT_THRESHOLD = 1 << 21
-
-
 def _vectorized_counts(
     source: TraceSource, max_k: int, block_size: Optional[int]
 ) -> PredictabilityCounts:
-    """NumPy estimator: shift-or history keys + packed-key reduction."""
-    mask = history_mask(max_k)
-    shift = np.uint64(max_k + 1)
-    one = np.uint64(1)
-    umask = np.uint64(mask)
+    """NumPy estimator: :func:`repro.analysis.bounds._context_counts` on
+    zero-filled, warmup-skipped registers."""
+    conditional, sites, known = _context_counts(source, 0, block_size=block_size)
+    if not conditional:
+        return PredictabilityCounts(max_k, 0, {}, {}, {}, {})
+    pcs = known.keys[np.argsort(known.cols["id"])]
 
-    site_index: Dict[int, int] = {}
-    exec_arr = np.zeros(0, dtype=np.int64)
-    taken_arr = np.zeros(0, dtype=np.int64)
-    local_regs = np.zeros(0, dtype=np.uint64)
-    local_occ = np.zeros(0, dtype=np.int64)
-    global_reg = 0
-    seen = 0
-    global_chunks: List[Tuple[Any, Any]] = []
-    local_chunks: List[Tuple[Any, Any]] = []
-    pending = 0
+    def table(per_address: bool) -> Dict[Tuple[int, int], Tuple[int, int]]:
+        _records, counts, _known = _context_counts(
+            source, max_k, per_address, fill=0, skip=True, block_size=block_size)
+        taken = counts.cols["taken"]
+        registers = counts.keys & history_mask(max_k)
+        contexts = zip(pcs[counts.keys >> max_k].tolist(), registers.tolist())
+        return dict(zip(contexts, zip((counts.cols["total"] - taken).tolist(), taken.tolist())))
 
-    def grow(new_size: int) -> None:
-        nonlocal exec_arr, taken_arr, local_regs, local_occ
-        old = exec_arr.size
-        if new_size <= old:
-            return
-        exec_arr = np.concatenate((exec_arr, np.zeros(new_size - old, np.int64)))
-        taken_arr = np.concatenate((taken_arr, np.zeros(new_size - old, np.int64)))
-        local_regs = np.concatenate((local_regs, np.zeros(new_size - old, np.uint64)))
-        local_occ = np.concatenate((local_occ, np.zeros(new_size - old, np.int64)))
-
-    for block in source.iter_blocks(block_size) if block_size else source.iter_blocks():
-        arrays = block.as_arrays()
-        cond = arrays.cond_mask
-        pcs = arrays.pc[cond]
-        n = int(pcs.size)
-        if n == 0:
-            continue
-        out = arrays.taken[cond].astype(np.uint64)
-
-        uniq, inverse = np.unique(pcs, return_inverse=True)
-        lut = np.empty(uniq.size, dtype=np.int64)
-        for position, pc in enumerate(uniq.tolist()):
-            sid = site_index.get(pc)
-            if sid is None:
-                sid = len(site_index)
-                site_index[pc] = sid
-            lut[position] = sid
-        grow(len(site_index))
-        ids = lut[inverse]
-
-        exec_arr += np.bincount(ids, minlength=exec_arr.size)
-        taken_arr += np.bincount(ids[out.astype(np.bool_)], minlength=taken_arr.size)
-
-        # Global history keys: K carry bits + this block's outcomes,
-        # shift-or'd so key bit j-1 is the outcome j branches back.
-        ext_global = np.empty(n + max_k, dtype=np.uint64)
-        for j in range(max_k):
-            ext_global[max_k - 1 - j] = (global_reg >> j) & 1
-        ext_global[max_k:] = out
-        base = np.arange(max_k, max_k + n)
-        global_keys = np.zeros(n, dtype=np.uint64)
-        for j in range(1, max_k + 1):
-            global_keys |= ext_global[base - j] << np.uint64(j - 1)
-        global_valid = (seen + np.arange(n)) >= max_k
-        global_reg = 0
-        for j in range(max_k):
-            global_reg |= int(ext_global[n + max_k - 1 - j]) << j
-        seen += n
-
-        # Local history keys: group records by site (stable sort), lay
-        # each group out with its K carry bits ahead of it, shift-or.
-        order = np.argsort(ids, kind="stable")
-        grouped_ids = ids[order]
-        grouped_out = out[order]
-        boundaries = np.flatnonzero(np.diff(grouped_ids)) + 1
-        starts = np.concatenate(([0], boundaries))
-        sizes = np.diff(np.concatenate((starts, [n])))
-        group_sites = grouped_ids[starts]
-        groups = starts.size
-        group_of = np.repeat(np.arange(groups), sizes)
-        positions = np.arange(n) + max_k * (group_of + 1)
-        ext_local = np.zeros(n + max_k * groups, dtype=np.uint64)
-        ext_local[positions] = grouped_out
-        offsets = starts + max_k * np.arange(groups)
-        carry = local_regs[group_sites]
-        for j in range(max_k):
-            ext_local[offsets + (max_k - 1 - j)] = (carry >> np.uint64(j)) & one
-        local_keys = np.zeros(n, dtype=np.uint64)
-        for j in range(1, max_k + 1):
-            local_keys |= ext_local[positions - j] << np.uint64(j - 1)
-        prior = local_occ[group_sites]
-        within = np.arange(n) - np.repeat(starts, sizes)
-        local_valid = (np.repeat(prior, sizes) + within) >= max_k
-        ends = starts + sizes
-        local_regs[group_sites] = (
-            (local_keys[ends - 1] << one) | grouped_out[ends - 1]
-        ) & umask
-        local_occ[group_sites] = prior + sizes
-
-        packed_global = (
-            (ids.astype(np.uint64) << shift) | (global_keys << one) | out
-        )
-        packed_local = (
-            (grouped_ids.astype(np.uint64) << shift) | (local_keys << one) | grouped_out
-        )
-        for chunks, packed, valid in (
-            (global_chunks, packed_global, global_valid),
-            (local_chunks, packed_local, local_valid),
-        ):
-            keys, counts = np.unique(packed[valid], return_counts=True)
-            chunks.append((keys, counts))
-            pending += keys.size
-        if pending > _COMPACT_THRESHOLD:
-            global_chunks[:] = [_compact_packed(global_chunks)]
-            local_chunks[:] = [_compact_packed(local_chunks)]
-            pending = global_chunks[0][0].size + local_chunks[0][0].size
-
-    pc_of_id = np.empty(max(len(site_index), 1), dtype=np.int64)
-    for pc, sid in site_index.items():
-        pc_of_id[sid] = pc
-
-    def to_table(chunks: List[Tuple[Any, Any]]) -> Dict[Tuple[int, int], Tuple[int, int]]:
-        if not chunks:
-            return {}
-        keys, counts = _compact_packed(chunks)
-        if keys.size == 0:
-            return {}
-        # keys are sorted and unique; dropping the outcome bit yields the
-        # context id (site << K | hist), so the two outcome rows of one
-        # context are adjacent and scatter into (n0, n1) without a loop.
-        ctx = keys >> one
-        fresh = np.concatenate(([True], ctx[1:] != ctx[:-1]))
-        ctx_idx = np.cumsum(fresh) - 1
-        n_ctx = int(ctx_idx[-1]) + 1
-        n0 = np.zeros(n_ctx, dtype=np.int64)
-        n1 = np.zeros(n_ctx, dtype=np.int64)
-        taken_rows = (keys & one).astype(np.bool_)
-        n0[ctx_idx[~taken_rows]] = counts[~taken_rows]
-        n1[ctx_idx[taken_rows]] = counts[taken_rows]
-        uniq_ctx = ctx[fresh]
-        sids = (uniq_ctx >> np.uint64(max_k)).astype(np.int64)
-        hists = (uniq_ctx & umask).astype(np.int64)
-        return dict(zip(
-            zip(pc_of_id[sids].tolist(), hists.tolist()),
-            zip(n0.tolist(), n1.tolist()),
-        ))
-
-    executions = {
-        int(pc_of_id[sid]): int(exec_arr[sid]) for pc, sid in site_index.items()
-    }
-    taken_counts = {
-        int(pc_of_id[sid]): int(taken_arr[sid]) for pc, sid in site_index.items()
-    }
+    site_pcs = pcs[sites.keys].tolist()
     return PredictabilityCounts(
         max_k=max_k,
-        conditional=seen,
-        executions=executions,
-        taken=taken_counts,
-        global_counts=to_table(global_chunks),
-        local_counts=to_table(local_chunks),
+        conditional=conditional,
+        executions=dict(zip(site_pcs, sites.cols["total"].tolist())),
+        taken=dict(zip(site_pcs, sites.cols["taken"].tolist())),
+        global_counts=table(per_address=False),
+        local_counts=table(per_address=True),
     )
 
 

@@ -4,7 +4,7 @@ The subsystem splits into four layers, each usable on its own:
 
 * :mod:`repro.obs.probes` — the :class:`Probe` callback surface the
   engine invokes, and :class:`ProbeSet` for composing observers. The
-  engine takes a separate zero-overhead path when no probe is attached,
+  engine's one interpreted loop guards each callback with ``if probing:``,
   and probes can never change a result (they only observe; the
   ``repro.check`` lints enforce it statically, the equivalence tests
   dynamically).

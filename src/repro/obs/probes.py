@@ -26,8 +26,8 @@ fixed points of the replay loop:
 Probes are pure observers: the contract — enforced statically by the
 ``repro.check`` purity/determinism lints, and dynamically by the
 equivalence tests — is that attaching any probe leaves the simulation
-result bit-identical to a probe-free run. When no probe is attached the
-engine takes a separate loop with zero per-record overhead.
+result bit-identical to a probe-free run. Both run the engine's one
+interpreted loop, whose callbacks sit behind local ``if probing:`` guards.
 
 Multiple probes compose through :class:`ProbeSet`, which fans every
 callback out to its members and reconciles their interval windows.

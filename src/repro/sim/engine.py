@@ -414,22 +414,13 @@ def _replay_mispredictions(
     Raises:
         ValueError: for an unbounded source or a block size < 1.
     """
-    if block_size is not None and block_size < 1:
-        raise ValueError("block_size must be >= 1")
-    if getattr(source, "num_records", 0) is None:
-        raise ValueError(
-            "cannot replay an unbounded trace source; bound it with .limit(n)"
-        )
-    from .kernels import _DEFAULT_STREAM_BLOCK, KernelUnavailable, _kernel_blocks
+    from .kernels import KernelUnavailable, _kernel_blocks, _predictor_kernel, _source_blocks
 
-    if block_size is None and isinstance(source, Trace):
-        blocks, final = (source,), True
-    else:
-        blocks, final = source.iter_blocks(block_size or _DEFAULT_STREAM_BLOCK), False
-    # Per-site tracking keeps every kernel returning miss indices.
-    runs = _kernel_blocks(predictor, blocks, context_switches, track_per_site=True,
-                          warmup_branches=0, final=final)
+    blocks, final = _source_blocks(source, block_size)
     try:
+        # Per-site tracking keeps every kernel returning miss indices.
+        runs = _kernel_blocks(_predictor_kernel(predictor), blocks, context_switches,
+                              track_per_site=True, warmup_branches=0, final=final)
         return fold((run.pc_c, run.out_bool, run.seg_c, wrong)
                     for run, wrong in runs if run.n_c)
     except KernelUnavailable as exc:

@@ -93,7 +93,9 @@ outcome. :func:`_fold` counts the indices at or past the warmup, and
 the per-site dictionaries are ``bincount`` s of the site ids of every
 scored record (executions) and of the scored indices (mispredictions).
 The miss analyses of :mod:`repro.analysis` read the same generator's
-indices through :func:`repro.sim.engine._replay_mispredictions`.
+indices through :func:`repro.sim.engine._replay_mispredictions`; its
+interference and bound tallies fold their own kernels over it
+(:func:`_source_tallies`).
 
 The per-trace memo: first-level layouts and kernel inputs
 ---------------------------------------------------------
@@ -916,11 +918,10 @@ def _kernel_gselect(predictor: GselectPredictor):
 def _site_ids(run: _Run, known: Optional[_Keyed]):
     """``(ids, known)``: a stable id per conditional record's pc. Ids
     are dense in first-seen block order, so they survive across blocks
-    in the carried pc -> id map."""
+    in the carried pc -> id map ``known``."""
     sites, ids = run.arrays.conditional_site_ids()
     if known is None:
-        fresh = None if run.final else _Keyed(sites.astype(np.int64), id=np.arange(sites.shape[0]))
-        return ids, fresh
+        return ids, _Keyed(sites.astype(np.int64), id=np.arange(sites.shape[0]))
     stable = known.get(sites, "id")
     new = stable < 0
     stable[new] = known.keys.shape[0] + np.arange(int(np.count_nonzero(new)))
@@ -1545,7 +1546,8 @@ def _slot_carry(run: _Run, layout: _Layout, carry: Optional[_Keyed], **cols) -> 
     return slots
 
 
-def _pa_patterns(run: _Run, layout: _Layout, k: int, carry: Optional[_Keyed]) -> np.ndarray:
+def _pa_patterns(run: _Run, layout: _Layout, k: int, carry: Optional[_Keyed],
+                 fill=None) -> np.ndarray:
     """Per-address history-register contents before each record.
 
     The register fills with the episode's first outcome on the first
@@ -1553,17 +1555,19 @@ def _pa_patterns(run: _Run, layout: _Layout, k: int, carry: Optional[_Keyed]) ->
     holds the last ``min(m, k)`` episode outcomes extended with the
     first outcome, which is bit ``m - 1`` of the outcome window; before
     occurrence 0 the predictors read the all-ones pattern a miss would
-    be allocated with. A head continuing a carried entry resumes its
-    carried register instead. A whole-trace run reads the window of its
-    memoized layout from the trace's memo.
+    be allocated with (a scalar ``fill``: a register that starts all
+    ``fill`` and only shifts). A head continuing a carried entry resumes
+    its carried register instead. A whole-trace run reads the window of
+    its memoized layout from the trace's memo.
     """
     mask = (1 << k) - 1
     if run.memo is None:
         window = _outcome_window(layout.out_s, k)
     else:
         window = run.memo.window(layout, layout.out_s)
-    patterns = _fill_extended(window, layout.m, None, k)
-    patterns[layout.m == 0] = mask
+    patterns = _fill_extended(window, layout.m, fill, k)
+    if fill is None:
+        patterns[layout.m == 0] = mask
     if carry is not None:
         heads = layout.heads[layout.cont]
         regs = carry.get(layout.hkey[layout.cont], "reg")
@@ -1571,15 +1575,26 @@ def _pa_patterns(run: _Run, layout: _Layout, k: int, carry: Optional[_Keyed]) ->
     return patterns
 
 
-def _pa_registers_out(layout: _Layout, patterns_s: np.ndarray, k: int) -> np.ndarray:
+def _pa_registers_out(layout: _Layout, patterns_s: np.ndarray, k: int, fill=None) -> np.ndarray:
     """Each slot's register after its last update in the block: the
     pre-update pattern shifted once — unless that update allocated the
-    entry, which fills with the outcome bit instead (``history_fill``)."""
+    entry under outcome extension (no ``fill``): ``history_fill``."""
     mask = (1 << k) - 1
     lasts = layout.lasts
     out = layout.out_s[lasts].astype(np.int64)
     shifted = ((patterns_s[lasts].astype(np.int64) << 1) | out) & mask
-    return np.where(layout.ep_new[lasts], out * mask, shifted)
+    return shifted if fill is not None else np.where(layout.ep_new[lasts], out * mask, shifted)
+
+
+def _pa_history(run: _Run, bht, k: int, slots: Optional[_Keyed], fill=None):
+    """``(layout, patterns_s, slots)``: the slot layout, its registers
+    (:func:`_pa_patterns`) and the slots carried out (kept if final)."""
+    layout = _pa_layout(run, bht, slots)
+    patterns_s = _pa_patterns(run, layout, k, slots, fill)
+    if not run.final:
+        slots = _slot_carry(run, layout, slots,
+                            reg=_pa_registers_out(layout, patterns_s, k, fill))
+    return layout, patterns_s, slots
 
 
 def _kernel_pag(predictor: PAgPredictor):
@@ -1589,14 +1604,10 @@ def _kernel_pag(predictor: PAgPredictor):
 
     def kernel(run: _Run, carry):
         slots, store = carry or (None, None)
-        layout = _pa_layout(run, bht, slots)
-        patterns_s = _pa_patterns(run, layout, k, slots)
+        layout, patterns_s, slots = _pa_history(run, bht, k, slots)
         result, store = _scan_keys(run, ops, patterns_s, store, out=layout.out_s,
                                    base=layout.order)
-        if run.final:
-            return result, None
-        return result, (_slot_carry(run, layout, slots,
-                                    reg=_pa_registers_out(layout, patterns_s, k)), store)
+        return result, (slots, store)
 
     return kernel
 
@@ -1607,13 +1618,8 @@ def _kernel_psg(predictor: PSgPredictor):
     bht = predictor.bht
 
     def kernel(run: _Run, slots):
-        layout = _pa_layout(run, bht, slots)
-        patterns_s = _pa_patterns(run, layout, k, slots)
-        wrong = layout.order[bits[patterns_s] != layout.out_s.view(np.bool_)]
-        if run.final:
-            return wrong, None
-        return wrong, _slot_carry(run, layout, slots,
-                                  reg=_pa_registers_out(layout, patterns_s, k))
+        layout, patterns_s, slots = _pa_history(run, bht, k, slots)
+        return layout.order[bits[patterns_s] != layout.out_s.view(np.bool_)], slots
 
     return kernel
 
@@ -1960,26 +1966,30 @@ def kernel_supports(predictor) -> bool:
     return _kernel_for(predictor) is not None
 
 
-def _kernel_blocks(predictor, blocks, context_switches: Optional[ContextSwitchConfig],
-                   track_per_site: bool, warmup_branches: int, final: bool):
-    """Fold ``predictor``'s kernel over ``blocks``, threading its carry,
-    the warmup budget and the absolute context-switch epochs.
-
-    Yields ``(run, outcome)`` for every non-empty block: ``outcome`` is
-    the kernel's (see :func:`_kernel_for`), or None for a block with no
-    conditional record. With ``track_per_site`` it is always the
-    block-local indices of the mispredicted conditional records.
-
-    Raises:
-        KernelUnavailable: when no kernel covers the predictor, or a
-            block breaks a kernel precondition; possibly after earlier
-            blocks were yielded.
-    """
+def _predictor_kernel(predictor):
+    """:func:`_kernel_for`, raising :class:`KernelUnavailable` for None."""
     kernel = _kernel_for(predictor)
     if kernel is None:
         raise KernelUnavailable(
             f"no vectorized kernel for {getattr(predictor, 'name', type(predictor).__name__)}"
         )
+    return kernel
+
+
+def _kernel_blocks(kernel, blocks, context_switches: Optional[ContextSwitchConfig],
+                   track_per_site: bool, warmup_branches: int, final: bool):
+    """Fold ``kernel`` (see :func:`_kernel_for`) over ``blocks``,
+    threading its carry, the warmup budget and the absolute context-switch epochs.
+
+    Yields ``(run, outcome)`` for every non-empty block: ``outcome`` is
+    the kernel's, or None for a block with no conditional record. With
+    ``track_per_site`` a predictor's is always the block-local indices
+    of the mispredicted conditional records.
+
+    Raises:
+        KernelUnavailable: when a block breaks a kernel precondition;
+            possibly after earlier blocks were yielded.
+    """
     warmup = max(int(warmup_branches), 0)
     cond_seen = 0
     prev_epoch: Optional[int] = None
@@ -2029,8 +2039,8 @@ def _fold(predictor, blocks, meta, context_switches: Optional[ContextSwitchConfi
     switches = 0
     per_seen: Optional[Dict[int, int]] = {} if track else None
     per_wrong: Optional[Dict[int, int]] = {} if track else None
-    for run, outcome in _kernel_blocks(predictor, blocks, context_switches, track,
-                                       warmup, final):
+    for run, outcome in _kernel_blocks(_predictor_kernel(predictor), blocks,
+                                       context_switches, track, warmup, final):
         switches += run.switches
         cond_seen += run.n_c
         if outcome is None:
@@ -2054,6 +2064,36 @@ def _fold(predictor, blocks, meta, context_switches: Optional[ContextSwitchConfi
         per_site_mispredictions=per_wrong,
         total_instructions=meta.total_instructions,
     )
+
+
+def _source_blocks(source, block_size: Optional[int]):
+    """``(blocks, final)``: a whole :class:`Trace` without ``block_size``
+    is one final block, else ``iter_blocks``; ValueError if unbounded."""
+    if block_size is not None and block_size < 1:
+        raise ValueError("block_size must be >= 1")
+    if getattr(source, "num_records", 0) is None:
+        raise ValueError("cannot replay an unbounded trace source; bound it with .limit(n)")
+    if block_size is None and isinstance(source, Trace):
+        return (source,), True
+    return source.iter_blocks(block_size or _DEFAULT_STREAM_BLOCK), False
+
+
+def _source_tallies(kernel, source, block_size: Optional[int]):
+    """``(records, tally)``: conditional records and last outcome (a running
+    total, None without records) of ``kernel`` folded without context switches."""
+    blocks, final = _source_blocks(source, block_size)
+    records, tally = 0, None
+    for run, outcome in _kernel_blocks(kernel, blocks, None, False, 0, final):
+        records += run.n_c
+        tally = tally if outcome is None else outcome
+    return records, tally
+
+
+def _history_bits(history_bits: int) -> int:
+    """``history_bits``, or ValueError outside 1..``_MAX_HISTORY_BITS``."""
+    if not 1 <= history_bits <= _MAX_HISTORY_BITS:
+        raise ValueError(f"history_bits={history_bits} outside the kernels' 1..{_MAX_HISTORY_BITS}")
+    return history_bits
 
 
 def _add_counts(total: Dict[int, int], part: Dict[int, int]) -> None:
@@ -2159,21 +2199,14 @@ def simulate_vectorized_stream(
             context switches enabled.
         ValueError: for an unbounded source or a block size < 1.
     """
-    if block_size is None:
-        block_size = _DEFAULT_STREAM_BLOCK
-    if block_size < 1:
-        raise ValueError("block_size must be >= 1")
-    if getattr(source, "num_records", 0) is None:
-        raise ValueError(
-            "cannot simulate an unbounded source; bound it with .limit(n)"
-        )
+    blocks, _final = _source_blocks(
+        source, _DEFAULT_STREAM_BLOCK if block_size is None else block_size)
     # Span tracing of the streamed block loop: deferred import, None
     # unless tracing is on — the traced iterator wrapper only exists on
     # the traced path, so the default loop is byte-for-byte unchanged.
     from ..obs.spans import get_recorder as _get_span_recorder
 
     recorder = _get_span_recorder()
-    blocks = source.iter_blocks(block_size)
     if recorder is not None:
         blocks = _traced_blocks(blocks, recorder)
     return _fold(predictor, blocks, source.meta, context_switches,

@@ -80,21 +80,27 @@ class SpeculativeTwoLevel(BranchPredictor):
         self.speculative_updates = 0
         self.recoveries = 0
         self._last: Optional[Tuple[int, Tuple[int, bool, bool]]] = None
+        # Chosen once: the accessors run on every predict and resolve.
+        if isinstance(inner, GAgPredictor):
+            self._read_history, self._write_history = self._read_ghr, self._write_ghr
+        if isinstance(inner, PApPredictor):
+            self._pattern_table = self._slot_table
 
     # ------------------------------------------------------------------
     # First-level plumbing over the three variants
     # ------------------------------------------------------------------
     def _read_history(self, pc: int) -> Tuple[int, bool]:
         """(history value, fresh) for the branch, allocating on miss."""
-        if isinstance(self.inner, GAgPredictor):
-            return self.inner.ghr, False
         entry = self.inner._access_entry(pc)
         return entry.value, entry.fresh
 
+    def _read_ghr(self, pc: int) -> Tuple[int, bool]:
+        return self.inner.ghr, False
+
+    def _write_ghr(self, pc: int, value: int, fresh: bool) -> None:
+        self.inner.ghr = value & self._mask
+
     def _write_history(self, pc: int, value: int, fresh: bool) -> None:
-        if isinstance(self.inner, GAgPredictor):
-            self.inner.ghr = value & self._mask
-            return
         entry = self.inner.bht.peek(pc)
         if entry is None:
             entry = self.inner._access_entry(pc)
@@ -102,12 +108,13 @@ class SpeculativeTwoLevel(BranchPredictor):
         entry.fresh = fresh
 
     def _pattern_table(self, pc: int):
-        if isinstance(self.inner, PApPredictor):
-            entry = self.inner.bht.peek(pc)
-            if entry is None:
-                entry = self.inner._access_entry(pc)
-            return self.inner.bank.table_for(entry.slot)
         return self.inner.pht
+
+    def _slot_table(self, pc: int):
+        entry = self.inner.bht.peek(pc)
+        if entry is None:
+            entry = self.inner._access_entry(pc)
+        return self.inner.bank.table_for(entry.slot)
 
     # ------------------------------------------------------------------
     # Protocol

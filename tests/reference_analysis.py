@@ -5,9 +5,17 @@
 :mod:`repro.analysis.predictability`) each replayed the predictor
 through a private interpreted loop with its own context-switch cadence.
 They are kept verbatim as the oracle for ``tests/test_analysis_oracle.py``.
+
+``first_level_interference``, ``second_level_interference`` and
+``bht_pressure`` (from :mod:`repro.analysis.interference`) and
+``bias_bound`` and ``history_bound`` (from :mod:`repro.analysis.bounds`)
+re-simulated the first level (global and per-address registers, the LRU
+``CacheBHT``) in per-record dict loops. They are kept verbatim as the
+oracle for ``tests/test_interference_oracle.py``.
 """
 
-from typing import Any, Dict, List, Optional
+from collections import defaultdict
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.analysis.breakdown import (
     _COLD_OCCURRENCES,
@@ -15,10 +23,16 @@ from repro.analysis.breakdown import (
     MispredictionBreakdown,
     SiteReport,
 )
+from repro.analysis.interference import (
+    BHTPressure,
+    FirstLevelInterference,
+    SecondLevelInterference,
+)
 from repro.analysis.predictability import SchemeAttribution
+from repro.core.history import CacheBHT, history_mask
 from repro.predictors.base import BranchPredictor
 from repro.sim.engine import ContextSwitchConfig
-from repro.trace.events import BranchClass
+from repro.trace.events import BranchClass, Trace
 from repro.trace.stream import TraceSource, iter_source_tuples
 
 _COND = int(BranchClass.CONDITIONAL)
@@ -221,3 +235,150 @@ def attribute_scheme(
         site_correct=site_correct,
         site_executions=dict(occurrences),
     )
+
+
+def first_level_interference(
+    trace: TraceSource,
+    history_bits: int,
+    block_size: Optional[int] = None,
+) -> FirstLevelInterference:
+    """Compare the global history register against private ones.
+
+    Both registers follow the paper's initialisation (all ones, then
+    outcome extension for the private registers on first update).
+    """
+    mask = history_mask(history_bits)
+    global_history = mask
+    private: Dict[int, int] = {}
+    seen: Dict[int, bool] = {}
+    polluted = 0
+    total = 0
+    for pc, taken, cls, _target, _instret, _trap in iter_source_tuples(trace, block_size):
+        if cls != BranchClass.CONDITIONAL:
+            continue
+        total += 1
+        private_history = private.get(pc, mask)
+        if private_history != global_history:
+            polluted += 1
+        global_history = ((global_history << 1) | (1 if taken else 0)) & mask
+        if pc not in seen:
+            private[pc] = mask if taken else 0  # outcome extension
+            seen[pc] = True
+        else:
+            private[pc] = ((private[pc] << 1) | (1 if taken else 0)) & mask
+    return FirstLevelInterference(
+        history_bits=history_bits,
+        conditional_branches=total,
+        polluted_lookups=polluted,
+    )
+
+
+def second_level_interference(
+    trace: TraceSource,
+    history_bits: int,
+    block_size: Optional[int] = None,
+) -> SecondLevelInterference:
+    """Measure pattern-table aliasing under PAg first-level history."""
+    mask = history_mask(history_bits)
+    private: Dict[int, int] = {}
+    fresh: Dict[int, bool] = {}
+    owners: Dict[int, set] = defaultdict(set)
+    last_writer: Dict[int, int] = {}
+    last_outcome: Dict[int, bool] = {}
+    updates = 0
+    cross = 0
+    destructive = 0
+    for pc, taken, cls, _target, _instret, _trap in iter_source_tuples(trace, block_size):
+        if cls != BranchClass.CONDITIONAL:
+            continue
+        pattern = private.get(pc, mask)
+        updates += 1
+        owners[pattern].add(pc)
+        previous_writer = last_writer.get(pattern)
+        if previous_writer is not None and previous_writer != pc:
+            cross += 1
+            if last_outcome[pattern] != taken:
+                destructive += 1
+        last_writer[pattern] = pc
+        last_outcome[pattern] = taken
+        if pc not in fresh:
+            private[pc] = mask if taken else 0
+            fresh[pc] = True
+        else:
+            private[pc] = ((private[pc] << 1) | (1 if taken else 0)) & mask
+    shared = sum(1 for pcs in owners.values() if len(pcs) > 1)
+    return SecondLevelInterference(
+        history_bits=history_bits,
+        entries_used=len(owners),
+        entries_shared=shared,
+        updates=updates,
+        cross_branch_updates=cross,
+        destructive_updates=destructive,
+    )
+
+
+def bht_pressure(
+    trace: TraceSource,
+    num_entries: int = 512,
+    associativity: int = 4,
+    block_size: Optional[int] = None,
+) -> BHTPressure:
+    """Replay the trace's conditional PCs through a BHT cache."""
+    bht = CacheBHT(num_entries, associativity)
+    distinct = set()
+    for pc, _taken, cls, _target, _instret, _trap in iter_source_tuples(trace, block_size):
+        if cls != BranchClass.CONDITIONAL:
+            continue
+        distinct.add(pc)
+        bht.access(pc)
+    return BHTPressure(
+        num_entries=num_entries,
+        associativity=associativity,
+        accesses=bht.stats.accesses,
+        hits=bht.stats.hits,
+        evictions=bht.stats.evictions,
+        distinct_branches=len(distinct),
+    )
+
+
+def bias_bound(trace: Trace) -> float:
+    """Accuracy of the static per-branch majority-direction oracle."""
+    taken: Dict[int, int] = defaultdict(int)
+    total: Dict[int, int] = defaultdict(int)
+    for pc, was_taken, cls, _t, _i, _tr in trace.iter_tuples():
+        if cls != BranchClass.CONDITIONAL:
+            continue
+        total[pc] += 1
+        if was_taken:
+            taken[pc] += 1
+    correct = sum(max(taken[pc], total[pc] - taken[pc]) for pc in total)
+    denominator = sum(total.values())
+    return correct / denominator if denominator else 0.0
+
+
+def history_bound(trace: Trace, history_bits: int, per_address: bool = True) -> float:
+    """Accuracy of the static majority oracle per (branch, k-history)
+    context — the ceiling for fixed mappings, beatable by adaptive ones
+    on phase-changing behaviour.
+
+    Args:
+        per_address: contexts keyed by the branch's own history (the
+            PAg/PAp ceiling); False keys by global history (GAg ceiling).
+    """
+    mask = history_mask(history_bits)
+    counts: Dict[Tuple[int, int], list] = defaultdict(lambda: [0, 0])
+    histories: Dict[int, int] = {}
+    global_history = mask
+    for pc, taken, cls, _t, _i, _tr in trace.iter_tuples():
+        if cls != BranchClass.CONDITIONAL:
+            continue
+        if per_address:
+            history = histories.get(pc, mask)
+            counts[(pc, history)][1 if taken else 0] += 1
+            histories[pc] = ((history << 1) | (1 if taken else 0)) & mask
+        else:
+            counts[(pc, global_history)][1 if taken else 0] += 1
+            global_history = ((global_history << 1) | (1 if taken else 0)) & mask
+    correct = sum(max(not_taken, taken) for not_taken, taken in counts.values())
+    denominator = sum(a + b for a, b in counts.values())
+    return correct / denominator if denominator else 0.0

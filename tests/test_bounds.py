@@ -3,6 +3,11 @@
 import pytest
 
 from repro.analysis.bounds import bias_bound, history_bound, predictability_bounds
+from repro.analysis.interference import (
+    SecondLevelInterference,
+    first_level_interference,
+    second_level_interference,
+)
 from repro.core.twolevel import make_pag
 from repro.predictors.btb import btb_a2
 from repro.predictors.static import ProfileGuided
@@ -108,3 +113,50 @@ class TestPredictabilityBounds:
         # A trip-5 loop: bias gets 4/5, history gets ~all of it.
         assert bounds.bias_bound == pytest.approx(0.8)
         assert bounds.history_bound > 0.99
+
+
+class TestRegisterConventions:
+    """The bound and the interference passes read different per-address
+    registers on purpose. Both start all ones; ``history_bound`` then
+    only shifts, while the interference passes use PAg's outcome
+    extension (the first update fills the register with its outcome).
+    One hand-built trace at k=2 tells the two apart:
+
+    ====  ======  =============  ==================  ======
+    rec   branch  shift-only     outcome extension   global
+    ====  ======  =============  ==================  ======
+    0     A  N    11             11                  11
+    1     A  N    10             00                  10
+    2     A  T    00             00                  00
+    3     B  N    11             11                  01
+    4     B  N    10             00                  10
+    ====  ======  =============  ==================  ======
+    """
+
+    @pytest.fixture
+    def trace(self):
+        builder = TraceBuilder()
+        for pc, taken in ((0xA, False), (0xA, False), (0xA, True), (0xB, False),
+                          (0xB, False)):
+            builder.conditional(pc, taken)
+        return builder.build()
+
+    def test_history_bound_only_shifts(self, trace):
+        # Shift-only: five distinct (branch, register) contexts, all
+        # right. Outcome extension would put A's records 1 and 2 in one
+        # (A, 00) context with one N and one T: 4/5.
+        assert history_bound(trace, 2) == 1.0
+
+    def test_first_level_interference_extends_the_outcome(self, trace):
+        # Extension: records 1, 3 and 4 differ from the global register.
+        # Shift-only registers would differ only at record 3.
+        assert first_level_interference(trace, 2).polluted_lookups == 3
+
+    def test_second_level_interference_extends_the_outcome(self, trace):
+        # Extension: B's records write 11 (after A's N) and 00 (after
+        # A's T: destructive), in two shared entries. Shift-only would
+        # use three entries, 10 after A's N: no destructive update.
+        assert second_level_interference(trace, 2) == SecondLevelInterference(
+            history_bits=2, entries_used=2, entries_shared=2, updates=5,
+            cross_branch_updates=2, destructive_updates=1,
+        )
