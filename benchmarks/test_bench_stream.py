@@ -5,10 +5,12 @@ trace substrate (``repro.trace.stream``, see docs/traces.md): driving
 the vectorized backend block-by-block from an mmap-backed ``.btrs``
 container at the default block size (2^16 records) must stay within
 ``MAX_OVERHEAD`` of simulating the fully materialized in-memory trace
-in a single kernel pass, while remaining **bit-identical**. (In
-practice the container is *faster* — blocks arrive as zero-copy NumPy
-views of the mapped file, skipping the list->ndarray conversion the
-in-memory path pays.) The measured overheads land in
+in a single kernel pass, while remaining **bit-identical**. The
+streamed pass pays what the one-shot pass does not: each block's six
+columns are decoded out of the packed records into fresh arrays (not
+views of the mapped file), and each block carries its state into the
+next. The one-shot pass starts from the trace's stored arrays, with no
+list->ndarray conversion. The measured overheads land in
 ``benchmark.extra_info`` and, through the session hook in
 ``conftest.py``, in the persistent run ledger, so
 ``repro-obs export-bench`` snapshots them into ``BENCH_*.json``.

@@ -40,7 +40,7 @@ import numpy as np
 
 from ..core.history import IdealBHT
 from ..sim.kernels import (_global_history, _history_bits, _Keyed, _pa_history, _site_ids,
-                           _source_tallies, _upsert)
+                           _source_tallies)
 from ..trace.events import Trace
 
 __all__ = [
@@ -78,7 +78,7 @@ def _context_counts(source, k: int, per_address: bool = True, fill: int = 1,
 
     def kernel(run, carry):
         known, first, seen, counts = carry or (
-            None, None, np.zeros(0, np.int64), _Keyed(np.empty(0, np.int64)))
+            None, None, np.zeros(0, np.int64), None)
         ids, known = _site_ids(run, known)
         keys, out, valid = ids.astype(np.int64), run.out_u8, slice(None)
         if k and per_address:
@@ -96,12 +96,30 @@ def _context_counts(source, k: int, per_address: bool = True, fill: int = 1,
         keys, index = np.unique(keys[valid], return_inverse=True)
         total = np.bincount(index, minlength=keys.shape[0])
         taken = np.bincount(index[out[valid].view(np.bool_)], minlength=keys.shape[0])
-        prior = counts.get(keys, "taken", "total", default=0)
-        counts = _upsert(counts, keys, taken=taken + prior[0], total=total + prior[1])
+        counts = _merge_counts(counts, keys, taken=taken, total=total)
         return (counts, known), (known, first, seen, counts)
 
     records, tally = _source_tallies(kernel, source, block_size)
     return (records,) + (tally or (None, None))
+
+
+def _merge_counts(counts: Optional[_Keyed], keys: np.ndarray, **cols: np.ndarray) -> _Keyed:
+    """``counts`` plus the block's ``cols`` at its sorted unique ``keys``:
+    one ``searchsorted`` places every key, known keys add in place and
+    new keys go in with one insert per column."""
+    if counts is None or counts.keys.shape[0] == 0:
+        return _Keyed(keys, **cols)
+    pos = np.searchsorted(counts.keys, keys)
+    found = counts.keys[np.minimum(pos, counts.keys.shape[0] - 1)] == keys
+    for name, values in cols.items():
+        counts.cols[name][pos[found]] += values[found]
+    if found.all():
+        return counts
+    new = ~found
+    where = pos[new]
+    return _Keyed(np.insert(counts.keys, where, keys[new]),
+                  **{name: np.insert(counts.cols[name], where, values[new])
+                     for name, values in cols.items()})
 
 
 def _majority_oracle(trace: Trace, k: int, per_address: bool = True) -> float:

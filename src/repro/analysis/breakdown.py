@@ -238,7 +238,7 @@ def _tally(blocks, cs_enabled: bool) -> _Tally:
         is_cold = cols[_EXEC, missed] + _ranks(ids)[wrong] < _COLD_OCCURRENCES
         cold += int(np.count_nonzero(is_cold))
         if cs_enabled:
-            in_segment = _ranks((seg - seg[0]) * sites.shape[0] + ids)
+            in_segment = _ranks((seg - seg[0]).astype(np.int64) * sites.shape[0] + ids)
             if flush_seg is not None:
                 carried = seg == flush_seg
                 in_segment[carried] += cols[_FLUSH, ids[carried]]

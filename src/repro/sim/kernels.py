@@ -61,6 +61,13 @@ then follow by inheritance (a hit keeps its previous touch's way, an
 evicting miss its victim's) resolved by pointer jumping, so the pass
 emits the same (episode, slot, evict) layout the direct-mapped path
 derives in closed form, in log-depth passes over the epoch length.
+The replay's working set stays near 50 B per conditional record (the
+pcs' 8 B gather included): sets and slots are ``uint16``, ways one
+byte, epoch ids and previous touches int32 per event, every temporary
+is dropped after its last reader, and contended epochs replay in
+batches of about ``_REPLAY_BATCH`` positions, so the lifting table
+(int32, one row per level) is bounded by the batch, or by the longest
+epoch, rather than by the block.
 
 Hybrid and per-set schemes compose the same machinery: gselect
 concatenates address bits into the global-history key, SAg/SAs group
@@ -121,10 +128,11 @@ case-major, so each trace arrives once). The memo has two tiers:
   in trace order and one per memoized layout (a window serves every
   history length: :func:`_fill_extended` reads only its low ``k``
   bits), and the per-site execution tally per warmup. Per conditional
-  record that is 1 B of outcomes, 8 B of flush segments (one
-  zero-stride value without context switches), 1 B of restart
-  distances and 4 B of window per context-switch model, plus 13 B per
-  layout: its int32 ``order``, five 1-byte columns and its 4 B window.
+  record that is 1 B of outcomes, 4 B of flush segments (int32 below
+  ``2**31`` flushes; one zero-stride value without context switches),
+  1 B of restart distances and 4 B of window per context-switch model,
+  plus 13 B per layout: its int32 ``order``, five 1-byte columns and
+  its 4 B window.
   The pcs are not kept (few kernels read them, and a run gathers them
   on first use), and the trace's arrays cache the int32 site ids (4 B)
   beside them. The memo holds one trace's at most: a call on another
@@ -212,7 +220,7 @@ from ..core.twolevel import (
 from ..predictors.btb import BTBPredictor
 from ..predictors.extensions import GselectPredictor, TournamentPredictor
 from ..predictors.static import AlwaysNotTaken, AlwaysTaken, BTFN, ProfileGuided
-from ..trace.events import Trace
+from ..trace.events import Trace, _stable_argsort
 from ..trace.stream import DEFAULT_BLOCK_SIZE as _DEFAULT_STREAM_BLOCK
 from .engine import ContextSwitchConfig
 from .results import SimulationResult
@@ -240,10 +248,11 @@ _MAX_TABLE_ID_BITS = 32
 #: Per-block record indices are int32 (a layout's ``order``, the group
 #: sort's trace order and so the scanning kernels' mispredicted
 #: indices, group starts, episode offsets and run lengths, the LRU
-#: replay's positions and lifting table) and so are site ids, so a
-#: block must hold fewer than ``2**_MAX_BLOCK_INDEX_BITS`` conditional
-#: records. Indices that leave the block stay int64: a carried slot's
-#: ``rec`` (``t0`` + index) and the miss analyses' trace positions.
+#: replay's epoch ids, previous touches, positions and lifting table)
+#: and so are site ids, so a block must hold fewer than
+#: ``2**_MAX_BLOCK_INDEX_BITS`` conditional records. Indices that leave
+#: the block stay int64: a carried slot's ``rec`` (``t0`` + index) and
+#: the miss analyses' trace positions.
 #: Only the sorts' own permutations stay intp, which gathers take
 #: without a conversion.
 _MAX_BLOCK_INDEX_BITS = 31
@@ -463,28 +472,6 @@ def _run_wrong_positions(runs: _Runs, ops: _AutomatonOps) -> np.ndarray:
 # Sorting / grouping / history-window helpers
 # ----------------------------------------------------------------------
 
-def _stable_argsort(keys: np.ndarray) -> np.ndarray:
-    """Stable argsort specialised for small non-negative keys.
-
-    Radix sort on uint16 keys is ~8x faster than comparison sort on
-    int64, and two chained stable uint16 passes (LSD radix) cover the
-    32-bit range; wider keys fall back to the generic stable sort.
-    """
-    if keys.shape[0] == 0:
-        return np.empty(0, dtype=np.int64)
-    top = int(keys.max())
-    if top < (1 << 16):
-        return np.argsort(keys.astype(np.uint16), kind="stable")
-    if top < (1 << 32):
-        wide = keys.astype(np.uint32)
-        low = (wide & np.uint32(0xFFFF)).astype(np.uint16)
-        high = (wide >> np.uint32(16)).astype(np.uint16)
-        by_low = np.argsort(low, kind="stable")
-        by_high = np.argsort(high[by_low], kind="stable")
-        return by_low[by_high]
-    return np.argsort(keys, kind="stable")
-
-
 def _change_marks(values: np.ndarray) -> np.ndarray:
     """True at index 0 and wherever a value differs from the one before."""
     marks = np.empty(values.shape[0], dtype=np.bool_)
@@ -685,11 +672,12 @@ class _Run:
 def _run_columns(arrays, context_switches: Optional[ContextSwitchConfig],
                  prev_epoch: Optional[int], fires_base: int) -> tuple:
     """A :class:`_Run`'s ``(out_bool, seg_c, switches, fires_end,
-    last_epoch)``. Without context switches ``seg_c`` is one read-only
-    zero-stride value."""
+    last_epoch)``. ``seg_c`` is int32 unless the flush count reaches
+    ``2**31``; without context switches it is one read-only zero-stride
+    value."""
     out_bool = arrays.taken[arrays.cond_mask]
     if context_switches is None or len(arrays) == 0:
-        seg_c = np.broadcast_to(np.int64(fires_base), out_bool.shape)
+        seg_c = np.broadcast_to(_flush_dtype(fires_base)(fires_base), out_bool.shape)
         return out_bool, seg_c, 0, fires_base, 0 if prev_epoch is None else int(prev_epoch)
     instret = arrays.instret
     if np.any(instret[1:] < instret[:-1]):
@@ -702,9 +690,16 @@ def _run_columns(arrays, context_switches: Optional[ContextSwitchConfig],
     boundary[0] = epoch[0] > (0 if prev_epoch is None else prev_epoch)
     boundary[1:] = epoch[1:] > epoch[:-1]
     fires = boundary | arrays.trap if context_switches.switch_on_traps else boundary
-    fires_cum = np.cumsum(fires)
-    return (out_bool, fires_base + fires_cum[arrays.cond_mask], int(np.count_nonzero(fires)),
-            fires_base + int(fires_cum[-1]), int(epoch[-1]))
+    switches = int(np.count_nonzero(fires))
+    seg_c = np.cumsum(fires, dtype=_flush_dtype(fires_base + switches))[arrays.cond_mask]
+    seg_c += fires_base
+    return out_bool, seg_c, switches, fires_base + switches, int(epoch[-1])
+
+
+def _flush_dtype(fires_end: int):
+    """Flush counts (``seg_c`` and the stamps derived from it) are int32
+    below ``2**31``, like site ids; carried stamps are int64."""
+    return np.int32 if fires_end < 1 << 31 else np.int64
 
 
 class _Keyed:
@@ -1098,7 +1093,8 @@ def _lru_metadata(run: _Run, bht: CacheBHT, carry: Optional[_Keyed]):
     Returns ``order1`` (that order) and per-record arrays in it: ``miss``
     (the access allocated its entry), ``evict`` (the allocation displaced
     a valid occupant), and ``slot`` (set x associativity + the way the
-    record's entry lives in). The model mirrors :meth:`repro.core.history.CacheBHT.access`
+    record's entry lives in; ``uint16`` up to ``2**16`` BHT entries,
+    else ``uint32``). The model mirrors :meth:`repro.core.history.CacheBHT.access`
     exactly: hits refresh recency, misses claim the first invalid way by
     index (else the true-LRU victim), and a flush invalidates every way
     while keeping its tag and recency — only ``access`` ticks the clock,
@@ -1123,119 +1119,169 @@ def _lru_metadata(run: _Run, bht: CacheBHT, carry: Optional[_Keyed]):
     the common case for the paper's geometries (hundreds of sets, a
     handful of resident branches each) and is computed with pure array
     passes below. Epochs with more branches than ways — where true LRU
-    replacement decides — are replayed together by :func:`_lru_replay`
-    from LRU stack distance (Mattson et al., IBM Sys. J. 1970): a
-    recency-window query per event finds the last touch of the
-    ``assoc``-th most recent distinct tag, which decides hit or miss and
-    names the victim, and every event inherits its way from its previous
-    touch, its victim, or its fill. A set's carried ways enter the
-    replay as its first epoch's oldest events.
+    replacement decides — are replayed by :func:`_lru_replay` from LRU
+    stack distance (Mattson et al., IBM Sys. J. 1970): a recency-window
+    query per event finds the last touch of the ``assoc``-th most recent
+    distinct tag, which decides hit or miss and names the victim, and
+    every event inherits its way from its previous touch, its victim, or
+    its fill. A set's carried ways enter the replay as its first epoch's
+    oldest events.
+
+    Working set: the records' sets are ``uint16`` (up to ``2**16``
+    sets) and only the intp ``order1`` and the 1-byte event marks stay
+    per record; per event the epoch ids and previous touches are int32,
+    ways and marks one byte, and the sort permutations stay intp because
+    they feed gathers (int32 indices gather slower). Each temporary is
+    dropped after its last reader, and the replay runs a bounded batch
+    of epochs at a time.
     """
     n = run.n_c
     assoc = bht.associativity
-    sets = run.pc_c % bht.num_sets
+    num_sets = bht.num_sets
+    pc_c = run.pc_c
+    sets = (pc_c % num_sets).astype(np.min_scalar_type(num_sets - 1))
     order1 = _stable_argsort(sets)
     set_s = sets[order1]
-    tag_s = (run.pc_c // bht.num_sets)[order1]
-    seg_s = run.seg_c[order1]
-
-    set_chg = _change_marks(set_s)
-    ev_new = set_chg.copy()
-    ev_new[1:] |= (tag_s[1:] != tag_s[:-1]) | (seg_s[1:] != seg_s[:-1])
+    del sets
+    # A new event wherever the pc (which fixes the set) or the flush
+    # segment changes.
+    pc_s = pc_c[order1]
+    ev_new = _change_marks(pc_s)
+    seg_s = run.seg_c[order1] if run.switches else None
+    if seg_s is not None:
+        ev_new[1:] |= seg_s[1:] != seg_s[:-1]
     ev_first = np.flatnonzero(ev_new)
     n_ev = ev_first.shape[0]
-    ev_tag = tag_s[ev_first]
-    ev_seg = seg_s[ev_first]
-
+    ev_pc = pc_s[ev_first]
+    del pc_s
+    ev_set = set_s[ev_first]
+    del set_s
     # Epoch boundaries: a new set, or a segment change within the set.
-    ep_new = set_chg[ev_first].copy()
-    ep_new[0] = True
-    ep_new[1:] |= ev_seg[1:] != ev_seg[:-1]
-    ep_id = np.cumsum(ep_new, dtype=np.int64) - 1
-    n_ep = int(ep_id[-1]) + 1
+    ep_new = _change_marks(ev_set)
+    ev_seg = None
+    if seg_s is not None:
+        ev_seg = seg_s[ev_first]
+        del seg_s
+        ep_new[1:] |= ev_seg[1:] != ev_seg[:-1]
+    ep_first = np.flatnonzero(ep_new)
+    n_ep = ep_first.shape[0]
+    ep_set = ev_set[ep_first]
+    # Each epoch's flush stamp: one for the block without a switch.
+    ep_seg = run.seg_c[:1] if ev_seg is None else ev_seg[ep_first]
+    del ev_set, ev_seg, ev_first
+    ep_id = np.cumsum(ep_new, dtype=np.int32)
+    ep_id -= 1
+    del ep_new
 
     # First touch of each (epoch, tag) group: a stable sort by tag then
     # by (already monotone) epoch puts each group's events in time
     # order with the first touch leading. Epochs never span sets, so
-    # tag alone identifies the branch within a group.
-    by_tag = _stable_argsort(ev_tag)
+    # the pc alone identifies the branch within a group.
+    by_tag = _stable_argsort(ev_pc // num_sets)
     gorder = by_tag[_stable_argsort(ep_id[by_tag])]
-    g_ep = ep_id[gorder]
-    g_tag = ev_tag[gorder]
-    gnew = np.empty(n_ev, dtype=np.bool_)
-    gnew[0] = True
-    gnew[1:] = (g_ep[1:] != g_ep[:-1]) | (g_tag[1:] != g_tag[:-1])
-    is_first = np.zeros(n_ev, dtype=np.bool_)
+    del by_tag
+    gnew = _change_marks(ep_id[gorder])
+    g_pc = ev_pc[gorder]
+    gnew[1:] |= g_pc[1:] != g_pc[:-1]
+    del g_pc
     first_idx = gorder[gnew]
-    is_first[first_idx] = True
+    f_ep = ep_id[first_idx]
+    del ep_id
 
-    ev_miss = is_first.copy()
-    ev_evict = np.zeros(n_ev, dtype=np.bool_)
-    ep_start_ev = _start_indices(ep_new)
+    ev_miss = np.zeros(n_ev, dtype=np.bool_)
+    ev_miss[first_idx] = True
     seeds = None
-    if carry is None:
-        # Fill order: the d-th distinct branch of an epoch lands in way d.
-        touched = np.cumsum(is_first)  # inclusive count of first touches
-        first_way = (touched - touched[ep_start_ev])[first_idx]
-        distinct = np.bincount(ep_id[is_first], minlength=n_ep)
-    else:
-        ep_first = np.flatnonzero(ep_new)
-        slots = (set_s[ev_first[ep_first]] * assoc)[:, None] + np.arange(assoc)
+    if carry is not None:
+        slots = (ep_set.astype(np.int64) * assoc)[:, None] + np.arange(assoc)
         c_stamp, c_pc, c_rec = carry.get(slots, "stamp", "pc", "rec")
-        c_valid = c_stamp == ev_seg[ep_first][:, None]
-        c_tag = c_pc // bht.num_sets
-        f_ep = ep_id[first_idx]
-        hit_ways = c_valid[f_ep] & (c_tag[f_ep] == ev_tag[first_idx][:, None])
+        c_valid = c_stamp == ep_seg[:, None]
+        # Within one set, equal pcs are equal tags.
+        hit_ways = c_valid[f_ep] & (c_pc[f_ep] == ev_pc[first_idx][:, None])
         carried_hit = hit_ways.any(axis=1)
         hit_way = np.argmax(hit_ways, axis=1)
         ev_miss[first_idx[carried_hit]] = False
-        # New branches fill the lowest invalid ways in first-touch order.
-        fresh = np.cumsum(ev_miss) - ev_miss
-        rank = (fresh - fresh[ep_start_ev])[first_idx]
+    del ev_pc
+    # Fill order: an epoch's d-th new branch takes its d-th free way.
+    fresh = np.cumsum(ev_miss, dtype=np.int32)
+    fresh -= ev_miss
+    rank = fresh[first_idx] - fresh[ep_first[f_ep]]
+    del fresh
+    if carry is None:
+        first_way = rank
+        distinct = np.bincount(f_ep, minlength=n_ep)
+    else:
         free = np.argsort(c_valid, axis=1, kind="stable")
         first_way = np.where(carried_hit, hit_way, free[f_ep, np.minimum(rank, assoc - 1)])
         # Each epoch's ways, valid ones first by recency, seed the replay.
         by_rec = np.argsort(np.where(c_valid, c_rec, np.iinfo(np.int64).max), axis=1)
-        seeds = (c_valid.sum(axis=1), by_rec, first_idx[carried_hit], hit_way[carried_hit])
-        distinct = np.bincount(ep_id[ev_miss], minlength=n_ep) + seeds[0]
-    grp_id_g = np.cumsum(gnew, dtype=np.int64) - 1
-    grp_id = np.empty(n_ev, dtype=np.int64)
-    grp_id[gorder] = grp_id_g
-    grp_way = np.empty(int(grp_id_g[-1]) + 1, dtype=np.int64)
-    grp_way[grp_id[first_idx]] = first_way
-    ev_way = grp_way[grp_id]
-
+        seeds = (c_valid.sum(axis=1), by_rec, f_ep[carried_hit], first_idx[carried_hit],
+                 hit_way[carried_hit])
+        distinct = np.bincount(f_ep[~carried_hit], minlength=n_ep) + seeds[0]
+    del rank
+    # Every event takes its group's first way; a contended epoch's ways
+    # are overwritten by the replay (only its fill misses keep theirs,
+    # which are below ``assoc``).
+    ev_way = np.empty(n_ev, dtype=np.min_scalar_type(assoc - 1))
+    ev_way[gorder] = np.repeat(first_way.astype(ev_way.dtype),
+                               np.diff(np.flatnonzero(gnew), append=n_ev))
+    del first_way, first_idx, f_ep
+    ev_evict = np.zeros(n_ev, dtype=np.bool_)
     contended = distinct > assoc
     if np.any(contended):
-        _lru_replay(assoc, ep_new, ep_id, contended, gorder, gnew, seeds,
-                    ev_miss, ev_evict, ev_way)
+        # Each event's previous touch in its group (-1 at a first touch).
+        prev_ev = np.full(n_ev, -1, dtype=np.int32)
+        same = ~gnew[1:]
+        prev_ev[gorder[1:][same]] = gorder[:-1][same]
+        del gorder, gnew, same
+        _lru_replay(assoc, ep_first, contended, prev_ev, seeds, ev_miss, ev_evict, ev_way)
+        del prev_ev
+    else:
+        del gorder, gnew
 
     # Expand events back to records: miss/evict fire only on an event's
-    # first record; every record inherits its event's way.
+    # first record; every record inherits its event's slot.
+    slot_dtype = np.uint16 if num_sets * assoc <= 1 << 16 else np.uint32
+    ev_slot = np.repeat(ep_set.astype(slot_dtype) * assoc, np.diff(ep_first, append=n_ev))
+    ev_slot += ev_way
+    del ev_way
+    ev_first = np.flatnonzero(ev_new)
+    del ev_new
+    slot_r = np.repeat(ev_slot, np.diff(ev_first, append=n))
+    del ev_slot
     miss_r = np.zeros(n, dtype=np.bool_)
     evict_r = np.zeros(n, dtype=np.bool_)
     miss_r[ev_first] = ev_miss
     evict_r[ev_first] = ev_evict
-    slot_r = set_s * assoc + ev_way[np.cumsum(ev_new) - 1]
     return order1, miss_r, evict_r, slot_r
 
 
-def _lru_replay(assoc: int, ep_new, ep_id, contended, gorder, gnew, seeds,
+#: Positions per LRU replay batch. Contended epochs are replayed a batch
+#: at a time, so the lifting table and the descent's temporaries stay
+#: bounded however long the block is; an epoch longer than a batch is
+#: replayed alone.
+_REPLAY_BATCH = 1 << 16
+
+
+def _lru_replay(assoc: int, ep_first, contended, prev_ev, seeds,
                 ev_miss, ev_evict, ev_way) -> None:
     """Overwrite ``ev_miss``, ``ev_evict`` and ``ev_way`` on the events
     of the ``contended`` epochs with their exact true-LRU replay.
 
-    ``seeds`` is None without a carry, else ``(n_valid, by_rec, hit_ev,
-    hit_way)``: per epoch, its count of carried valid ways and its ways
-    with the valid ones leading, oldest recency first; and the first
-    touches that hit a carried way, with that way.
+    ``ep_first`` holds each epoch's first event and ``prev_ev`` each
+    event's previous touch of the same tag in its epoch (-1 at a first
+    touch). ``seeds`` is None without a carry, else ``(n_valid, by_rec,
+    hit_ep, hit_ev, hit_way)``: per epoch, its count of carried valid
+    ways and its ways with the valid ones leading, oldest recency first;
+    and the first touches that hit a carried way, with their epoch and
+    that way.
 
     Each contended epoch is laid out on one position axis as a sentinel,
     then its carried valid ways as pseudo-events (oldest recency first),
-    then its events. An epoch's set always holds the ``min(assoc, D)``
-    most recently touched of the ``D`` distinct tags seen so far — the
-    top of the LRU stack (Mattson et al., "Evaluation techniques for
-    storage hierarchies", IBM Sys. J. 1970) — so event
+    then its events; the epochs are replayed in batches of about
+    ``_REPLAY_BATCH`` positions. An epoch's set always holds the
+    ``min(assoc, D)`` most recently touched of the ``D`` distinct tags
+    seen so far — the top of the LRU stack (Mattson et al., "Evaluation
+    techniques for storage hierarchies", IBM Sys. J. 1970) — so event
     ``e`` hits iff its tag's previous touch ``prev(e)`` is no older than
     ``L(e)``, the last touch of the ``assoc``-th most recent distinct tag
     before ``e``. ``L(e)`` is the largest ``j`` with ``next(j) >= e``
@@ -1248,14 +1294,24 @@ def _lru_replay(assoc: int, ep_new, ep_id, contended, gorder, gnew, seeds,
     the fill closed form gave it, as does every carried way. Pointer
     jumping then resolves every event's way to its fill or carried root.
 
-    Loops run over lifting levels, associativity and pointer-jumping
-    depth only, never over an epoch's events.
+    Loops run over batches, lifting levels, associativity and
+    pointer-jumping depth only, never over an epoch's events.
     """
-    ep_first = np.flatnonzero(ep_new)
-    ep_len = np.diff(ep_first, append=ep_new.shape[0])
-    c_first = ep_first[contended]
-    c_len = ep_len[contended]
-    n_seed = np.zeros_like(c_len) if seeds is None else seeds[0][contended]
+    n_seed = np.zeros(ep_first.shape[0], dtype=np.int64) if seeds is None else seeds[0]
+    ep_len = np.diff(ep_first, append=prev_ev.shape[0])
+    eps = np.flatnonzero(contended)
+    span = 1 + n_seed[eps] + ep_len[eps]
+    heads = np.flatnonzero(_change_marks((np.cumsum(span) - span) // _REPLAY_BATCH))
+    for batch in np.split(eps, heads[1:]):
+        _replay_batch(assoc, batch, ep_first[batch], ep_len[batch], n_seed[batch], prev_ev,
+                      seeds, ev_miss, ev_evict, ev_way)
+
+
+def _replay_batch(assoc: int, eps, c_first, c_len, n_seed, prev_ev, seeds,
+                  ev_miss, ev_evict, ev_way) -> None:
+    """:func:`_lru_replay` over the contended epochs ``eps``, whose first
+    events, lengths and carried valid ways are ``c_first``, ``c_len``
+    and ``n_seed``."""
     span = 1 + n_seed + c_len
     base = np.cumsum(span) - span
     total = int(base[-1] + span[-1])
@@ -1263,43 +1319,39 @@ def _lru_replay(assoc: int, ep_new, ep_id, contended, gorder, gnew, seeds,
     # records, but pseudo-events and sentinels can push a pathological
     # block past it.
     idx = np.int32 if total < 1 << 31 else np.int64
-    ep_shift = np.zeros(ep_len.shape[0], dtype=np.int64)
-    ep_shift[contended] = base + 1 + n_seed - c_first
-    sel = np.flatnonzero(contended[ep_id])
-    e = (sel + ep_shift[ep_id[sel]]).astype(idx)
-    e_base = np.repeat(base, c_len).astype(idx)
-
+    # The batch's events (``sel``; each epoch's are consecutive) and
+    # their positions (``e``).
+    skip = np.cumsum(c_len) - c_len
+    sel = np.arange(int(c_len.sum())) + np.repeat(c_first - skip, c_len)
+    shift = np.repeat(base + 1 + n_seed - c_first, c_len)
+    e = (sel + shift).astype(idx)
     # Same-tag neighbours: consecutive members of one (epoch, tag) group.
-    prv = np.full(total, -1, dtype=idx)
-    nxt = np.full(total, total, dtype=idx)
-    link = ~gnew[1:] & contended[ep_id[gorder[1:]]]
-    a = gorder[:-1][link]
-    b = gorder[1:][link]
-    a += ep_shift[ep_id[a]]
-    b += ep_shift[ep_id[b]]
-    prv[b] = a
-    nxt[a] = b
-    root_way = np.empty(total, dtype=np.int64)
+    before = prev_ev[sel].astype(idx)
+    linked = before >= 0
+    before[linked] += shift[linked].astype(idx)
+    del shift
+    root_way = np.empty(total, dtype=ev_way.dtype)
     if seeds is not None:
-        _n, by_rec, hit_ev, hit_way = seeds
-        by_rec = by_rec[contended]
+        _n, by_rec, hit_ep, hit_ev, hit_way = seeds
+        by_rec = by_rec[eps]
         is_seed = np.arange(assoc) < n_seed[:, None]
         root_way[((base + 1)[:, None] + np.arange(assoc))[is_seed]] = by_rec[is_seed]
         # A first touch that hits a carried way follows its pseudo-event.
-        keep = contended[ep_id[hit_ev]]
-        hit_ev = hit_ev[keep]
-        c_ep = (np.cumsum(contended) - 1)[ep_id[hit_ev]]
+        j = np.searchsorted(eps, hit_ep)
+        keep = eps[np.minimum(j, eps.shape[0] - 1)] == hit_ep
+        j = j[keep]
         recency = np.argsort(by_rec, axis=1)  # each way's pseudo-event rank
-        p = base[c_ep] + 1 + recency[c_ep, hit_way[keep]]
-        f = hit_ev + ep_shift[ep_id[hit_ev]]
-        prv[f] = p
-        nxt[p] = f
+        at = hit_ev[keep] - c_first[j] + skip[j]
+        before[at] = base[j] + 1 + recency[j, hit_way[keep]]
+        linked[at] = True
 
     # table[k, j] = max(next) over the 2**k positions ending at j; blocks
     # reaching past position 0 cover its sentinel, so they read infinity.
     levels = int(span.max()).bit_length()
     table = np.empty((levels, total), dtype=idx)
-    table[0] = nxt
+    table[0] = total
+    table[0][before[linked]] = e[linked]
+    del linked
     for k in range(1, levels):
         h = 1 << (k - 1)
         table[k, :h] = total
@@ -1307,10 +1359,9 @@ def _lru_replay(assoc: int, ep_new, ep_id, contended, gorder, gnew, seeds,
     # An event at most ``assoc`` positions after its previous touch hits
     # outright: too few distinct tags came between to displace it. Only
     # the rest descend.
-    before = prv[e]
     far = np.flatnonzero((before < 0) | (e - before > assoc))
     e_far = e[far]
-    base_far = e_base[far]
+    base_far = np.repeat(base.astype(idx), c_len)[far]
     victim = e_far - 1
     for _ in range(assoc - 1):
         pos = np.maximum(victim - 1, base_far)
@@ -1376,8 +1427,13 @@ def _residency_words(run: _Run, bht: CacheBHT) -> np.ndarray:
     :class:`CacheBHT` (one object per entry) never reaches."""
     order1, miss_r, evict_r, slot_r = _lru_metadata(run, bht, None)
     dtype = np.uint16 if bht.num_sets * bht.associativity <= 1 << 14 else np.uint32
+    packed = slot_r.astype(dtype, copy=False)
+    packed <<= 2
+    packed |= miss_r.view(np.uint8) << 1
+    packed |= evict_r
+    del slot_r, miss_r, evict_r
     words = np.empty(run.n_c, dtype=dtype)
-    words[order1] = slot_r.astype(dtype) << 2 | miss_r.astype(dtype) << 1 | evict_r
+    words[order1] = packed
     words.flags.writeable = False
     return words
 
@@ -1538,8 +1594,9 @@ def _slot_carry(run: _Run, layout: _Layout, carry: Optional[_Keyed], **cols) -> 
     ``cols`` (one value per head). Ideal-BHT entries a flush has already
     invalidated can never be read again and are dropped."""
     at = layout.order[layout.lasts]
-    # Recency leaves the block, so it is int64 past any block's indices.
-    slots = _upsert(carry, layout.hkey, pc=run.pc_c[at], stamp=run.seg_c[at],
+    # Recency and stamps leave the block, so they are int64 past any
+    # block's indices and flush counts.
+    slots = _upsert(carry, layout.hkey, pc=run.pc_c[at], stamp=run.seg_c[at].astype(np.int64),
                     rec=at.astype(np.int64) + run.t0, **cols)
     if layout.ideal:
         slots = slots.select(slots.cols["stamp"] == run.fires_end)
@@ -1757,7 +1814,7 @@ def _perset_patterns(run: _Run, num_sets: int, k: int, carry: Optional[_Keyed]):
     if not run.final:
         lasts = _lasts(heads, run.n_c)
         regs = ((patterns_s[lasts].astype(np.int64) << 1) | out_s[lasts]) & mask
-        carry = _upsert(carry, hset, stamp=seg_s[lasts], reg=regs)
+        carry = _upsert(carry, hset, stamp=seg_s[lasts].astype(np.int64), reg=regs)
     return order1, set_s, out_s, patterns_s, carry
 
 

@@ -28,6 +28,33 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 
+def _stable_argsort(keys: np.ndarray) -> np.ndarray:
+    """Stable argsort specialised for integer keys spanning a small range.
+
+    Radix sort on uint16 keys is ~8x faster than comparison sort on
+    int64, and two chained stable uint16 passes (LSD radix) cover a
+    32-bit span; keys that are negative or reach ``2**32`` are shifted
+    to start at 0 first, and wider spans fall back to the generic
+    stable sort.
+    """
+    if keys.shape[0] == 0:
+        return np.empty(0, dtype=np.int64)
+    low, top = int(keys.min()), int(keys.max())
+    if top - low >= 1 << 32:
+        return np.argsort(keys, kind="stable")
+    if low < 0 or top >= 1 << 32:
+        keys = keys - low
+        top -= low
+    if top < (1 << 16):
+        return np.argsort(keys.astype(np.uint16), kind="stable")
+    wide = keys.astype(np.uint32)
+    low16 = (wide & np.uint32(0xFFFF)).astype(np.uint16)
+    high16 = (wide >> np.uint32(16)).astype(np.uint16)
+    by_low = np.argsort(low16, kind="stable")
+    by_high = np.argsort(high16[by_low], kind="stable")
+    return by_low[by_high]
+
+
 class TraceFormatError(ValueError):
     """Raised when a trace file is malformed, or a record value does not
     fit its column's dtype."""
@@ -346,9 +373,17 @@ class TraceArrays:
         ``sites``: int32, unless the trace has over ``2**31`` sites.
         Computed once and cached."""
         if self._sites is None:
-            sites, ids = np.unique(self.pc[self.cond_mask], return_inverse=True)
+            pcs = self.pc[self.cond_mask]
+            order = _stable_argsort(pcs)
+            pcs = pcs[order]
+            new = np.empty(pcs.shape[0], dtype=np.bool_)
+            new[:1] = True
+            np.not_equal(pcs[1:], pcs[:-1], out=new[1:])
+            sites = pcs[new]
+            del pcs
             sites.flags.writeable = False
-            ids = ids.astype(np.int32 if sites.shape[0] <= 1 << 31 else np.int64)
+            ids = np.empty(order.shape[0], dtype=np.int32 if sites.shape[0] <= 1 << 31 else np.int64)
+            ids[order] = np.cumsum(new, dtype=ids.dtype) - 1
             ids.flags.writeable = False
             self._sites, self._site_ids = sites, ids
         return self._sites, self._site_ids

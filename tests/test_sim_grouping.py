@@ -10,7 +10,9 @@ slot-order keys scattered back to trace order (PAg, SAg), with and
 without the trace-order indices, with and without the sorted keys
 (a final block with no store reads its group starts off the sorted
 words), and for keys wide enough to force the argsort fallback. Both
-paths return int32 trace indices.
+paths return int32 trace indices. ``_stable_argsort`` itself (radix
+passes over a span below ``2**32``) equals NumPy's stable argsort for
+negative keys, keys past ``2**32`` and wider spans.
 
 The example budget comes from the hypothesis profile named by
 ``HYPOTHESIS_PROFILE`` (see ``conftest.py``).
@@ -50,6 +52,18 @@ def test_outcome_window_matches_the_shifted_add_loop(n, k, seed):
     got = kernels._outcome_window(out, k)
     assert got.dtype == np.int32
     assert np.array_equal(got, _window_reference(out, k))
+
+
+@PROFILE
+@given(n=st.integers(1, 400), span_bits=st.sampled_from([1, 8, 16, 17, 31, 32, 33, 62]),
+       low=st.sampled_from([0, 5, -(1 << 40), 1 << 40, -(1 << 62)]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_stable_argsort_matches_numpy_for_any_span(n, span_bits, low, seed):
+    """The radix argsort equals NumPy's stable argsort for negative keys,
+    keys past ``2**32`` with a narrow span, and spans too wide for it."""
+    rng = np.random.default_rng(seed)
+    keys = low + rng.integers(0, 1 << span_bits, n, dtype=np.int64)
+    assert np.array_equal(kernels._stable_argsort(keys), np.argsort(keys, kind="stable"))
 
 
 def _reference(keys, out, base):

@@ -14,19 +14,27 @@ every lifting level of the replay. Each (epoch, set) follows one pattern:
 the cyclic ``a+1``-tag thrash (every access misses), uniform draws, a
 local mix that mostly revisits recent tags, or a long phase over fewer
 tags than ways, whose exit evicts tags touched ``2**12`` events earlier.
-The example budget comes from the hypothesis profile named by
-``HYPOTHESIS_PROFILE`` (see ``conftest.py``).
+The replay runs its contended epochs in batches of about
+``kernels._REPLAY_BATCH`` positions; each example also draws a batch
+size of one position (every epoch alone), ``2**12`` or the default, so
+epochs meet the batch boundaries in every way. The example budget comes
+from the hypothesis profile named by ``HYPOTHESIS_PROFILE`` (see
+``conftest.py``).
 
 Block-local record indices are int32, but a streamed block's carried
 slots record their last access's global record index (``rec``), which
 orders the next block's LRU seeds. The width test folds PAg and PAp
 over the same blocks twice, once with the global indices shifted past
 ``2**31``, and requires the same mispredictions and the same carry with
-``rec`` shifted by the offset.
+``rec`` shifted by the offset. Flush counts (``seg_c``) are int32 below
+``2**31`` and int64 from there, so a second width test starts the flush
+count just below ``2**31`` and requires the same mispredictions and the
+same carry with the int64 flush stamps shifted.
 """
 
 import os
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -80,9 +88,11 @@ def _epoch_tags(rng: random.Random, pool, assoc: int, pattern: str, length: int)
     return tags
 
 
-def _build_trace(seed: int, assoc: int, num_sets: int, epochs: int, patterns):
+def _build_trace(seed: int, assoc: int, num_sets: int, epochs: int, patterns,
+                 tag_base: int = 0, tag_step: int = 1):
     """A trace whose epochs (separated by traps) interleave every set's
-    events, each event repeated for one to three records."""
+    events, each event repeated for one to three records; a drawn tag
+    ``t`` is ``tag_base + t * tag_step`` in the pc."""
     rng = random.Random(seed)
     pools = []
     for _ in range(num_sets):
@@ -97,7 +107,8 @@ def _build_trace(seed: int, assoc: int, num_sets: int, epochs: int, patterns):
             length = MIN_EPOCH_EVENTS + rng.randrange(256)
             pattern = patterns[(epoch * num_sets + s) % len(patterns)]
             tags = _epoch_tags(rng, pools[s], assoc, pattern, length)
-            queues.append([tag * num_sets + s for tag in tags for _ in range(rng.randint(1, 3))])
+            queues.append([(tag_base + tag * tag_step) * num_sets + s
+                           for tag in tags for _ in range(rng.randint(1, 3))])
         cursors = [0] * num_sets
         live = list(range(num_sets))
         while live:
@@ -159,19 +170,34 @@ def lru_cases(draw):
     seed = draw(st.integers(0, 2**32 - 1))
     trace = _build_trace(seed, assoc, num_sets, epochs, patterns)
     cuts = sorted(set(draw(st.lists(st.integers(1, len(trace) - 1), max_size=3))))
-    return assoc, num_sets, trace, cuts
+    batch = draw(st.sampled_from([1, 1 << 12, kernels._REPLAY_BATCH]))
+    return assoc, num_sets, trace, cuts, batch
 
 
 @PROFILE
 @given(case=lru_cases())
 def test_lru_metadata_matches_cache_bht(case):
-    assoc, num_sets, trace, cuts = case
+    assoc, num_sets, trace, cuts, batch = case
     bht = CacheBHT(num_sets * assoc, assoc)
-    miss, evict, slot = _replay(trace, bht, cuts)
+    with mock.patch.object(kernels, "_REPLAY_BATCH", batch):
+        miss, evict, slot = _replay(trace, bht, cuts)
     want_miss, want_evict, want_slot = _oracle(trace, CacheBHT(num_sets * assoc, assoc))
     assert np.array_equal(miss, want_miss)
     assert np.array_equal(evict, want_evict)
     assert np.array_equal(slot, want_slot)
+
+
+@pytest.mark.parametrize("tag_base, tag_step", [(-(1 << 40), 1 << 16), (1 << 40, 1 << 20)],
+                         ids=["negative", "past-2**32"])
+def test_lru_metadata_matches_cache_bht_on_wide_pcs(tag_base, tag_step):
+    """Tags far from 0 (negative pcs, pcs past ``2**32``) whose low 16
+    bits all agree replay like the reference cache."""
+    assoc, num_sets = 4, 2
+    trace = _build_trace(5, assoc, num_sets, 2, PATTERNS, tag_base, tag_step)
+    bht = CacheBHT(num_sets * assoc, assoc)
+    got = _replay(trace, bht, [len(trace) // 2])
+    want = _oracle(trace, CacheBHT(num_sets * assoc, assoc))
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 def test_thrash_epoch_misses_on_every_event():
@@ -189,24 +215,26 @@ def test_thrash_epoch_misses_on_every_event():
     assert set(slot.tolist()) == set(range(assoc))
 
 
-def _fold_blocks(predictor, trace, cuts, offset):
+def _fold_blocks(predictor, trace, cuts, offset, fires=0):
     """Each block's sorted mispredicted indices and the final carry of
     ``predictor``'s kernel, with the blocks' global record indices
-    starting at ``offset``."""
+    starting at ``offset`` and their flush count at ``fires``; and each
+    block's ``seg_c`` dtype."""
     kernel = kernels._kernel_for(predictor)
     bounds = [0, *cuts, len(trace)]
     carry = None
     prev_epoch = None
-    fires = 0
     seen = offset
     wrong = []
+    dtypes = []
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         run = kernels._Run(trace.select(range(lo, hi)), SWITCHES, True, 0,
                            prev_epoch=prev_epoch, fires_base=fires, t0=seen, final=False)
         block_wrong, carry = kernel(run, carry)
         wrong.append(np.sort(block_wrong))
+        dtypes.append(run.seg_c.dtype)
         prev_epoch, fires, seen = run.last_epoch, run.fires_end, seen + run.n_c
-    return wrong, carry
+    return wrong, carry, dtypes
 
 
 @pytest.mark.parametrize("make", [make_pag, make_pap], ids=["pag", "pap"])
@@ -221,8 +249,8 @@ def test_carried_recency_survives_global_indices_past_int32(make, where):
     first_block = int(trace.select(range(cuts[0])).as_arrays().cond_mask.sum())
     # The second block starts 5 records below 2**31, or all start past it.
     offset = (1 << 31) - first_block - 5 if where == "straddles" else 1 << 33
-    want_wrong, want = _fold_blocks(make(4, A2, num_sets * assoc, assoc), trace, cuts, 0)
-    got_wrong, got = _fold_blocks(make(4, A2, num_sets * assoc, assoc), trace, cuts, offset)
+    want_wrong, want, _ = _fold_blocks(make(4, A2, num_sets * assoc, assoc), trace, cuts, 0)
+    got_wrong, got, _ = _fold_blocks(make(4, A2, num_sets * assoc, assoc), trace, cuts, offset)
     assert all(np.array_equal(a, b) for a, b in zip(got_wrong, want_wrong))
     slots, want_slots = got[0], want[0]
     assert np.array_equal(slots.keys, want_slots.keys)
@@ -236,3 +264,31 @@ def test_carried_recency_survives_global_indices_past_int32(make, where):
     assert np.array_equal(store.keys, want_store.keys)
     assert np.array_equal(store.cols["state"], want_store.cols["state"])
     assert got[2:] == want[2:]
+
+
+@pytest.mark.parametrize("make", [make_pag, make_pap], ids=["pag", "pap"])
+def test_carried_stamps_survive_flush_counts_past_int32(make):
+    """Blocks whose flush count crosses ``2**31`` give the result and
+    carry of the same blocks counted from 0, with the stamps shifted:
+    ``seg_c`` widens to int64 in the block that reaches ``2**31`` and
+    the carried stamps are int64 throughout."""
+    assoc, num_sets = 4, 2
+    trace = _build_trace(11, assoc, num_sets, 2, ["thrash", "uniform", "local"])
+    cuts = [len(trace) // 3, 2 * len(trace) // 3]
+    want_wrong, want, want_dtypes = _fold_blocks(make(4, A2, num_sets * assoc, assoc),
+                                                 trace, cuts, 0)
+    assert want_dtypes == [np.int32] * 3
+    # The first block ends one flush below 2**31; the second flushes.
+    first = kernels._Run(trace.select(range(cuts[0])), SWITCHES, True, 0, final=False)
+    offset = (1 << 31) - 1 - first.fires_end
+    got_wrong, got, dtypes = _fold_blocks(make(4, A2, num_sets * assoc, assoc),
+                                          trace, cuts, 0, fires=offset)
+    assert dtypes == [np.int32, np.int64, np.int64]
+    assert all(np.array_equal(a, b) for a, b in zip(got_wrong, want_wrong))
+    slots, want_slots = got[0], want[0]
+    assert np.array_equal(slots.keys, want_slots.keys)
+    for name, column in slots.cols.items():
+        shift = offset if name == "stamp" else 0
+        assert np.array_equal(column, want_slots.cols[name] + shift), name
+    assert slots.cols["stamp"].dtype == np.int64
+    assert int(slots.cols["stamp"].max()) >= 1 << 31

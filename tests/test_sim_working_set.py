@@ -16,6 +16,13 @@ per-address and a global scheme with per-site tracking:
 The caps sit about 20% above the readings of the int32 record indices
 and well below the int64 ones they replaced (see ``CHANGES.md``). The
 dtype pins name the columns that carry the saving.
+
+The set-associative first level's LRU replay (``_residency_words`` over
+the whole trace, the pcs' gather included) is pinned the same way, at
+``256x4`` under the default context switches and ``512x4`` without:
+its peak above what the run already holds. Its caps sit about 20% above
+the readings of the narrowed, batched replay; the replay it replaced
+read about 175 and 161 B/record.
 """
 
 import tracemalloc
@@ -25,13 +32,21 @@ import pytest
 
 from repro.core.history import CacheBHT, IdealBHT
 from repro.predictors.registry import make_predictor
-from repro.sim import kernels, simulate
+from repro.sim import ContextSwitchConfig, kernels, simulate
 from repro.workloads.suite import all_workloads
 
 #: scheme -> (held, scan peak) caps in bytes per conditional record.
 CAPS = {
     "pap-16-512x1": (22.0, 42.0),
     "gap-16": (13.0, 28.0),
+}
+
+
+#: (BHT entries, ways, context switches) -> cap on the LRU replay's peak
+#: in bytes per conditional record.
+LRU_CAPS = {
+    (256, 4, True): 62.0,
+    (512, 4, False): 52.0,
 }
 
 
@@ -77,9 +92,41 @@ def test_whole_trace_working_set_per_record(scheme, trace):
     assert not over, ", ".join(over)
 
 
+@pytest.mark.parametrize("entries, ways, cs", sorted(LRU_CAPS),
+                         ids=lambda value: str(value))
+def test_lru_replay_working_set_per_record(entries, ways, cs, trace):
+    switches = ContextSwitchConfig() if cs else None
+    bht = CacheBHT(entries, ways)
+    # A first replay outside the measurement; the measured run gathers
+    # its pcs afresh.
+    kernels._residency_words(kernels._Run(trace, switches, False, 0), bht)
+    run = kernels._Run(trace, switches, False, 0)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        words = kernels._residency_words(run, bht)
+        peak = (tracemalloc.get_traced_memory()[1] - base) / run.n_c
+    finally:
+        tracemalloc.stop()
+    assert words.shape == (run.n_c,)
+    cap = LRU_CAPS[entries, ways, cs]
+    assert peak <= cap, f"LRU replay {peak:.1f} B/record > {cap}"
+
+
 def test_record_indices_are_int32(trace):
     arrays = trace.as_arrays()
     assert arrays.conditional_site_ids()[1].dtype == np.int32
+    cs = ContextSwitchConfig()
+    kernels._LAYOUT_MEMO.clear()
+    runs = [kernels._Run(trace, cs, False, 0, memo=True),
+            kernels._Run(trace, cs, False, 0, final=False),
+            kernels._Run(trace, None, False, 0)]
+    kernels._LAYOUT_MEMO.clear()
+    assert runs[0].memo is not None and runs[0].switches > 0
+    assert all(run.seg_c.dtype == np.int32 for run in runs)
+    wide = kernels._Run(trace, cs, False, 0, fires_base=(1 << 31) - 1, final=False)
+    assert wide.seg_c.dtype == np.int64 and wide.fires_end >= 1 << 31
+    assert np.array_equal(wide.seg_c, runs[1].seg_c.astype(np.int64) + (1 << 31) - 1)
     run = kernels._Run(trace, None, True, 0)
     orders = [kernels._build_layout(run, bht, None).order
               for bht in (IdealBHT(), CacheBHT(512, 1), CacheBHT(512, 4))]
