@@ -9,8 +9,7 @@ everything with speculative update + repair.
 
 from conftest import run_once
 
-from repro.core.twolevel import make_gag
-from repro.sim.pipeline import RecoveryPolicy, SpeculativeTwoLevel, simulate_delayed
+from repro.sim.pipeline import RecoveryPolicy, simulate_delayed
 
 LATENCY = 8
 HISTORY_BITS = 12
@@ -21,22 +20,14 @@ def test_bench_speculative_history(benchmark, suite_cases):
     trace = eqntott.test_trace
 
     def run():
-        immediate = simulate_delayed(make_gag(HISTORY_BITS), trace, 0).result.accuracy
-        stale = simulate_delayed(make_gag(HISTORY_BITS), trace, LATENCY).result.accuracy
+        immediate = simulate_delayed(trace, HISTORY_BITS, 0).accuracy
+        stale = simulate_delayed(trace, HISTORY_BITS, LATENCY).accuracy
         speculative = simulate_delayed(
-            make_gag(HISTORY_BITS),
-            trace,
-            LATENCY,
-            speculative=SpeculativeTwoLevel(make_gag(HISTORY_BITS), RecoveryPolicy.REPAIR),
-        ).result.accuracy
+            trace, HISTORY_BITS, LATENCY, RecoveryPolicy.REPAIR
+        ).accuracy
         reinit = simulate_delayed(
-            make_gag(HISTORY_BITS),
-            trace,
-            LATENCY,
-            speculative=SpeculativeTwoLevel(
-                make_gag(HISTORY_BITS), RecoveryPolicy.REINITIALISE
-            ),
-        ).result.accuracy
+            trace, HISTORY_BITS, LATENCY, RecoveryPolicy.REINITIALISE
+        ).accuracy
         return immediate, stale, speculative, reinit
 
     immediate, stale, speculative, reinit = run_once(benchmark, run)

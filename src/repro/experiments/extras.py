@@ -30,7 +30,7 @@ from ..core.twolevel import make_gag, make_pag, make_pap
 from ..predictors.extensions import tournament_pag_gshare
 from ..sim.fetch import BranchTargetCache, FetchEngine, ReturnAddressStack
 from ..sim.parallel import spec
-from ..sim.pipeline import RecoveryPolicy, SpeculativeTwoLevel, simulate_delayed
+from ..sim.pipeline import RecoveryPolicy, simulate_delayed
 from ..sim.runner import BenchmarkCase, run_matrix
 from .figures import FigureResult, _cases
 from .report import render_accuracy_matrix, render_table
@@ -60,16 +60,12 @@ def extra_speculative(
     summary = {}
     for case in cases:
         trace = case.test_trace
-        immediate = simulate_delayed(make_gag(history_bits), trace, 0).result.accuracy
-        stale = simulate_delayed(make_gag(history_bits), trace, latency).result.accuracy
-        repair = simulate_delayed(
-            make_gag(history_bits), trace, latency,
-            speculative=SpeculativeTwoLevel(make_gag(history_bits), RecoveryPolicy.REPAIR),
-        ).result.accuracy
+        immediate = simulate_delayed(trace, history_bits, 0).accuracy
+        stale = simulate_delayed(trace, history_bits, latency).accuracy
+        repair = simulate_delayed(trace, history_bits, latency, RecoveryPolicy.REPAIR).accuracy
         reinit = simulate_delayed(
-            make_gag(history_bits), trace, latency,
-            speculative=SpeculativeTwoLevel(make_gag(history_bits), RecoveryPolicy.REINITIALISE),
-        ).result.accuracy
+            trace, history_bits, latency, RecoveryPolicy.REINITIALISE
+        ).accuracy
         rows.append([case.name, immediate, stale, repair, reinit])
         summary[case.name] = {"immediate": immediate, "stale": stale, "repair": repair}
     rendered = render_table(

@@ -18,12 +18,7 @@ from .kernels import (
 from .fetch import BranchTargetCache, FetchEngine, FetchStats, ReturnAddressStack
 from .ipc import IPCEstimate, MachineModel, ipc_estimate, ipc_from_result, speedup
 from .parallel import PredictorSpec, execute_matrix, result_cache_key, spec, trace_digest
-from .pipeline import (
-    DelayedResult,
-    RecoveryPolicy,
-    SpeculativeTwoLevel,
-    simulate_delayed,
-)
+from .pipeline import RecoveryPolicy, simulate_delayed
 from .results import (
     CellTelemetry,
     ResultMatrix,
@@ -38,7 +33,6 @@ __all__ = [
     "BranchTargetCache",
     "CellTelemetry",
     "ContextSwitchConfig",
-    "DelayedResult",
     "FetchEngine",
     "FetchStats",
     "IPCEstimate",
@@ -52,7 +46,6 @@ __all__ = [
     "ReturnAddressStack",
     "RunTelemetry",
     "SimulationResult",
-    "SpeculativeTwoLevel",
     "execute_matrix",
     "geometric_mean",
     "ipc_estimate",

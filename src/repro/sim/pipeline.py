@@ -1,49 +1,50 @@
-"""Pipeline-timing effects on prediction (paper §3.1).
+"""Pipeline-timing effects on prediction (paper §3.1), for GAg.
 
 The baseline engine resolves every branch before the next one is
 predicted. A real pipeline does not: with resolution latency D, the
 next D branches are predicted before the current one's outcome is
-known, so the first-level history a two-level predictor consults is
-*stale* unless it is updated **speculatively** with predictions.
+known, so the history a two-level predictor consults is *stale* unless
+it is updated **speculatively** with predictions. The paper's §3.1
+prescribes exactly that: shift the predicted direction into the
+history, leave the pattern-table update until the outcome is known,
+and on a misprediction squash the younger branches and either *repair*
+or *reinitialise* the register.
 
-The paper's §3.1 prescribes exactly that: update the branch history
-speculatively with the predicted direction (accuracy is high, so the
-speculation is usually right); on a misprediction either *reinitialise*
-the register or *repair* it, "depending on the hardware budget"; and
-leave the pattern-table update until the outcome is known.
+:func:`simulate_delayed` scores GAg under that timing without
+replaying the squashes:
 
-This module implements that machinery for the two-level predictors:
+* **stale** (``policy=None``) — record j is predicted from the state
+  the immediate-update run had before record ``max(j - D, 0)``, so its
+  prediction is that record's immediate one, read off the GAg kernel.
+* **speculative** — record j's final prediction (the one after its
+  last squash) reads the pattern table after the updates of records
+  ``< m_j``, where ``m_j`` is one past the last mispredicted record
+  among ``j - D .. j - 1``, or ``max(j - D, 0)`` when there is none.
+  ``m_j`` never decreases, so one forward pass applies each update
+  lazily, in order, with the history of that record's final
+  prediction. The register starts all-ones; ``REPAIR`` shifts in the
+  outcome, ``NONE`` the prediction, and ``REINITIALISE`` the outcome
+  on a hit and the outcome through every bit on a miss.
 
-* :class:`SpeculativeTwoLevel` wraps GAg/PAg/PAp with speculative
-  first-level update and a configurable mis-speculation policy
-  (``repair`` — restore the exact pre-branch history then insert the
-  real outcome; ``reinitialise`` — refill with the resolved outcome, a
-  cheap approximation; ``none`` — leave the wrong bit in place).
-* :func:`simulate_delayed` replays a trace with resolution latency D:
-  predictions happen immediately, outcomes (pattern-table updates and
-  mis-speculation recovery) arrive D branches later.
-
-With D = 0 the speculative wrapper is exactly equivalent to the
-baseline predictor (tested); the interesting measurements are the
-accuracy loss of *stale* (non-speculative) history at D > 0 versus the
-near-zero loss of speculative history with repair — the paper's
-argument, quantified in ``benchmarks/test_bench_speculative.py``.
+The squash-and-repredict loop the forward pass replaces is kept as the
+oracle in ``tests/reference_pipeline.py``.
 """
 
 from __future__ import annotations
 
 import enum
-from collections import deque
-from dataclasses import dataclass
-from typing import Deque, Optional, Tuple, Union
+from typing import Optional
 
-from ..predictors.base import BranchPredictor
-from ..trace.events import BranchClass, Trace
-from .results import SimulationResult
+import numpy as np
+
+from ..core.automata import A2, AutomatonSpec
 from ..core.history import history_fill, history_mask
-from ..core.twolevel import GAgPredictor, PAgPredictor, PApPredictor
+from ..core.twolevel import make_gag
+from ..trace.events import Trace
+from .engine import _replay_mispredictions
+from .results import SimulationResult
 
-__all__ = ["DelayedResult", "RecoveryPolicy", "SpeculativeTwoLevel", "simulate_delayed"]
+__all__ = ["RecoveryPolicy", "simulate_delayed"]
 
 
 class RecoveryPolicy(enum.Enum):
@@ -54,260 +55,85 @@ class RecoveryPolicy(enum.Enum):
     NONE = "none"
 
 
-class SpeculativeTwoLevel(BranchPredictor):
-    """Speculative first-level update for a two-level predictor.
-
-    ``predict`` shifts the *predicted* direction into the branch's
-    history register immediately (so subsequent predictions see fresh
-    history even before resolution); ``resolve`` applies the pattern-
-    table update with the history the prediction used and recovers the
-    register if the speculation was wrong.
-
-    The wrapped predictor must be one of the two-level classes; its own
-    ``predict``/``update`` are bypassed in favour of this protocol.
-    """
-
-    def __init__(
-        self,
-        inner: Union[GAgPredictor, PAgPredictor, PApPredictor],
-        policy: RecoveryPolicy = RecoveryPolicy.REPAIR,
-    ) -> None:
-        self.inner = inner
-        self.policy = policy
-        self.history_bits = inner.history_bits
-        self._mask = history_mask(self.history_bits)
-        self.name = f"spec[{policy.value}]:{inner.name}"
-        self.speculative_updates = 0
-        self.recoveries = 0
-        self._last: Optional[Tuple[int, Tuple[int, bool, bool]]] = None
-        # Chosen once: the accessors run on every predict and resolve.
-        if isinstance(inner, GAgPredictor):
-            self._read_history, self._write_history = self._read_ghr, self._write_ghr
-        if isinstance(inner, PApPredictor):
-            self._pattern_table = self._slot_table
-
-    # ------------------------------------------------------------------
-    # First-level plumbing over the three variants
-    # ------------------------------------------------------------------
-    def _read_history(self, pc: int) -> Tuple[int, bool]:
-        """(history value, fresh) for the branch, allocating on miss."""
-        entry = self.inner._access_entry(pc)
-        return entry.value, entry.fresh
-
-    def _read_ghr(self, pc: int) -> Tuple[int, bool]:
-        return self.inner.ghr, False
-
-    def _write_ghr(self, pc: int, value: int, fresh: bool) -> None:
-        self.inner.ghr = value & self._mask
-
-    def _write_history(self, pc: int, value: int, fresh: bool) -> None:
-        entry = self.inner.bht.peek(pc)
-        if entry is None:
-            entry = self.inner._access_entry(pc)
-        entry.value = value & self._mask
-        entry.fresh = fresh
-
-    def _pattern_table(self, pc: int):
-        return self.inner.pht
-
-    def _slot_table(self, pc: int):
-        entry = self.inner.bht.peek(pc)
-        if entry is None:
-            entry = self.inner._access_entry(pc)
-        return self.inner.bank.table_for(entry.slot)
-
-    # ------------------------------------------------------------------
-    # Protocol
-    # ------------------------------------------------------------------
-    def predict(self, pc: int, target: int = 0) -> bool:
-        """Predict and speculatively advance the branch's history.
-
-        Returns the prediction; the (pattern, prediction, fresh) tuple
-        needed at resolve time is obtained via :meth:`predict_tagged`.
-        """
-        prediction, _context = self.predict_tagged(pc, target)
-        return prediction
-
-    def predict_tagged(self, pc: int, target: int = 0) -> Tuple[bool, Tuple[int, bool, bool]]:
-        """Predict, speculate, and hand back the resolve context."""
-        history, fresh = self._read_history(pc)
-        table = self._pattern_table(pc)
-        prediction = table.predict(history)
-        # Speculative first-level update with the *predicted* outcome.
-        if fresh:
-            speculative = history_fill(prediction, self.history_bits)
-        else:
-            speculative = ((history << 1) | (1 if prediction else 0)) & self._mask
-        self._write_history(pc, speculative, False)
-        self.speculative_updates += 1
-        context = (history, prediction, fresh)
-        self._last = (pc, context)
-        return prediction, context
-
-    def resolve(self, pc: int, taken: bool, context: Tuple[int, bool, bool]) -> None:
-        """Apply the outcome: pattern update + history recovery."""
-        history, prediction, fresh = context
-        self._pattern_table(pc).update(history, taken)
-        if prediction == taken:
-            return
-        self.recoveries += 1
-        if self.policy is RecoveryPolicy.REPAIR:
-            if fresh:
-                repaired = history_fill(taken, self.history_bits)
-            else:
-                repaired = ((history << 1) | (1 if taken else 0)) & self._mask
-            self._write_history(pc, repaired, False)
-        elif self.policy is RecoveryPolicy.REINITIALISE:
-            self._write_history(pc, history_fill(taken, self.history_bits), False)
-        # RecoveryPolicy.NONE: the wrong speculative bit stays.
-
-    def update(self, pc: int, taken: bool, target: int = 0) -> None:
-        """Immediate-resolution compatibility path (D = 0).
-
-        Uses the context stashed by the most recent ``predict`` call,
-        which the baseline engine guarantees was for this branch.
-        """
-        if self._last is None or self._last[0] != pc:
-            # Engine discipline violated (update without predict):
-            # fall back to a fresh prediction's context.
-            self.predict_tagged(pc, target)
-        assert self._last is not None
-        _pc, context = self._last
-        self._last = None
-        self.resolve(pc, taken, context)
-
-    def on_context_switch(self) -> None:
-        self.inner.on_context_switch()
-
-
-@dataclass(frozen=True)
-class DelayedResult:
-    """Outcome of a delayed-resolution simulation."""
-
-    result: SimulationResult
-    resolution_latency: int
-    speculative: bool
-    recoveries: int = 0
-
-
-class _InFlight:
-    """One unresolved branch in the delayed-resolution pipeline."""
-
-    __slots__ = ("pc", "taken", "context", "prediction", "correct")
-
-    def __init__(self, pc: int, taken: bool, context, prediction: bool) -> None:
-        self.pc = pc
-        self.taken = taken
-        self.context = context
-        self.prediction = prediction
-        self.correct = prediction == taken
-
-
 def simulate_delayed(
-    predictor: BranchPredictor,
     trace: Trace,
-    resolution_latency: int = 0,
-    speculative: Optional[SpeculativeTwoLevel] = None,
-) -> DelayedResult:
-    """Replay ``trace`` with outcomes arriving ``resolution_latency``
-    branches after their predictions.
+    history_bits: int,
+    resolution_latency: int,
+    policy: Optional[RecoveryPolicy] = None,
+    automaton: AutomatonSpec = A2,
+) -> SimulationResult:
+    """Score GAg on ``trace`` with outcomes arriving
+    ``resolution_latency`` branches after their predictions: with stale
+    history when ``policy`` is ``None``, else with speculative history
+    recovered by ``policy``. A latency of 0 without a policy is the
+    immediate-update run.
 
-    Two modes:
-
-    * plain ``predictor`` — updates are simply applied D branches late,
-      modelling *stale* history (the problem §3.1 identifies);
-    * ``speculative`` wrapper — predictions update the first level
-      speculatively; a misprediction **squashes** the younger in-flight
-      branches exactly as a pipeline flush does: their speculative
-      history writes are rolled back (checkpoint restore), the
-      offending branch's register is recovered per the wrapper's
-      policy, and the squashed branches are re-predicted with the
-      corrected history. Their re-predictions are the architectural
-      ones and are the ones scored.
+    Raises:
+        ValueError: for a negative ``resolution_latency``.
     """
     if resolution_latency < 0:
         raise ValueError("resolution latency must be >= 0")
-    conditional = 0
-    correct = 0
-
-    if speculative is None:
-        pending: Deque = deque()
-        cond_class = int(BranchClass.CONDITIONAL)
-        for pc, taken, cls, target, _instret, _trap in trace.iter_tuples():
-            if cls != cond_class:
-                continue
-            # Keep `resolution_latency` older branches unresolved while
-            # this one is predicted with (stale) history.
-            while len(pending) > resolution_latency:
-                old_pc, old_taken = pending.popleft()
-                predictor.update(old_pc, old_taken)
-            prediction = predictor.predict(pc, target)
-            pending.append((pc, taken))
-            conditional += 1
-            if prediction == taken:
-                correct += 1
-        while pending:
-            old_pc, old_taken = pending.popleft()
-            predictor.update(old_pc, old_taken)
-        result = SimulationResult(
-            predictor_name=predictor.name,
-            trace_name=trace.meta.name,
-            dataset=trace.meta.dataset,
-            conditional_branches=conditional,
-            correct_predictions=correct,
-        )
-        return DelayedResult(result, resolution_latency, speculative=False)
-
-    wrapper = speculative
-    pending_spec: Deque[_InFlight] = deque()
-
-    def resolve_oldest() -> None:
-        nonlocal correct
-        record = pending_spec.popleft()
-        if record.correct:
-            # Pattern update only; speculative history was right.
-            wrapper._pattern_table(record.pc).update(record.context[0], record.taken)
-            correct += 1
-            return
-        # Misprediction: squash younger work. Roll back speculative
-        # history writes youngest-first (checkpoint restore)...
-        for young in reversed(pending_spec):
-            history, _prediction, fresh = young.context
-            wrapper._write_history(young.pc, history, fresh)
-        squashed = list(pending_spec)
-        pending_spec.clear()
-        # ...apply the resolved outcome (pattern + recovery policy)...
-        wrapper.resolve(record.pc, record.taken, record.context)
-        # ...and re-fetch the squashed branches with corrected history.
-        for young in squashed:
-            prediction, context = wrapper.predict_tagged(young.pc)
-            young.prediction = prediction
-            young.context = context
-            young.correct = prediction == young.taken
-            pending_spec.append(young)
-
-    cond_class = int(BranchClass.CONDITIONAL)
-    for pc, taken, cls, target, _instret, _trap in trace.iter_tuples():
-        if cls != cond_class:
-            continue
-        while len(pending_spec) > resolution_latency:
-            resolve_oldest()
-        prediction, context = wrapper.predict_tagged(pc, target)
-        pending_spec.append(_InFlight(pc, taken, context, prediction))
-        conditional += 1
-    while pending_spec:
-        resolve_oldest()
-
-    result = SimulationResult(
-        predictor_name=wrapper.name,
+    gag = make_gag(history_bits, automaton)
+    if policy is None:
+        name = gag.name
+        taken, predicted = _replay_mispredictions(gag, trace, _immediate_predictions)
+        stale = predicted[np.maximum(np.arange(len(taken)) - resolution_latency, 0)]
+        correct = int(np.count_nonzero(stale == taken))
+    else:
+        name = f"spec[{policy.value}]:{gag.name}"
+        arrays = trace.as_arrays()
+        taken = arrays.taken[arrays.cond_mask].view(np.uint8).tolist()
+        correct = _speculative_correct(taken, history_bits, resolution_latency,
+                                       policy, automaton)
+    return SimulationResult(
+        predictor_name=name,
         trace_name=trace.meta.name,
         dataset=trace.meta.dataset,
-        conditional_branches=conditional,
+        conditional_branches=len(taken),
         correct_predictions=correct,
     )
-    return DelayedResult(
-        result=result,
-        resolution_latency=resolution_latency,
-        speculative=True,
-        recoveries=wrapper.recoveries,
-    )
+
+
+def _immediate_predictions(blocks):
+    """Fold: the conditional outcomes and the immediate-update run's
+    predictions, as two bool arrays."""
+    taken, predicted = [np.zeros(0, np.bool_)], [np.zeros(0, np.bool_)]
+    for _pc, block_taken, _seg, wrong in blocks:
+        block_predicted = block_taken.copy()
+        block_predicted[wrong] = ~block_taken[wrong]
+        taken.append(block_taken)
+        predicted.append(block_predicted)
+    return np.concatenate(taken), np.concatenate(predicted)
+
+
+def _speculative_correct(taken, history_bits, latency, policy, automaton) -> int:
+    """The forward pass: correct final predictions of GAg with
+    speculative history over the outcomes ``taken`` (ints 0/1)."""
+    mask = history_mask(history_bits)
+    step = [nxt for pair in automaton.transitions for nxt in pair]
+    predicts = automaton.predictions
+    states = [automaton.initial_state] * (1 << history_bits)
+    history = [0] * len(taken)
+    repair, reinitialise = policy is RecoveryPolicy.REPAIR, policy is RecoveryPolicy.REINITIALISE
+    ghr = mask
+    applied = correct = 0
+    last_miss = -1 - latency
+    for j, outcome in enumerate(taken):
+        resolved = last_miss + 1 if last_miss >= j - latency else j - latency
+        while applied < resolved:
+            pattern = history[applied]
+            states[pattern] = step[2 * states[pattern] + taken[applied]]
+            applied += 1
+        history[j] = ghr
+        if predicts[states[ghr]] == outcome:
+            correct += 1
+            ghr = ((ghr << 1) | outcome) & mask
+        else:
+            last_miss = j
+            if repair:
+                ghr = ((ghr << 1) | outcome) & mask
+            elif reinitialise:
+                ghr = history_fill(outcome, history_bits)
+            else:
+                ghr = ((ghr << 1) | (1 - outcome)) & mask
+    return correct

@@ -144,15 +144,14 @@ class Trace:
     its :class:`TraceArrays` (27 bytes per record): the vectorized
     kernels, the statistics passes, the writers and the content digest
     all read them. Per-record Python loops (the interpreted engine, the
-    fetch and pipeline models, the bounds) iterate tuples of native
-    ints and bools through ``zip``, several times faster than indexing
-    arrays, so the first list access (:attr:`columns`,
-    :meth:`iter_tuples`, iteration, indexing) builds six plain lists
-    with ``tolist()`` and caches them on the trace, about 145 bytes per
-    record more on 64-bit CPython. The constructor converts (and so
-    copies) the columns it is given, and raises
-    :class:`TraceFormatError` naming the record when a value does not
-    fit its array's dtype (a pc at or above ``2**63``, say).
+    fetch model) iterate tuples of native ints and bools through
+    ``zip``, several times faster than indexing arrays, so the first
+    list access (:attr:`columns`, :meth:`iter_tuples`, iteration,
+    indexing) builds six plain lists with ``tolist()`` and caches them
+    on the trace, about 145 bytes per record more on 64-bit CPython.
+    The constructor converts (and so copies) the columns it is given,
+    and raises :class:`TraceFormatError` naming the record when a value
+    does not fit its array's dtype (a pc at or above ``2**63``, say).
     """
 
     __slots__ = ("meta", "_arrays", "_lists", "_digest")
