@@ -33,8 +33,8 @@ import numpy as np
 
 from ..core.history import CacheBHT, IdealBHT
 from ..sim.kernels import (_global_history, _group_sort, _history_bits, _Keyed, _lasts,
-                           _pa_history, _pa_layout, _site_ids, _slot_carry, _source_tallies,
-                           _upsert)
+                           _pa_history, _pa_layout, _pa_registers, _site_ids, _slot_carry,
+                           _source_tallies, _upsert)
 from ..trace.stream import TraceSource
 
 __all__ = [
@@ -132,9 +132,16 @@ def second_level_interference(
     def kernel(run, carry):
         slots, known, last, owners, cross, destructive = carry or (
             None, None, _Keyed(np.empty(0, np.int64)), np.empty(0, np.int64), 0, 0)
-        layout, patterns_s, slots = _pa_history(run, ideal, k, slots)
+        layout = _pa_layout(run, ideal, slots)
+
+        def patterns():
+            # Built inside the sort, so the patterns die with it.
+            nonlocal slots
+            patterns_s, slots = _pa_registers(run, layout, k, slots)
+            return patterns_s
+
         ids, known = _site_ids(run, known)
-        order, grp_new, key_s, out_s = _group_sort(patterns_s, layout.out_s, layout.order)
+        order, grp_new, key_s, out_s = _group_sort(patterns, layout.out_s, layout.order)
         site_s = ids[order].astype(np.int64)
         heads = np.flatnonzero(grp_new)
         prev_site, prev_out = np.roll(site_s, 1), np.roll(out_s, 1)

