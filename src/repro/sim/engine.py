@@ -439,6 +439,20 @@ def _replay_mispredictions(
     return fold(iter((probe.block(),)))
 
 
+def _outcomes_and_misses(blocks) -> tuple:
+    """A :func:`_replay_mispredictions` fold: the conditional records'
+    outcomes and a mask of the mispredicted ones, as two bool arrays."""
+    import numpy as np
+
+    taken, wrong = [np.zeros(0, np.bool_)], [np.zeros(0, np.bool_)]
+    for _pc, block_taken, _seg, block_wrong in blocks:
+        mask = np.zeros(block_taken.shape[0], np.bool_)
+        mask[block_wrong] = True
+        taken.append(block_taken)
+        wrong.append(mask)
+    return np.concatenate(taken), np.concatenate(wrong)
+
+
 class _MissProbe:
     """Probe collecting the interpreted loop's conditional records as one
     :func:`_replay_mispredictions` block."""

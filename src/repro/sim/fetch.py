@@ -9,8 +9,8 @@ the same cycle.
 
 This module models that front end:
 
-* :class:`BranchTargetCache` — a tagged, set-associative cache of
-  resolved branch targets (the extra field of §3.2).
+* :class:`BranchTargetCache` — a tagged, set-associative, true-LRU
+  cache of resolved branch targets (the extra field of §3.2).
 * :class:`ReturnAddressStack` — the natural companion for ``return``
   branches, whose targets a BTAC mispredicts whenever a subroutine is
   called from a new site (Kaeli & Emma, the paper's reference [4]).
@@ -22,6 +22,12 @@ This module models that front end:
   - ``taken_bubble`` cycles when a correctly-predicted-taken (or
     unconditional) transfer has no cached target — the §3.2 bubble.
 
+:meth:`FetchEngine.run` scores the trace's columns: the engine's
+mispredicted records, one RAS loop over calls and returns, and the
+kernels' LRU replay of the target installs. Like
+:func:`repro.sim.engine.simulate`, it needs fresh components; the
+record loop it replaced is the oracle in ``tests/reference_fetch.py``.
+
 The summary statistic is **fetch cycles per instruction**; 1.0 is a
 perfect front end. ``benchmarks/test_bench_fetch.py`` quantifies the
 paper's argument that target caching removes most of the non-mispredict
@@ -30,49 +36,33 @@ bubbles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
-from ..core.history import CacheBHT
+import numpy as np
+
 from ..predictors.base import BranchPredictor
 from ..trace.events import BranchClass, Trace
+from .engine import _outcomes_and_misses, _replay_mispredictions
+from .kernels import _lru_metadata
 
 __all__ = ["BranchTargetCache", "FetchEngine", "FetchStats", "ReturnAddressStack"]
 
 
 class BranchTargetCache:
-    """Cached resolved targets, tagged and set-associative.
-
-    Reuses the BHT cache machinery with the target address as payload.
-    """
+    """The geometry of a target cache indexed like a
+    :class:`~repro.core.history.CacheBHT`."""
 
     def __init__(self, num_entries: int = 512, associativity: int = 4) -> None:
-        self._cache = CacheBHT(num_entries, associativity, init_value=0)
-        self.lookups = 0
-        self.hits = 0
-        self.correct = 0
-
-    def predict_target(self, pc: int) -> Optional[int]:
-        """The cached target for ``pc``, or None on miss."""
-        self.lookups += 1
-        entry = self._cache.peek(pc)
-        if entry is None or entry.fresh:
-            return None
-        self.hits += 1
-        return entry.value
-
-    def record(self, pc: int, target: int) -> None:
-        """Install/refresh the resolved target."""
-        entry, _hit = self._cache.access(pc)
-        entry.value = target
-        entry.fresh = False
-
-    def flush(self) -> None:
-        self._cache.flush()
-
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.lookups if self.lookups else 0.0
+        if num_entries < 1:
+            raise ValueError("num_entries must be >= 1")
+        if associativity < 1:
+            raise ValueError("associativity must be >= 1")
+        if num_entries % associativity != 0:
+            raise ValueError("num_entries must be a multiple of associativity")
+        self.num_entries = num_entries
+        self.associativity = associativity
+        self.num_sets = num_entries // associativity
 
 
 class ReturnAddressStack:
@@ -182,55 +172,65 @@ class FetchEngine:
         self.taken_bubble = taken_bubble
 
     def run(self, trace: Trace) -> FetchStats:
-        """Replay ``trace`` and account fetch bubbles."""
-        stats = FetchStats()
-        predictor = self.predictor
-        btac = self.btac
-        ras = self.ras
-        last_instret = 0
-        for pc, taken, cls, target, instret, _trap in trace.iter_tuples():
-            stats.instructions += instret - last_instret
-            last_instret = instret
-            if cls == BranchClass.CONDITIONAL:
-                stats.conditional_branches += 1
-                prediction = predictor.predict(pc, target)
-                predictor.update(pc, taken, target)
-                if prediction != taken:
-                    stats.mispredict_squashes += 1
-                    stats.penalty_cycles += self.mispredict_penalty
-                    if btac is not None and taken:
-                        btac.record(pc, target)
-                    continue
-                stats.direction_correct += 1
-                if taken:
-                    self._charge_taken_transfer(stats, pc, target)
-            elif cls == BranchClass.CALL:
-                if ras is not None:
-                    ras.push(pc + 4)
-                self._charge_taken_transfer(stats, pc, target)
-            elif cls == BranchClass.RETURN:
-                stats.ras_returns += 1
-                if ras is not None:
-                    predicted = ras.pop()
-                    if predicted is not None and (target == 0 or predicted == target):
-                        stats.ras_return_hits += 1
-                        stats.taken_transfers += 1
-                        continue
-                self._charge_taken_transfer(stats, pc, target)
-            else:  # unconditional
-                self._charge_taken_transfer(stats, pc, target)
-        if btac is not None:
-            stats.btac_hit_rate = btac.hit_rate
-        return stats
+        """Replay ``trace`` and account fetch bubbles.
 
-    def _charge_taken_transfer(self, stats: FetchStats, pc: int, target: int) -> None:
-        stats.taken_transfers += 1
-        if self.btac is None:
-            stats.target_bubbles += 1
-            stats.penalty_cycles += self.taken_bubble
-            return
-        predicted_target = self.btac.predict_target(pc)
-        if predicted_target is None or (target != 0 and predicted_target != target):
-            stats.target_bubbles += 1
-            stats.penalty_cycles += self.taken_bubble
-        self.btac.record(pc, target)
+        The predictor, BTAC and RAS must be freshly built, as for
+        :func:`repro.sim.engine.simulate`. A taken transfer looks up the
+        BTAC unless the RAS supplied its target; each lookup, and each
+        mispredicted taken conditional, then installs its target. A
+        lookup's target is good when its pc is resident and the target
+        is 0 or the one the pc's previous install left.
+        """
+        arrays = trace.as_arrays()
+        cls, pc, target, cond = arrays.cls, arrays.pc, arrays.target, arrays.cond_mask
+        taken, wrong = _replay_mispredictions(self.predictor, trace, _outcomes_and_misses)
+        lookup = ~cond
+        lookup[cond] = taken & ~wrong
+        returns = cls == int(BranchClass.RETURN)
+        # Calls push pc + 4; a return whose pop gives its target (or
+        # whose target is 0) takes no lookup.
+        supplied = []
+        if self.ras is not None:
+            call = int(BranchClass.CALL)
+            at = np.flatnonzero((cls == call) | returns)
+            for i, kind, site, to in zip(at.tolist(), cls[at].tolist(), pc[at].tolist(),
+                                         target[at].tolist()):
+                if kind == call:
+                    self.ras.push(site + 4)
+                else:
+                    popped = self.ras.pop()
+                    if popped is not None and (to == 0 or popped == to):
+                        supplied.append(i)
+        lookup[supplied] = False
+        lookups = int(np.count_nonzero(lookup))
+        good = hits = 0
+        if self.btac is not None:
+            install = lookup.copy()
+            install[cond] |= taken & wrong
+            at = np.flatnonzero(install)
+            pcs, targets = pc[at], target[at]
+            order1, miss, _evict, _slot = _lru_metadata(
+                lambda: pcs, None, self.btac.num_sets, self.btac.associativity, None)
+            hit = lookup[at]
+            hit[order1] &= ~miss
+            # A pc's first install misses, so a hit's neighbour in pc
+            # order is its pc's previous install.
+            by_pc = np.argsort(pcs, kind="stable")
+            kept = np.zeros(at.shape[0], dtype=np.bool_)
+            kept[by_pc[1:]] = targets[by_pc[1:]] == targets[by_pc[:-1]]
+            hits = int(np.count_nonzero(hit))
+            good = int(np.count_nonzero(hit & ((targets == 0) | kept)))
+        squashes, bubbles = int(np.count_nonzero(wrong)), lookups - good
+        return FetchStats(
+            instructions=int(arrays.instret[-1]) if len(arrays) else 0,
+            conditional_branches=wrong.shape[0],
+            direction_correct=wrong.shape[0] - squashes,
+            taken_transfers=lookups + len(supplied),
+            target_bubbles=bubbles,
+            mispredict_squashes=squashes,
+            penalty_cycles=squashes * self.mispredict_penalty + bubbles * self.taken_bubble,
+            btac_hit_rate=hits / lookups if hits else 0.0,
+            ras_return_hits=len(supplied),
+            ras_returns=int(np.count_nonzero(returns)),
+        )
+

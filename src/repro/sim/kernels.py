@@ -67,6 +67,8 @@ then follow by inheritance (a hit keeps its previous touch's way, an
 evicting miss its victim's) resolved by pointer jumping, so the pass
 emits the same (episode, slot, evict) layout the direct-mapped path
 derives in closed form, in log-depth passes over the epoch length.
+The replay takes any pc stream: the §3.2 fetch model replays its
+target cache through it too (:mod:`repro.sim.fetch`).
 The replay's working set stays near 50 B per conditional record (the
 pcs' 8 B gather included): sets and slots are ``uint16``, ways one
 byte, epoch ids and previous touches int32 per event, every temporary
@@ -551,7 +553,7 @@ def _run_wrong_positions(runs: _Runs, ops: _AutomatonOps) -> np.ndarray:
 def _change_marks(values: np.ndarray) -> np.ndarray:
     """True at index 0 and wherever a value differs from the one before."""
     marks = np.empty(values.shape[0], dtype=np.bool_)
-    marks[0] = True
+    marks[:1] = True
     marks[1:] = values[1:] != values[:-1]
     return marks
 
@@ -1270,9 +1272,14 @@ def _build_layout(run: _Run, bht, carry: Optional[_Keyed]) -> _Layout:
     return _Layout(order, out_s, ep_new, blk_new, evict, heads, hkey, cont, ideal)
 
 
-def _lru_metadata(run: _Run, bht: CacheBHT, carry: Optional[_Keyed]):
-    """Replay every set's LRU way array over the block's conditional
-    records in (set, time) order.
+def _lru_metadata(pcs, seg_c: Optional[np.ndarray], num_sets: int, assoc: int,
+                  carry: Optional[_Keyed]):
+    """Replay ``num_sets`` LRU sets of ``assoc`` ways over a stream of
+    accesses in (set, time) order.
+
+    ``pcs`` builds the accesses' pcs (a BHT caller's gather, so they die
+    in the replay); ``seg_c`` holds their flush segments, non-decreasing,
+    or is None for a stream never flushed and never carried.
 
     Returns ``order1`` (that order) and per-record arrays in it: ``miss``
     (the access allocated its entry), ``evict`` (the allocation displaced
@@ -1282,7 +1289,7 @@ def _lru_metadata(run: _Run, bht: CacheBHT, carry: Optional[_Keyed]):
     exactly: hits refresh recency, misses claim the first invalid way by
     index (else the true-LRU victim), and a flush invalidates every way
     while keeping its tag and recency — only ``access`` ticks the clock,
-    so recency order is conditional-record order.
+    so recency order is access order.
 
     Consecutive records of one set with the same tag and segment
     collapse into a single *event* (everything after the first is a
@@ -1319,10 +1326,9 @@ def _lru_metadata(run: _Run, bht: CacheBHT, carry: Optional[_Keyed]):
     dropped after its last reader, and the replay runs a bounded batch
     of epochs at a time.
     """
-    n = run.n_c
-    assoc = bht.associativity
-    num_sets = bht.num_sets
-    pc_c = _gathered_pcs(run)
+    pc_c = pcs()
+    n = pc_c.shape[0]
+    switching = seg_c is not None and n and seg_c[0] != seg_c[-1]
     sets = np.empty(n, dtype=np.min_scalar_type(num_sets - 1))
     np.remainder(pc_c, num_sets, out=sets, casting="unsafe")
     order1 = _stable_argsort(sets)
@@ -1333,7 +1339,7 @@ def _lru_metadata(run: _Run, bht: CacheBHT, carry: Optional[_Keyed]):
     pc_s = pc_c[order1]
     del pc_c
     ev_new = _change_marks(pc_s)
-    seg_s = run.seg_c[order1] if run.switches else None
+    seg_s = seg_c[order1] if switching else None
     if seg_s is not None:
         ev_new[1:] |= seg_s[1:] != seg_s[:-1]
     ev_first = np.flatnonzero(ev_new)
@@ -1352,8 +1358,10 @@ def _lru_metadata(run: _Run, bht: CacheBHT, carry: Optional[_Keyed]):
     ep_first = np.flatnonzero(ep_new)
     n_ep = ep_first.shape[0]
     ep_set = ev_set[ep_first]
-    # Each epoch's flush stamp: one for the block without a switch.
-    ep_seg = run.seg_c[:1] if ev_seg is None else ev_seg[ep_first]
+    # Each epoch's flush stamp, which a carried way must match: one for
+    # the block without a switch.
+    if carry is not None:
+        ep_seg = seg_c[:1] if ev_seg is None else ev_seg[ep_first]
     del ev_set, ev_seg, ev_first
     ep_id = _running_count(ep_new)
     ep_id -= 1
@@ -1587,7 +1595,8 @@ def _assoc_layout(run: _Run, bht: CacheBHT, carry: Optional[_Keyed]) -> _Layout:
     A slot's first record in the block continues a carried entry exactly
     when it hits.
     """
-    order1, miss_r, evict_r, slot_r = _lru_metadata(run, bht, carry)
+    order1, miss_r, evict_r, slot_r = _lru_metadata(
+        lambda: _gathered_pcs(run), run.seg_c, bht.num_sets, bht.associativity, carry)
     # A stable slot-sort of the (set, time)-ordered records yields
     # (slot, time) order.
     order2 = _stable_argsort(slot_r)
@@ -1611,7 +1620,8 @@ def _residency_words(run: _Run, bht: CacheBHT) -> np.ndarray:
     associativity + way). ``uint16`` holds every slot of a BHT with at
     most ``2**14`` entries, ``uint32`` of one below ``2**30``, which a
     :class:`CacheBHT` (one object per entry) never reaches."""
-    order1, miss_r, evict_r, slot_r = _lru_metadata(run, bht, None)
+    order1, miss_r, evict_r, slot_r = _lru_metadata(
+        lambda: _gathered_pcs(run), run.seg_c, bht.num_sets, bht.associativity, None)
     dtype = np.uint16 if bht.num_sets * bht.associativity <= 1 << 14 else np.uint32
     packed = slot_r.astype(dtype, copy=False)
     packed <<= 2

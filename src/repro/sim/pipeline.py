@@ -41,7 +41,7 @@ from ..core.automata import A2, AutomatonSpec
 from ..core.history import history_fill, history_mask
 from ..core.twolevel import make_gag
 from ..trace.events import Trace
-from .engine import _replay_mispredictions
+from .engine import _outcomes_and_misses, _replay_mispredictions
 from .results import SimulationResult
 
 __all__ = ["RecoveryPolicy", "simulate_delayed"]
@@ -76,7 +76,8 @@ def simulate_delayed(
     gag = make_gag(history_bits, automaton)
     if policy is None:
         name = gag.name
-        taken, predicted = _replay_mispredictions(gag, trace, _immediate_predictions)
+        taken, wrong = _replay_mispredictions(gag, trace, _outcomes_and_misses)
+        predicted = taken ^ wrong
         stale = predicted[np.maximum(np.arange(len(taken)) - resolution_latency, 0)]
         correct = int(np.count_nonzero(stale == taken))
     else:
@@ -92,18 +93,6 @@ def simulate_delayed(
         conditional_branches=len(taken),
         correct_predictions=correct,
     )
-
-
-def _immediate_predictions(blocks):
-    """Fold: the conditional outcomes and the immediate-update run's
-    predictions, as two bool arrays."""
-    taken, predicted = [np.zeros(0, np.bool_)], [np.zeros(0, np.bool_)]
-    for _pc, block_taken, _seg, wrong in blocks:
-        block_predicted = block_taken.copy()
-        block_predicted[wrong] = ~block_taken[wrong]
-        taken.append(block_taken)
-        predicted.append(block_predicted)
-    return np.concatenate(taken), np.concatenate(predicted)
 
 
 def _speculative_correct(taken, history_bits, latency, policy, automaton) -> int:

@@ -29,7 +29,7 @@ simulate or save arbitrarily long workloads in bounded memory.
 from __future__ import annotations
 
 import random
-from typing import Callable, Iterable, Iterator, Sequence, Tuple
+from typing import Callable, Iterator, Sequence, Tuple
 
 from .events import BranchClass, Trace, TraceBuilder
 
@@ -38,7 +38,6 @@ __all__ = [
     "alternating_source",
     "biased_records",
     "biased_trace",
-    "concat",
     "correlated_pair_trace",
     "interleaved",
     "loop_records",
@@ -292,17 +291,3 @@ def markov_records(
             state = not state
         instret += work_per_branch + 1
         yield (pc, state, _COND, 0, instret, False)
-
-
-def concat(traces: Iterable[Trace], name: str = "concat") -> Trace:
-    """Concatenate traces into one, recomputing ``instret`` offsets."""
-    builder = TraceBuilder(name=name, source="synthetic")
-    for trace in traces:
-        previous_instret = 0
-        for pc, taken, cls, target, instret, trap in trace.iter_tuples():
-            gap = max(instret - previous_instret - 1, 0)
-            previous_instret = instret
-            if trap:
-                builder.trap()
-            builder.branch(pc, taken, BranchClass(cls), target=target, work=gap)
-    return builder.build()

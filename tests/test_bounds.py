@@ -14,6 +14,7 @@ from repro.predictors.static import ProfileGuided
 from repro.sim.engine import simulate
 from repro.trace import synthetic
 from repro.trace.events import TraceBuilder
+from repro.trace.transforms import merge
 
 
 class TestBiasBound:
@@ -87,7 +88,7 @@ class TestHistoryBound:
         pc = 0x1000  # both phases must be the SAME static branch
         phase1 = synthetic.periodic_trace([True], repeats=6000, pc=pc)
         phase2 = synthetic.loop_trace(iterations=860, trip_count=7, pc=pc)
-        trace = synthetic.concat([phase1, phase2])
+        trace = merge([phase1, phase2])
         bound = history_bound(trace, 6)
         measured = simulate(make_pag(6), trace).accuracy
         assert measured > bound + 0.01

@@ -12,6 +12,7 @@ from repro.predictors.static import AlwaysNotTaken, AlwaysTaken
 from repro.sim.engine import simulate
 from repro.trace import synthetic
 from repro.trace.events import TraceBuilder
+from repro.trace.transforms import merge
 
 
 class TestGselect:
@@ -117,7 +118,7 @@ class TestTournament:
         loops = synthetic.interleaved(
             [synthetic.loop_source(4), synthetic.loop_source(6)], length=12_000
         )
-        trace = synthetic.concat([pair, loops])
+        trace = merge([pair, loops])
         tournament = tournament_pag_gshare(8, 10, 10)
         combined = simulate(tournament, trace).accuracy
         pag_only = simulate(make_pag(8), trace).accuracy

@@ -11,11 +11,12 @@ from repro.sim.fetch import (
 )
 from repro.trace import synthetic
 from repro.trace.events import TraceBuilder
+from tests import reference_fetch
 
 
 class TestBranchTargetCache:
     def test_miss_then_hit(self):
-        btac = BranchTargetCache(64, 2)
+        btac = reference_fetch.BranchTargetCache(64, 2)
         assert btac.predict_target(0x100) is None
         btac.record(0x100, 0x500)
         assert btac.predict_target(0x100) == 0x500
@@ -23,19 +24,19 @@ class TestBranchTargetCache:
         assert btac.lookups == 2
 
     def test_target_update(self):
-        btac = BranchTargetCache(64, 2)
+        btac = reference_fetch.BranchTargetCache(64, 2)
         btac.record(0x100, 0x500)
         btac.record(0x100, 0x900)  # indirect branch changed target
         assert btac.predict_target(0x100) == 0x900
 
     def test_flush(self):
-        btac = BranchTargetCache(64, 2)
+        btac = reference_fetch.BranchTargetCache(64, 2)
         btac.record(0x100, 0x500)
         btac.flush()
         assert btac.predict_target(0x100) is None
 
     def test_capacity_conflicts(self):
-        btac = BranchTargetCache(4, 1)
+        btac = reference_fetch.BranchTargetCache(4, 1)
         btac.record(0, 0xA)
         btac.record(4, 0xB)  # same set, evicts
         assert btac.predict_target(0) is None

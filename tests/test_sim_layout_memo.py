@@ -312,7 +312,8 @@ def test_layout_rebuilt_from_words_equals_fresh_build(case):
     assert source == "replay"
     words = trace.as_arrays().residency[(sets, ways, run.cs)]
     assert words.dtype == (np.uint16 if sets * ways <= 1 << 14 else np.uint32)
-    order1, miss, evict, slot = kernels._lru_metadata(run, bht, None)
+    order1, miss, evict, slot = kernels._lru_metadata(
+        lambda: kernels._gathered_pcs(run), run.seg_c, sets, ways, None)
     assert np.array_equal(words[order1] >> 2, slot)
     assert np.array_equal((words[order1] >> 1) & 1, miss)
     assert np.array_equal(words[order1] & 1, evict)
@@ -325,14 +326,17 @@ def test_layout_rebuilt_from_words_equals_fresh_build(case):
 
 
 def _count_replays(monkeypatch):
-    """Record ``(arrays id, num_sets, associativity, cs)`` per LRU replay."""
+    """Record ``(pcs, num_sets, associativity, flush segments)`` per LRU
+    replay, the pcs and segments as bytes."""
     calls = []
     original = kernels._lru_metadata
-    monkeypatch.setattr(
-        kernels, "_lru_metadata",
-        lambda run, bht, carry: calls.append(
-            (id(run.arrays), bht.num_sets, bht.associativity, run.cs))
-        or original(run, bht, carry))
+
+    def counted(pcs, seg_c, num_sets, assoc, carry):
+        pcs = pcs()
+        calls.append((pcs.tobytes(), num_sets, assoc, seg_c.tobytes()))
+        return original(lambda: pcs, seg_c, num_sets, assoc, carry)
+
+    monkeypatch.setattr(kernels, "_lru_metadata", counted)
     return calls
 
 

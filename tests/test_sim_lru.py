@@ -151,7 +151,9 @@ def _replay(trace, bht: CacheBHT, cuts):
         block = trace.select(range(lo, hi))
         run = kernels._Run(block, SWITCHES, False, 0, prev_epoch=prev_epoch,
                            fires_base=fires, t0=seen, final=False)
-        order, miss_r, evict_r, slot_r = kernels._lru_metadata(run, bht, carry)
+        order, miss_r, evict_r, slot_r = kernels._lru_metadata(
+            lambda: kernels._gathered_pcs(run), run.seg_c, bht.num_sets, bht.associativity,
+            carry)
         for out, values in zip(outs, (miss_r, evict_r, slot_r)):
             at = np.empty_like(values)
             at[order] = values
@@ -198,6 +200,21 @@ def test_lru_metadata_matches_cache_bht_on_wide_pcs(tag_base, tag_step):
     got = _replay(trace, bht, [len(trace) // 2])
     want = _oracle(trace, CacheBHT(num_sets * assoc, assoc))
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("switches", [None, SWITCHES], ids=["no-switches", "switches"])
+def test_lru_metadata_on_zero_records(switches):
+    """An empty stream replays to empty arrays, like the reference cache,
+    whether it carries flush segments or none."""
+    trace = TraceBuilder(name="empty", source="test").build()
+    bht = CacheBHT(8, 4)
+    run = kernels._Run(trace, switches, False, 0)
+    for seg_c in (run.seg_c, None):
+        order, miss, evict, slot = kernels._lru_metadata(
+            lambda: kernels._gathered_pcs(run), seg_c, bht.num_sets, bht.associativity, None)
+        assert order.shape == (0,)
+        want = _oracle(trace, CacheBHT(8, 4))
+        assert all(np.array_equal(a, b) for a, b in zip((miss, evict, slot), want))
 
 
 def test_thrash_epoch_misses_on_every_event():

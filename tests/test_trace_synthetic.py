@@ -4,6 +4,7 @@ import pytest
 
 from repro.trace import synthetic
 from repro.trace.stats import compute_stats
+from repro.trace.transforms import merge
 
 
 class TestLoopTrace:
@@ -117,17 +118,10 @@ class TestSources:
 
 
 class TestConcat:
-    def test_concatenation_preserves_records_and_traps(self):
-        a = synthetic.loop_trace(iterations=2, trip_count=2)
-        b = synthetic.periodic_trace([False], repeats=3)
-        combined = synthetic.concat([a, b])
-        assert len(combined) == len(a) + len(b)
-        assert [r.taken for r in combined] == [r.taken for r in a] + [r.taken for r in b]
-
     def test_instret_monotonic(self):
         a = synthetic.loop_trace(iterations=3, trip_count=3)
         b = synthetic.loop_trace(iterations=3, trip_count=3)
-        combined = synthetic.concat([a, b])
+        combined = merge([a, b])
         instrets = [r.instret for r in combined]
         assert instrets == sorted(instrets)
         assert instrets[-1] > instrets[len(a) - 1]

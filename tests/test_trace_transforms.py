@@ -111,6 +111,13 @@ class TestMerge:
         merged = merge([a, b])
         assert len(merged) == len(a) + len(b)
 
+    def test_records_preserved_in_order(self):
+        a = synthetic.loop_trace(iterations=2, trip_count=2)
+        b = synthetic.periodic_trace([False], repeats=3)
+        merged = merge([a, b])
+        assert len(merged) == len(a) + len(b)
+        assert [r.taken for r in merged] == [r.taken for r in a] + [r.taken for r in b]
+
     def test_instret_monotone_and_rebased(self):
         a = synthetic.loop_trace(iterations=5, trip_count=3)
         b = synthetic.loop_trace(iterations=5, trip_count=3)
